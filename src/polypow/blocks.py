@@ -15,6 +15,13 @@ first p rows, so counts are exact at every length with no row horizon or
 stabilization heuristic.  Discoveries in a plain scan recur near rows p*k+r
 for earlier discovery rows k, which makes any bounded-lookahead stopping rule
 unsound; the fixpoint sidesteps that entirely.
+
+Memory: each level is one packed matrix, the sorted distinct blocks as uint8
+rows.  Only the short fixpoint levels stay; a longer level is built from its
+source chain when a count needs it and dropped once nothing left to build
+sources from it, while its count is kept.  Closures are cached per (p, coeffs)
+in a bounded LRU, emptied by _closure.cache_clear().  Digits are bytes, so
+p > 255 is refused.
 """
 
 from __future__ import annotations
@@ -29,10 +36,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .fpoly import FpPoly, check_prime, digits_to_text, iter_rows
 
 SCAN_CAP = 2**14
-
-
-class StabilizationError(RuntimeError):
-    """Kept for API compatibility; the exact closure engine has no row cap."""
 
 
 class InferenceError(RuntimeError):
@@ -53,10 +56,23 @@ class BlockSet:
         return "\n".join(sorted(self.members))
 
 
-def _window_codes(row: np.ndarray, n: int, p: int, weights) -> np.ndarray:
+def _window_codes(row: np.ndarray, n: int, weights) -> np.ndarray:
     padded = np.concatenate([np.zeros(n, dtype=np.int64), row, np.zeros(n, dtype=np.int64)])
     conv = np.convolve(padded, weights)
     return conv[n - 1:len(padded)]
+
+
+def _windows(row: np.ndarray, n: int) -> np.ndarray:
+    """Every n-window of a uint8 row embedded in zeros, one per matrix row."""
+    padded = np.concatenate([np.zeros(n, np.uint8), row, np.zeros(n, np.uint8)])
+    return sliding_window_view(padded, n)
+
+
+def _unique_rows(mat: np.ndarray) -> np.ndarray:
+    """The distinct rows of a uint8 matrix, in lexicographic order."""
+    width = mat.shape[1]
+    packed = np.ascontiguousarray(mat).view(np.dtype((np.void, width))).ravel()
+    return np.unique(packed).view(np.uint8).reshape(-1, width)
 
 
 def _decode(code: int, n: int, p: int) -> str:
@@ -80,13 +96,12 @@ def scan_accessible(f: FpPoly, n: int, max_row: int = SCAN_CAP) -> BlockSet:
         seen: set[int] = set()
         for row in iter_rows(f, max_row + 1):
             arr = np.asarray(row, dtype=np.int64)
-            seen.update(np.unique(_window_codes(arr, n, p, weights)).tolist())
+            seen.update(np.unique(_window_codes(arr, n, weights)).tolist())
         return BlockSet(n, frozenset(_decode(c, n, p) for c in seen))
     void = np.dtype((np.void, n))
     seen_b: set[bytes] = set()
     for row in iter_rows(f, max_row + 1):
-        padded = np.concatenate([np.zeros(n, np.uint8), row, np.zeros(n, np.uint8)])
-        win = np.ascontiguousarray(sliding_window_view(padded, n))
+        win = np.ascontiguousarray(_windows(row, n))
         seen_b.update(np.unique(win.view(void).ravel()).tolist())
     return BlockSet(n, frozenset(digits_to_text(b) for b in seen_b))
 
@@ -96,9 +111,13 @@ def scan_accessible(f: FpPoly, n: int, max_row: int = SCAN_CAP) -> BlockSet:
 class _Closure:
     """Exact accessible-block sets of one polynomial, level by level.
 
-    Level m holds the m-blocks as raw digit bytes.  Levels at or below the
-    self-referencing length lc come from the least fixpoint; each larger
-    level is a single application of the maps to its source level.
+    Level m is the sorted, duplicate-free uint8 matrix of the accessible
+    m-blocks, one block per matrix row.  Levels at or below the
+    self-referencing length lc come from the least fixpoint and are kept.
+    Each larger level m is one application of the maps to its source level
+    _source_len(m) < m, so a(n) needs only the chain n -> _source_len(n) ->
+    ... down to lc.  A larger level's count is kept, but its matrix lives only
+    while a level still to be built sources from it.
     """
 
     def __init__(self, f: FpPoly):
@@ -107,96 +126,114 @@ class _Closure:
         self.p = f.p
         self.d = len(f.coeffs) - 1
         self.rows = list(iter_rows(f, f.p))
-        self.sets: dict[int, set[bytes]] = {}
+        # an expanded digit sums at most this many products of two digits
+        terms = (max(len(rr) for rr in self.rows) - 1) // self.p + 1
+        self.dtype = np.min_scalar_type((self.p - 1) ** 2 * terms)
+        lc, m = 1, 2
+        while self._source_len(m) >= m:
+            lc, m = m, m + 1
+        assert self._source_len(lc) == lc
+        fix = self._seed(lc)
+        while True:
+            new = self._apply_maps(self._expand(fix), lc)
+            grown = _unique_rows(np.concatenate([fix, new]))
+            if len(grown) == len(fix):
+                break
+            fix = grown
+        self.levels = {m: _unique_rows(fix[:, :m]) for m in range(1, lc)}
+        self.levels[lc] = fix
+        self.sizes = {0: 1} | {m: len(level) for m, level in self.levels.items()}
 
     def _source_len(self, m: int) -> int:
         # longest row-m' patch a length-m window of row p*m'+r can touch
         return (m + self.d * (self.p - 1) + self.p - 2) // self.p + 1
 
-    def _apply_maps(self, src: set[bytes], n: int) -> set[bytes]:
-        if not src:
-            return set()
-        width = len(next(iter(src)))
-        mat = np.frombuffer(b"".join(src), dtype=np.uint8)
-        mat = mat.reshape(-1, width).astype(np.int64)
-        span = self.p * (width - 1) + 1
-        void = np.dtype((np.void, n))
-        out: set[bytes] = set()
+    def _seed(self, n: int) -> np.ndarray:
+        return _unique_rows(np.concatenate([_windows(rr, n) for rr in self.rows]))
+
+    def _expand(self, src: np.ndarray) -> list[np.ndarray]:
+        """Per row r, each source block dilated by p and convolved with row r."""
+        digits = src.astype(self.dtype)
+        span = self.p * (src.shape[1] - 1) + 1
+        out = []
         for rr in self.rows:
-            dr = len(rr) - 1
-            e = np.zeros((mat.shape[0], span + dr + self.p), dtype=np.int64)
+            e = np.zeros((len(src), span + len(rr) - 1 + self.p), dtype=self.dtype)
             for y, coef in enumerate(rr.tolist()):
                 if coef:
-                    e[:, y:y + span:self.p] += coef * mat
-            e %= self.p
-            e8 = e.astype(np.uint8)
+                    e[:, y:y + span:self.p] += coef * digits
+            out.append((e % self.p).astype(np.uint8, copy=False))
+        return out
+
+    def _apply_maps(self, expanded: list[np.ndarray], n: int) -> np.ndarray:
+        """The level-n blocks that the expanded source level yields."""
+        cuts = []
+        for rr, e in zip(self.rows, expanded):
+            dr = len(rr) - 1
             # offsets dr..dr+p-1 realize every alignment of a true window
             # while staying inside the patch the source block determines
-            for o in range(dr, dr + self.p):
-                win = np.ascontiguousarray(e8[:, o:o + n])
-                out.update(np.unique(win.view(void).ravel()).tolist())
-        return out
+            cuts.extend(e[:, o:o + n] for o in range(dr, dr + self.p))
+        return _unique_rows(np.concatenate(cuts))
 
-    def _seed(self, n: int) -> set[bytes]:
-        out: set[bytes] = set()
-        for rr in self.rows:
-            padded = np.concatenate([np.zeros(n, np.uint8), rr, np.zeros(n, np.uint8)])
-            out.update(padded[i:i + n].tobytes() for i in range(len(padded) - n + 1))
-        return out
+    def _walk(self, targets):
+        """Build the target levels and their source chains in ascending order.
 
-    def ensure(self, n_max: int) -> None:
-        if not self.sets:
-            lc, m = 1, 2
-            while self._source_len(m) >= m:
-                lc, m = m, m + 1
-            assert self._source_len(lc) == lc
-            fix = self._seed(lc)
-            while True:
-                new = self._apply_maps(fix, lc) - fix
-                if not new:
-                    break
-                fix |= new
-            self.sets[lc] = fix
-            for short in range(1, lc):
-                self.sets[short] = {b[:short] for b in fix}
-        for m in range(max(self.sets) + 1, n_max + 1):
-            self.sets[m] = self._apply_maps(self.sets[self._source_len(m)], m)
+        Yields (m, level) for each level built.  Each source level is expanded
+        once for all the targets that share it, and a built level is held only
+        until its last target is built.
+        """
+        todo: set[int] = set()
+        stack = list(targets)
+        while stack:
+            m = stack.pop()
+            if m not in todo and m not in self.levels:
+                todo.add(m)
+                stack.append(self._source_len(m))
+        sources = {self._source_len(m) for m in todo}
+        held: dict[int, np.ndarray] = {}
+        w = expanded = None
+        for m in sorted(todo):
+            if self._source_len(m) != w:
+                w = self._source_len(m)
+                expanded = self._expand(self.levels[w] if w in self.levels else held.pop(w))
+            level = self._apply_maps(expanded, m)
+            self.sizes[m] = len(level)
+            if m in sources:
+                held[m] = level
+            yield m, level
 
-    def count(self, n: int) -> int:
-        if n == 0:
-            return 1
-        self.ensure(n)
-        return len(self.sets[n])
+    def level(self, n: int) -> np.ndarray:
+        """The accessible n-blocks (n >= 1), one per matrix row."""
+        if n in self.levels:
+            return self.levels[n]
+        for _, level in self._walk([n]):
+            pass
+        return level
+
+    def counts(self, ns) -> list[int]:
+        """[a(n) for n in ns], building only the levels their chains need."""
+        for _ in self._walk([n for n in ns if n not in self.sizes]):
+            pass
+        return [self.sizes[n] for n in ns]
 
 
-_CLOSURES: dict[tuple, _Closure] = {}
-
-
-def _closure_for(f: FpPoly) -> _Closure:
-    return _CLOSURES.setdefault((f.p, f.coeffs), _Closure(f))
-
-
-def _exact_blocks(f: FpPoly, n: int) -> frozenset[bytes]:
-    """Test hook: the exact accessible n-block set as digit bytes."""
-    closure = _closure_for(f)
-    closure.ensure(n)
-    return frozenset(closure.sets[n]) if n else frozenset({b""})
+@lru_cache(maxsize=32)
+def _closure(p: int, coeffs: tuple[int, ...]) -> _Closure:
+    """The closure of one polynomial, cached by (p, coeffs); cache_clear empties it."""
+    return _Closure(FpPoly.make(p, coeffs))
 
 
 def line_complexity(f: FpPoly, n: int) -> int:
     """a(n): exact count of accessible n-blocks via the self-similar closure."""
     if n < 0:
         raise ValueError("block length must be >= 0")
-    return _closure_for(f).count(n)
+    return _closure(f.p, f.coeffs).counts([n])[0]
 
 
 def line_complexity_range(f: FpPoly, n_max: int) -> list[int]:
     """[a(0), ..., a(n_max)] computed in one shared closure pass."""
     if n_max < 0:
         raise ValueError("block length must be >= 0")
-    closure = _closure_for(f)
-    closure.ensure(n_max)
-    return [closure.count(n) for n in range(n_max + 1)]
+    return _closure(f.p, f.coeffs).counts(range(n_max + 1))
 
 
 # ---------------------------------------------------------------- 1 + x ----

@@ -1,8 +1,8 @@
 """Command-line front end: subcommand dispatch, CSV/JSON/TSV/PBM emission.
 
-Exit codes: 0 success, 2 parse or usage error, 3 computation diagnostic (a
-scan that fails to stabilize, inference without a consistent recursion, an
-inconclusive residual check, or PENDING results when exactness was demanded).
+Exit codes: 0 success, 2 parse or usage error, 3 computation diagnostic
+(inference without a consistent recursion, an inconclusive residual check, an
+oversized bitmap, or PENDING results when exactness was demanded).
 Output goes to stdout unless --out is given, in which case it is written to a
 temp file and renamed into place.
 """
@@ -315,10 +315,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=formats, default=default)
 
-    p = sub.add_parser("blocks", help="line complexity a(n) by scan or recursion")
+    p = sub.add_parser("blocks", help="line complexity a(n) by closure or recursion")
     common(p, ("csv", "json"), "csv")
     p.add_argument("--n", type=int, default=20, help="largest block length")
-    p.add_argument("--engine", choices=("auto", "scan", "recursion"), default="auto")
+    p.add_argument(
+        "--engine",
+        choices=("auto", "scan", "recursion"),
+        default="auto",
+        help="scan: the exact closure for every n (no row scan); recursion: a "
+        "known or inferred recursion; auto: a known recursion, else the closure",
+    )
     p.set_defaults(func=_cmd_blocks)
 
     p = sub.add_parser("series", help="generating-function prefix of a(n)")
@@ -367,7 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _DIAGNOSTICS = (
-    blocks.StabilizationError,
     blocks.InferenceError,
     genfun.InconclusiveError,
     willson.SpectralMismatchError,

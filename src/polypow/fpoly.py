@@ -185,10 +185,24 @@ def row_digits(f: FpPoly, k: int) -> Row:
     return Row(k, g.coeffs if g.coeffs else (0,))
 
 
+# Rows hold one digit per byte, so larger primes would wrap their digits.
+MAX_ROW_PRIME = 255
+
+
 def iter_rows(f: FpPoly, n: int):
-    """Yield rows 0..n-1 of f as numpy uint8 arrays (incremental convolution)."""
+    """Rows 0..n-1 of f as numpy uint8 arrays (incremental convolution).
+
+    Refuses, before yielding anything, the zero polynomial and p > 255.
+    """
     if f.is_zero():
         raise ValueError("rows of the zero polynomial are not defined")
+    if f.p > MAX_ROW_PRIME:
+        raise ValueError(
+            f"rows store digits as bytes, so p must be <= {MAX_ROW_PRIME}, got {f.p}")
+    return _rows(f, n)
+
+
+def _rows(f: FpPoly, n: int):
     base = np.asarray(f.coeffs, dtype=np.int64)
     row = np.asarray([1], dtype=np.int64)
     for _ in range(n):

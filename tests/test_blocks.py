@@ -12,7 +12,6 @@ from polypow import (
     FpPoly,
     InferenceError,
     RecursionSpec,
-    StabilizationError,
     a_1px,
     a_from_recursion,
     ab_first_mismatch,
@@ -25,7 +24,7 @@ from polypow import (
     scan_accessible,
     verify_ab_equivalence,
 )
-from polypow.blocks import _exact_blocks
+from polypow import blocks
 from polypow.fpoly import digits_to_text
 
 ONE_PLUS_X_2 = FpPoly.make(2, [1, 1])
@@ -110,7 +109,7 @@ def test_scan_wide_alphabet_path():
 )
 def test_closure_members_equal_deep_scan(f, n, rows):
     # the scan horizon is generous enough that the scanned set is complete
-    exact = {digits_to_text(b) for b in _exact_blocks(f, n)}
+    exact = {digits_to_text(b) for b in blocks._closure(f.p, f.coeffs).level(n)}
     assert exact == scan_accessible(f, n, max_row=rows).members
 
 
@@ -154,8 +153,67 @@ def test_line_complexity_rejects_bad_input():
         line_complexity(FpPoly.make(3, [0]), 2)
 
 
-def test_stabilization_error_still_importable():
-    assert issubclass(StabilizationError, RuntimeError)
+def test_blocks_refuse_primes_above_a_byte():
+    # all 257 digits occur in rows 0..300 of 1+x mod 257, but a byte holds 256
+    f = FpPoly.make(257, [1, 1])
+    with pytest.raises(ValueError):
+        scan_accessible(f, 1, max_row=300)
+    with pytest.raises(ValueError):
+        line_complexity(f, 1)
+
+
+def source_chain(f, n):
+    """n, then the source length of each level down to the fixpoint length."""
+    p, d = f.p, f.degree
+
+    def source(m):
+        return (m + d * (p - 1) + p - 2) // p + 1
+
+    chain = [n]
+    while source(chain[-1]) < chain[-1]:
+        chain.append(source(chain[-1]))
+    return chain
+
+
+def test_single_count_builds_only_the_source_chain(monkeypatch):
+    blocks._closure.cache_clear()
+    closure = blocks._closure(2, (1, 1))
+    built = []
+    apply_maps = blocks._Closure._apply_maps
+
+    def recording(self, expanded, n):
+        built.append(n)
+        return apply_maps(self, expanded, n)
+
+    monkeypatch.setattr(blocks._Closure, "_apply_maps", recording)
+    assert line_complexity(ONE_PLUS_X_2, 300) == 300 * 300 - 300 + 2
+    chain = source_chain(ONE_PLUS_X_2, 300)  # 300, 151, 77, ..., 4, 3
+    assert built == sorted(chain[:-1])  # the fixpoint length 3 is never rebuilt
+    # only the fixpoint levels keep their blocks
+    assert sorted(closure.levels) == [1, 2, 3]
+    # a further count along the known chain builds nothing
+    assert line_complexity(ONE_PLUS_X_2, 151) == 151 * 151 - 151 + 2
+    assert built == sorted(chain[:-1])
+
+
+@pytest.mark.parametrize("single_first", [True, False])
+def test_single_and_range_queries_mix_in_either_order(single_first):
+    blocks._closure.cache_clear()
+    if single_first:
+        assert line_complexity(ONE_PLUS_X_3, 120) == a_1px(3, 120)
+    assert line_complexity_range(ONE_PLUS_X_3, 60) == [a_1px(3, n) for n in range(61)]
+    assert line_complexity(ONE_PLUS_X_3, 120) == a_1px(3, 120)
+
+
+def test_closure_cache_is_bounded():
+    blocks._closure.cache_clear()
+    bound = blocks._closure.cache_info().maxsize
+    for i in range(1, bound + 5):
+        # a distinct polynomial per i: the binary digits of i, low bit first
+        f = FpPoly.make(2, [int(b) for b in reversed(format(i, "b"))])
+        assert line_complexity(f, 2) <= 4
+        assert blocks._closure.cache_info().currsize <= bound
+    assert blocks._closure.cache_info().currsize == bound
 
 
 # -------------------------------------------------------- 1+x recursions ----

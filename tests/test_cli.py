@@ -207,6 +207,18 @@ def test_exit_code_2_for_usage_and_value_errors(capsys):
     assert run(capsys, "willson", "--poly", "1+x", "--prime", "3")[0] == 2
 
 
+def test_rows_beyond_a_byte_are_refused(capsys):
+    # rows hold one digit per byte; p = 257 would wrap digit 256 to 0
+    with pytest.raises(ValueError):
+        render_fractal(FpPoly.make(257, [1, 1]), 4)
+    assert run(capsys, "fractal", "--poly", "1+x", "--prime", "257", "--rows", "4")[0] == 2
+    code, out, err = run(
+        capsys, "blocks", "--poly", "1+x+x^2", "--prime", "257", "--n", "3", "--engine", "scan"
+    )
+    assert (code, out) == (2, "")
+    assert "p must be <= 255" in err
+
+
 def test_exit_code_3_for_diagnostics(capsys):
     code, _, err = run(
         capsys, "infer", "--poly", "1+x+x^2", "--prime", "2", "--window", "7"

@@ -152,6 +152,27 @@ def test_iter_rows_rejects_zero_polynomial():
         list(iter_rows(FpPoly.make(3, [0]), 4))
 
 
+def test_iter_rows_digits_exact_at_largest_byte_prime():
+    # 251 is the largest prime whose digits fit in a byte
+    for coeffs in ((1, 1), (250, 7, 250)):
+        f = FpPoly.make(251, coeffs)
+        for k, row in enumerate(iter_rows(f, 260)):
+            assert [int(d) for d in row] == list(poly_pow(f, k).coeffs)
+
+
+def test_row_consumers_refuse_primes_above_a_byte():
+    # digits of p >= 257 would wrap in the uint8 rows: row 256 of 1+x mod 257
+    # would start 1,0,1 where it starts 1,256,1
+    f = FpPoly.make(257, [1, 1])
+    assert poly_pow(f, 256).coeffs[:3] == (1, 256, 1)
+    with pytest.raises(ValueError):
+        iter_rows(f, 300)
+    with pytest.raises(ValueError):
+        CountTable.from_rows(f, 300)
+    with pytest.raises(ValueError):
+        cumulative_count(f, 300, TOTAL)
+
+
 def test_row_of_zero_constant_power():
     # f^0 is always the single digit 1, even for constants
     assert row_digits(FpPoly.make(5, [3]), 0).digits == (1,)
