@@ -1,10 +1,10 @@
-"""Exact characteristic polynomials of integer matrices and root isolation.
+"""Exact integer polynomial work: minimal recurrences, real roots, factoring.
 
 Everything here works over plain Python ints (ascending coefficient lists,
-index = power) so callers get provable answers: determinants are fraction-free
-Bareiss, large characteristic polynomials come from Faddeev-LeVerrier modulo a
-battery of word-sized primes glued by CRT and re-verified, and root brackets
-shrink by bisection with exact rational sign evaluation.
+index = power) so callers get provable answers.  The minimal recurrence of an
+integer sequence comes from Berlekamp-Massey modulo word-sized primes glued by
+CRT and is then checked exactly over the integers; real roots are isolated by
+sympy's exact rational isolation, so no bracket rests on a float.
 """
 
 from __future__ import annotations
@@ -12,161 +12,86 @@ from __future__ import annotations
 import signal
 import threading
 from fractions import Fraction
-from math import isqrt
 
-import numpy as np
-from sympy.polys.domains import ZZ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.euclidtools import dup_inner_gcd
 from sympy.polys.factortools import dup_zz_factor
+from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 
 from .fpoly import is_prime
 
-# Above this size, interpolated Bareiss determinants get slower than the
-# modular Faddeev-LeVerrier pass.
-_INTERP_LIMIT = 36
+
+def _berlekamp_massey(seq: list[int], q: int) -> list[int]:
+    """Monic ascending polynomial of the shortest recurrence of seq mod q."""
+    c, b = [1], [1]  # connection polynomials, c[0] = 1
+    order, shift, last = 0, 1, 1
+    for k in range(len(seq)):
+        d = sum(c[i] * seq[k - i] for i in range(min(len(c), k + 1))) % q
+        if d == 0:
+            shift += 1
+            continue
+        coef = d * pow(last, -1, q) % q
+        prev = c
+        c = c + [0] * (len(b) + shift - len(c))
+        for i, bi in enumerate(b):
+            c[i + shift] = (c[i + shift] - coef * bi) % q
+        if 2 * order <= k:
+            order, b, last, shift = k + 1 - order, prev, d, 1
+        else:
+            shift += 1
+    c = c[: order + 1] + [0] * (order + 1 - len(c))
+    return c[::-1]
 
 
-def bareiss_det(mat) -> int:
-    """Fraction-free determinant of a square integer matrix."""
-    a = [list(map(int, row)) for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+def minimal_recurrence(seq: list[int], max_order: int) -> list[int]:
+    """Monic minimal polynomial (ascending) of an integer sequence.
 
-
-def _det_shift(mat, t: int) -> int:
-    """det(t*I - mat), exact."""
-    n = len(mat)
-    shifted = [[t - mat[i][j] if i == j else -mat[i][j] for j in range(n)] for i in range(n)]
-    return bareiss_det(shifted)
-
-
-def _charpoly_interp(mat) -> list[int]:
-    n = len(mat)
-    vals = [_det_shift(mat, t) for t in range(n + 1)]
-    # Forward differences give the coefficients in the binomial basis C(t, j);
-    # they are integers because the determinant is integer-valued at integers.
-    diffs = list(vals)
-    binom = []
-    for _ in range(n + 1):
-        binom.append(diffs[0])
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-    poly = [Fraction(0)] * (n + 1)
-    term = [Fraction(1)]  # falling factorial t(t-1)...(t-j+1), built up as j grows
-    fact = 1
-    for j, a_j in enumerate(binom):
-        if j:
-            fact *= j
-        for i, c in enumerate(term):
-            poly[i] += Fraction(a_j, fact) * c
-        # term *= (t - j)
-        term = [Fraction(0)] + term
-        for i in range(len(term) - 1):
-            term[i] -= j * term[i + 1]
-    out = []
-    for c in poly:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolated characteristic polynomial not integral")
-        out.append(int(c))
-    if out[-1] != 1:
-        raise ArithmeticError("characteristic polynomial not monic")
-    return out
-
-
-def _charpoly_mod(b64: np.ndarray, q: int) -> list[int]:
-    """Descending coefficients of det(xI - B) mod q by Faddeev-LeVerrier."""
-    n = b64.shape[0]
-    bq = b64 % q
-    eye = np.eye(n, dtype=np.int64)
-    mk = np.zeros((n, n), dtype=np.int64)
-    coeffs = [1]
-    for k in range(1, n + 1):
-        mk = bq @ ((mk + coeffs[-1] * eye) % q) % q
-        ck = -int(np.trace(mk)) * pow(k, -1, q) % q
-        coeffs.append(ck)
-    return coeffs
-
-
-def _coeff_bound(mat) -> int:
-    """Bound on |coefficients| of the characteristic polynomial.
-
-    Each coefficient is a sum of principal minors; Hadamard gives
-    |c_k| <= C(n,k) * (sqrt(n)*A)^k <= (1 + ceil(sqrt(n))*A)^n.
+    The sequence must satisfy some integer recurrence of order at most
+    max_order, and len(seq) >= 2 * max_order must hold.  Berlekamp-Massey runs
+    modulo primes below 2^62; only results of the largest order seen so far
+    are glued by CRT, until one more prime leaves the lift unchanged.  The
+    lift is then checked exactly on every term: with both it and the true
+    minimal polynomial of order <= max_order, agreement on 2 * max_order terms
+    means it holds forever, and since no prime found a shorter recurrence it
+    is the minimal one.
     """
-    n = len(mat)
-    a = max((abs(int(x)) for row in mat for x in row), default=1) or 1
-    root = isqrt(n)
-    if root * root < n:
-        root += 1
-    return (1 + root * a) ** n
+    if len(seq) < 2 * max_order:
+        raise ValueError(f"need {2 * max_order} terms, got {len(seq)}")
+    q, order, lift = 1 << 62, -1, None
+    while True:
+        q -= 1
+        while not is_prime(q):
+            q -= 1
+        rec = _berlekamp_massey([s % q for s in seq], q)
+        if len(rec) - 1 < order:
+            continue
+        if len(rec) - 1 > order:
+            order, residues, mod, lift = len(rec) - 1, [0] * len(rec), 1, None
+        inv = pow(mod, -1, q)
+        residues = [x + mod * ((r - x) * inv % q) for x, r in zip(residues, rec)]
+        mod *= q
+        new = [x - mod if x > mod // 2 else x for x in residues]
+        if new == lift:
+            break
+        lift = new
+    if order > max_order:
+        raise ArithmeticError(f"recurrence order {order} exceeds {max_order}")
+    for k in range(len(seq) - order):
+        if sum(c * s for c, s in zip(lift, seq[k:])):
+            raise ArithmeticError(f"recurrence fails at term {k + order}")
+    return lift
 
 
-def _primes_for(bound: int) -> list[int]:
-    primes, prod, cand = [], 1, (1 << 26) - 1
-    while prod <= 2 * bound + 1:
-        while not is_prime(cand):
-            cand -= 2
-        primes.append(cand)
-        prod *= cand
-        cand -= 2
-    return primes
+def largest_real_root(c: list[int], width=Fraction(1, 10**9)):
+    """Bracket (lo, hi) of the largest real root of a squarefree c.
 
-
-def _charpoly_crt(mat) -> list[int]:
-    n = len(mat)
-    b64 = np.array([[int(x) for x in row] for row in mat], dtype=np.int64)
-    primes = _primes_for(_coeff_bound(mat))
-    residues = [_charpoly_mod(b64, q) for q in primes]
-    coeffs = []
-    for j in range(n + 1):
-        x, mod = 0, 1
-        for q, res in zip(primes, residues):
-            x += mod * ((res[j] - x) * pow(mod, -1, q) % q)
-            mod *= q
-        if x > mod // 2:
-            x -= mod
-        coeffs.append(x)
-    # Independent check: Cayley-Hamilton modulo a prime not used in the CRT.
-    q = primes[-1] - 2
-    while not is_prime(q):
-        q -= 2
-    acc = np.eye(n, dtype=np.int64) * (coeffs[0] % q)
-    bq = b64 % q
-    for c in coeffs[1:]:
-        acc = (acc @ bq + np.eye(n, dtype=np.int64) * (c % q)) % q
-    if np.any(acc % q):
-        raise ArithmeticError("Cayley-Hamilton check failed on CRT charpoly")
-    coeffs.reverse()
-    return coeffs
-
-
-def charpoly(mat) -> list[int]:
-    """Ascending integer coefficients of det(xI - mat), exact."""
-    n = len(mat)
-    if n == 0:
-        return [1]
-    if n <= _INTERP_LIMIT:
-        return _charpoly_interp(mat)
-    return _charpoly_crt(mat)
+    Every real root is isolated exactly and refined to hi - lo <= width; an
+    exact rational root comes back as lo == hi.
+    """
+    intervals = dup_isolate_real_roots_sqf(_to_dup(c), ZZ, eps=QQ(width))
+    if not intervals:
+        raise ArithmeticError("polynomial has no real root")
+    return tuple(Fraction(int(x.numerator), int(x.denominator)) for x in max(intervals))
 
 
 def poly_deriv(c: list[int]) -> list[int]:
@@ -235,56 +160,3 @@ def factor_int_poly(c: list[int], budget: float | None = 10.0):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, old)
-
-
-def isolate_root(c: list[int], guide: float, width=Fraction(1, 10**9)):
-    """Bracket the simple real root of c nearest the float guide.
-
-    Returns (lo, hi) Fractions with hi - lo <= width and a sign change across
-    them, or lo == hi on an exact rational hit.  c must be squarefree so the
-    root is simple.
-    """
-    r0 = Fraction(guide).limit_denominator(10**4)
-    if abs(r0 - Fraction(guide)) < Fraction(1, 10**9) and sign_at(c, r0) == 0:
-        return r0, r0
-    eps = Fraction(1, 10**6)
-    while True:
-        lo, hi = Fraction(guide) - eps, Fraction(guide) + eps
-        slo, shi = sign_at(c, lo), sign_at(c, hi)
-        if slo == 0:
-            return lo, lo
-        if shi == 0:
-            return hi, hi
-        if slo != shi:
-            break
-        eps *= 16
-        if eps > Fraction(1, 100):
-            raise ArithmeticError(f"could not bracket a root near {guide}")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sm = sign_at(c, mid)
-        if sm == 0:
-            return mid, mid
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-def poly_divides(m: list[int], c: list[int]) -> bool:
-    """True when m divides c exactly over the rationals."""
-    rem = [Fraction(v) for v in c]
-    lead = Fraction(int(m[-1]))
-    dm = len(m) - 1
-    while len(rem) - 1 >= dm and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dm:
-            break
-        q = rem[-1] / lead
-        off = len(rem) - 1 - dm
-        for i, mv in enumerate(m):
-            rem[off + i] -= q * mv
-        rem.pop()
-    return not any(rem)

@@ -1,8 +1,9 @@
 """Command-line front end: subcommand dispatch, CSV/JSON/TSV/PBM emission.
 
 Exit codes: 0 success, 2 parse or usage error, 3 computation diagnostic
-(inference without a consistent recursion, an inconclusive residual check, an
-oversized bitmap, or PENDING results when exactness was demanded).
+(inference without a consistent recursion, an inconclusive residual check, a
+failed spectral certificate, an oversized bitmap, or PENDING results when
+exactness was demanded).
 Output goes to stdout unless --out is given, in which case it is written to a
 temp file and renamed into place.
 """
@@ -14,56 +15,21 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from . import asympt, blocks, genfun, willson
-from .fpoly import FpPoly, format_poly, iter_rows, parse_poly
-
-# Bitmaps above this cell count would be several hundred MB of PBM text.
-MAX_BITMAP_CELLS = 1 << 24
-
-
-class BitmapSizeError(RuntimeError):
-    pass
+from .fpoly import (
+    BitmapSizeError,
+    FpPoly,
+    format_poly,
+    parse_poly,
+    render_fractal,
+    to_pbm,
+)
 
 
 class PendingResultError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class Bitmap:
-    """Row-major 0/1 grid; grid row k marks the nonzero digits of f^k."""
-
-    width: int
-    height: int
-    bits: tuple[bytes, ...]
-
-
-def render_fractal(f: FpPoly, rows: int) -> Bitmap:
-    """Bitmap of the nonzero coefficients of f^0..f^(rows-1), left-aligned."""
-    if rows < 1:
-        raise ValueError("rows must be >= 1")
-    width = (rows - 1) * max(f.degree, 0) + 1
-    if rows * width > MAX_BITMAP_CELLS:
-        raise BitmapSizeError(
-            f"bitmap {width}x{rows} exceeds the cap of {MAX_BITMAP_CELLS} cells"
-        )
-    grid = []
-    for row in iter_rows(f, rows):
-        line = bytearray(width)
-        line[: len(row)] = (np.asarray(row) != 0).astype(np.uint8).tobytes()
-        grid.append(bytes(line))
-    return Bitmap(width, rows, tuple(grid))
-
-
-def to_pbm(bitmap: Bitmap) -> str:
-    lines = [f"P1\n{bitmap.width} {bitmap.height}"]
-    for row in bitmap.bits:
-        lines.append(" ".join("1" if b else "0" for b in row))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +78,33 @@ def _poly_arg(args) -> FpPoly:
 # Subcommands
 
 
-def _known_recursion(f: FpPoly):
-    if f.coeffs == (1, 1):
-        return blocks.recursion_1px(f.p)
-    if f.p == 2 and f.coeffs == (1, 1, 1):
-        return blocks.recursion_1xx2_mod2()
-    return None
+class _Family(NamedTuple):
+    """Closed forms known for one polynomial, each a function of the prime."""
+
+    recursion: Callable[[int], blocks.RecursionSpec]
+    series: Callable[[int, int], list[int]]  # (p, terms) -> a(0..terms)
+    law: Callable[[int], asympt.Family]
+
+
+# (coefficients, prime) -> family; prime None means any p.
+_FAMILIES = {
+    ((1, 1), None): _Family(blocks.recursion_1px, genfun.series_1px, asympt.OnePlusX),
+    ((1, 1, 1), 2): _Family(
+        lambda p: blocks.recursion_1xx2_mod2(),
+        lambda p, terms: genfun.series_1xx2(terms),
+        lambda p: asympt.ONE_PLUS_X_PLUS_X2_MOD2,
+    ),
+}
+
+
+def _family(f: FpPoly) -> _Family | None:
+    return _FAMILIES.get((f.coeffs, None)) or _FAMILIES.get((f.coeffs, f.p))
 
 
 def _cmd_blocks(args) -> str:
     f = _poly_arg(args)
-    rec = _known_recursion(f)
+    family = _family(f)
+    rec = family.recursion(f.p) if family else None
     if args.engine == "recursion" and rec is None:
         rec = blocks.infer_recursion(f)
     if args.engine == "scan" or rec is None:
@@ -136,36 +118,30 @@ def _cmd_blocks(args) -> str:
 
 def _cmd_series(args) -> str:
     f = _poly_arg(args)
-    if f.coeffs == (1, 1):
-        values = genfun.series_1px(f.p, args.terms)
-    elif f.p == 2 and f.coeffs == (1, 1, 1):
-        values = genfun.series_1xx2(args.terms)
-    else:
+    family = _family(f)
+    if family is None:
         raise ValueError(
             f"no closed generating function for {format_poly(f)} mod {f.p}"
         )
+    values = family.series(f.p, args.terms)
     if args.format == "json":
         return _values_json(f, values)
     return _table(values)
 
 
-def _family_of(f: FpPoly):
-    if f.coeffs == (1, 1):
-        return asympt.OnePlusX(f.p)
-    if f.p == 2 and f.coeffs == (1, 1, 1):
-        return asympt.ONE_PLUS_X_PLUS_X2_MOD2
-    raise ValueError(f"no limit law available for {format_poly(f)} mod {f.p}")
-
-
 def _cmd_limits(args) -> str:
     f = _poly_arg(args)
-    family = _family_of(f)
+    family = _family(f)
+    if family is None:
+        raise ValueError(f"no limit law available for {format_poly(f)} mod {f.p}")
     if args.oscillation is not None:
-        rec = _known_recursion(f)
-        table = asympt.oscillation_table(rec, args.samples, args.oscillation)
+        table = asympt.oscillation_table(
+            family.recursion(f.p), args.samples, args.oscillation
+        )
         return asympt.oscillation_csv(table)
-    law = asympt.limit_function(family)
-    ex = asympt.extrema(family)
+    limits = family.law(f.p)
+    law = asympt.limit_function(limits)
+    ex = asympt.extrema(limits)
     if args.format == "json":
         return _json(
             {
@@ -226,7 +202,7 @@ def _cmd_willson(args) -> str:
             "lambda": res.lam,
             "interval_lo": str(lo),
             "interval_hi": str(hi),
-            "charpoly": [str(c) for c in res.charpoly],
+            "recurrence": [str(c) for c in res.recurrence],
             "minpoly": (
                 res.minpoly
                 if res.minpoly == willson.PENDING
@@ -372,10 +348,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ArithmeticError covers every failed spectral certificate, including
+# willson.SpectralMismatchError.
 _DIAGNOSTICS = (
     blocks.InferenceError,
     genfun.InconclusiveError,
-    willson.SpectralMismatchError,
+    ArithmeticError,
     BitmapSizeError,
     PendingResultError,
 )
@@ -393,7 +371,7 @@ def main(argv=None) -> int:
     except _DIAGNOSTICS as exc:
         print(f"diagnostic: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -3,7 +3,8 @@
 Coefficients are stored low degree first; the zero polynomial is the empty
 tuple.  Row k is the digit string of f(x)^k reduced mod p, again low degree
 first.  Counting helpers tally how often each nonzero residue occurs in a row
-and cumulatively over rows 0..n-1.
+and cumulatively over rows 0..n-1, and the nonzero pattern of the rows renders
+as a bitmap.
 """
 
 from __future__ import annotations
@@ -332,3 +333,44 @@ class CountTable:
             running += q_total[k]
         r_cum[n] = running
         return CountTable(f, n, q, q_total, r_cum)
+
+
+# Bitmaps above this cell count would be several hundred MB of PBM text.
+MAX_BITMAP_CELLS = 1 << 24
+
+
+class BitmapSizeError(RuntimeError):
+    pass
+
+
+@dataclass(frozen=True)
+class Bitmap:
+    """Row-major 0/1 grid; grid row k marks the nonzero digits of f^k."""
+
+    width: int
+    height: int
+    bits: tuple[bytes, ...]
+
+
+def render_fractal(f: FpPoly, rows: int) -> Bitmap:
+    """Bitmap of the nonzero coefficients of f^0..f^(rows-1), left-aligned."""
+    if rows < 1:
+        raise ValueError("rows must be >= 1")
+    width = (rows - 1) * max(f.degree, 0) + 1
+    if rows * width > MAX_BITMAP_CELLS:
+        raise BitmapSizeError(
+            f"bitmap {width}x{rows} exceeds the cap of {MAX_BITMAP_CELLS} cells"
+        )
+    grid = []
+    for row in iter_rows(f, rows):
+        line = bytearray(width)
+        line[: len(row)] = (np.asarray(row) != 0).astype(np.uint8).tobytes()
+        grid.append(bytes(line))
+    return Bitmap(width, rows, tuple(grid))
+
+
+def to_pbm(bitmap: Bitmap) -> str:
+    lines = [f"P1\n{bitmap.width} {bitmap.height}"]
+    for row in bitmap.bits:
+        lines.append(" ".join("1" if b else "0" for b in row))
+    return "\n".join(lines) + "\n"

@@ -1,13 +1,19 @@
-"""Transfer matrices for the nonzero-coefficient counts of f^k mod 2.
+"""Transfer maps for the nonzero-coefficient counts of f^k mod 2.
 
 A state is a length d+1 window of a coefficient row.  Doubling the row index
 and choosing one of two child anchors gives four self-maps of the state set;
-summing the two anchor choices per child parity yields matrices B0, B1 whose
-total B satisfies u.B^k.v = r(2^k), the number of nonzero coefficients in rows
-0..2^k-1.  The dominant growth rate lambda (so the fractal dimension log2
-lambda) is the largest real root of the exact characteristic polynomial of the
-trimmed matrix, isolated by rational bisection, with the minimal polynomial
-recovered by integer factorization when it finishes within budget.
+summing the two anchor choices per child parity yields count matrices B0, B1
+whose total B satisfies u.B^k.v = r(2^k), the number of nonzero coefficients
+in rows 0..2^k-1.  The matrices are never stored: the four maps are the only
+representation, and B acts on vectors over the trimmed states as scatter-adds
+along them.
+
+The dominant growth rate lambda (so the fractal dimension log2 lambda) is the
+largest real root of the minimal recurrence of the exact sequence r(2^k),
+found by Berlekamp-Massey, certified over the integers on 2n+2 terms for n
+trimmed states, and isolated exactly among all real roots.  Its minimal
+polynomial is the factor of that recurrence whose root the bracket holds,
+recovered when integer factorization finishes within budget.
 
 Polynomials that differ by the similarity moves (shifts by x^c, reversal,
 substitution x -> x^c, c-th powers) share lambda, so the survey runs over
@@ -24,13 +30,13 @@ from functools import cached_property
 import numpy as np
 
 from ._zzpoly import (
-    charpoly,
     factor_int_poly,
-    isolate_root,
+    largest_real_root,
+    minimal_recurrence,
     sign_at,
     squarefree_part,
 )
-from .fpoly import TOTAL, CountTable, FpPoly, format_poly
+from .fpoly import CountTable, FpPoly, format_poly
 
 PENDING = "PENDING"
 
@@ -58,45 +64,44 @@ class TransferSystem:
 
     states lists every nonzero window bitmask (bit j = digit a_{t+j}, so bit 0
     is the window's first digit); maps[2*eps+delta] sends each mask to its
-    child window, 0 included as the absorbing zero window.  b0, b1, u, v live
-    over all of states; trimmed is the sub-multiset that carries every
-    supp(v) -> supp(u) path, and the trimmed_* views restrict to it.
+    child window, 0 included as the absorbing zero window.  B_eps has one unit
+    entry per edge s -> maps[2*eps+delta][s] between nonzero windows; u and v
+    live over all of states.  trimmed is the sub-multiset that carries every
+    supp(v) -> supp(u) path, and apply and the trimmed_* views restrict to it.
     """
 
     f: FpPoly
     window: int
     states: tuple[int, ...]
     maps: tuple[tuple[int, ...], ...]
-    b0: tuple[tuple[int, ...], ...]
-    b1: tuple[tuple[int, ...], ...]
     u: tuple[int, ...]
     v: tuple[int, ...]
     trimmed: tuple[int, ...]
 
-    @cached_property
-    def b(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(x + y for x, y in zip(r0, r1)) for r0, r1 in zip(self.b0, self.b1)
-        )
-
     def state_string(self, mask: int) -> str:
         return "".join("1" if mask >> j & 1 else "0" for j in range(self.window))
 
-    def _restrict(self, matrix):
-        idx = [self.states.index(s) for s in self.trimmed]
-        return tuple(tuple(matrix[i][j] for j in idx) for i in idx)
-
     @cached_property
-    def trimmed_b0(self):
-        return self._restrict(self.b0)
+    def _edges(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        # per map: the trimmed indices of each edge's source and target, for
+        # the edges that stay inside the trimmed states
+        trimmed = np.array(self.trimmed, dtype=np.intp)
+        index = np.full(len(self.states) + 1, -1, dtype=np.intp)
+        index[trimmed] = np.arange(len(trimmed))
+        edges = []
+        for table in self.maps:
+            dst = index[np.array(table, dtype=np.intp)[trimmed]]
+            src = np.flatnonzero(dst >= 0)
+            edges.append((src, dst[src]))
+        return tuple(edges)
 
-    @cached_property
-    def trimmed_b1(self):
-        return self._restrict(self.b1)
-
-    @cached_property
-    def trimmed_b(self):
-        return self._restrict(self.b)
+    def apply(self, w: np.ndarray, eps: int | None = None) -> np.ndarray:
+        """B.w, or B_eps.w, over the trimmed states; w may be a stack of rows."""
+        edges = self._edges if eps is None else self._edges[2 * eps : 2 * eps + 2]
+        out = np.zeros_like(w)
+        for src, dst in edges:
+            np.add.at(out, (..., dst), w[..., src])
+        return out
 
     @cached_property
     def trimmed_u(self) -> tuple[int, ...]:
@@ -108,7 +113,7 @@ class TransferSystem:
 
 
 def build_transfer(f: FpPoly) -> TransferSystem:
-    """Construct the four window maps and the count matrices for f mod 2."""
+    """Construct the four window maps for f mod 2 and trim them."""
     if f.p != 2:
         raise ValueError(f"transfer construction requires p=2, got p={f.p}")
     if f.is_zero() or f.coeffs[0] != 1:
@@ -135,16 +140,6 @@ def build_transfer(f: FpPoly) -> TransferSystem:
                 low = (s & -s).bit_length() - 1
                 table[s] = table[s & (s - 1)] ^ digit_masks[low]
             maps.append(tuple(table))
-
-    n = size - 1
-    b0 = [[0] * n for _ in range(n)]
-    b1 = [[0] * n for _ in range(n)]
-    for s in range(1, size):
-        for half, pair in ((b0, maps[0:2]), (b1, maps[2:4])):
-            for table in pair:
-                t = table[s]
-                if t:
-                    half[t - 1][s - 1] += 1
 
     u = tuple(1 if s & 1 else 0 for s in range(1, size))
     v = tuple(1 if s & (s - 1) == 0 else 0 for s in range(1, size))
@@ -178,12 +173,21 @@ def build_transfer(f: FpPoly) -> TransferSystem:
         window=lwin,
         states=tuple(range(1, size)),
         maps=tuple(maps),
-        b0=tuple(tuple(row) for row in b0),
-        b1=tuple(tuple(row) for row in b1),
         u=u,
         v=v,
         trimmed=tuple(sorted(forward & backward)),
     )
+
+
+def count_sequence(sys: TransferSystem, terms: int) -> list[int]:
+    """r(2^k) = u.B^k.v for k < terms, exact, over the trimmed states."""
+    u = np.array(sys.trimmed_u, dtype=bool)
+    w = np.array(sys.trimmed_v, dtype=object)
+    out = []
+    for _ in range(terms):
+        out.append(int(w[u].sum()))
+        w = sys.apply(w)
+    return out
 
 
 def verify_counts(sys: TransferSystem, depth: int):
@@ -195,29 +199,22 @@ def verify_counts(sys: TransferSystem, depth: int):
     failure.
     """
     table = CountTable.from_rows(sys.f, 1 << depth)
-    nt = len(sys.trimmed)
-    bt = np.array(sys.trimmed_b, dtype=np.int64)
-    b_eps = (
-        np.array(sys.trimmed_b0, dtype=np.int64),
-        np.array(sys.trimmed_b1, dtype=np.int64),
-    )
-    ut = np.array(sys.trimmed_u, dtype=np.int64)
-    vt = np.array(sys.trimmed_v, dtype=np.int64)
-
-    w = vt
-    for k in range(depth + 1):
-        got = int(ut @ w)
+    for k, got in enumerate(count_sequence(sys, depth + 1)):
         want = table.r_cumulative[1 << k]
         if got != want:
             return CountMismatch("cumulative", k, got, want)
-        w = bt @ w
 
-    vecs = np.empty((1 << depth, nt), dtype=np.int64)
-    vecs[0] = vt
-    for m in range(1, 1 << depth):
-        vecs[m] = b_eps[m & 1] @ vecs[m >> 1]
+    # row m has vector B_{m&1} times that of row m>>1, so the rows 2^l..2^(l+1)-1
+    # come from the previous block in one batch; row 0 carries v itself
+    vecs = np.array([sys.trimmed_v], dtype=np.int64)
+    vecs = np.concatenate([vecs, sys.apply(vecs, 1)])
+    while len(vecs) < 1 << depth:
+        block = vecs[len(vecs) // 2 :]
+        children = np.stack([sys.apply(block, 0), sys.apply(block, 1)], axis=1)
+        vecs = np.concatenate([vecs, children.reshape(-1, vecs.shape[1])])
+    rows = vecs[:, np.array(sys.trimmed_u, dtype=bool)].sum(axis=1)
     for m in range(1 << depth):
-        got = int(ut @ vecs[m])
+        got = int(rows[m])
         want = table.q_total[m]
         if got != want:
             return CountMismatch("row", m, got, want)
@@ -226,35 +223,27 @@ def verify_counts(sys: TransferSystem, depth: int):
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Dominant eigenvalue data of a trimmed transfer matrix."""
+    """Dominant eigenvalue data of a transfer system.
+
+    recurrence is the certified minimal recurrence (ascending, monic) of the
+    count sequence r(2^k); lambda is its largest real root.
+    """
 
     lam: float
     interval: tuple[Fraction, Fraction]
-    charpoly: tuple[int, ...]
+    recurrence: tuple[int, ...]
     dimension: float
     minpoly: object = PENDING
     degree: object = PENDING
 
 
-def _counts_through(sys: TransferSystem, k_max: int) -> list[int]:
-    # exact bigint iteration; numpy would overflow past k ~ 38
-    bt = sys.trimmed_b
-    w = list(sys.trimmed_v)
-    out = [sum(a * b for a, b in zip(sys.trimmed_u, w))]
-    for _ in range(k_max):
-        w = [sum(r[j] * w[j] for j in range(len(w)) if w[j]) for r in bt]
-        out.append(sum(a * b for a, b in zip(sys.trimmed_u, w)))
-    return out
-
-
-def _ratio_check(sys: TransferSystem, lam: float):
-    counts = _counts_through(sys, 50)
+def _ratio_check(sys: TransferSystem, counts: list[int], lam: float):
     ratio = (counts[50] / counts[40]) ** (1 / 10)
     if abs(ratio - lam) <= 0.02 * lam:
         return
-    # Reducible trimmed matrices can drag a polynomial factor along the
-    # dominant growth; push the anchor deep enough to squeeze it out.
-    counts = _counts_through(sys, 250)
+    # Reducible systems can drag a polynomial factor along the dominant
+    # growth; push the anchor deep enough to squeeze it out.
+    counts = count_sequence(sys, 251)
     ratio = (counts[250] / counts[200]) ** (1 / 50)
     if abs(ratio - lam) <= 0.01 * lam:
         return
@@ -264,19 +253,20 @@ def _ratio_check(sys: TransferSystem, lam: float):
 
 
 def perron(sys: TransferSystem) -> SpectralResult:
-    """Largest real root of the exact trimmed charpoly, ratio cross-checked."""
-    bt = sys.trimmed_b
-    if not bt:
+    """Largest real root of the certified count recurrence, ratio cross-checked."""
+    n = len(sys.trimmed)
+    if not n:
         raise ValueError("trimmed system is empty")
-    cp = charpoly([list(row) for row in bt])
-    guide = float(max(x.real for x in np.linalg.eigvals(np.array(bt, dtype=float))))
-    lo, hi = isolate_root(squarefree_part(list(cp)), guide)
+    # 2n+2 terms certify the recurrence; the ratio check reads up to term 50
+    counts = count_sequence(sys, max(2 * n + 2, 51))
+    rec = minimal_recurrence(counts, n)
+    lo, hi = largest_real_root(squarefree_part(rec))
     lam = float((lo + hi) / 2)
-    _ratio_check(sys, lam)
+    _ratio_check(sys, counts, lam)
     return SpectralResult(
         lam=lam,
         interval=(lo, hi),
-        charpoly=tuple(cp),
+        recurrence=tuple(rec),
         dimension=math.log2(lam),
     )
 
@@ -284,36 +274,15 @@ def perron(sys: TransferSystem) -> SpectralResult:
 def minpoly_of_lambda(res: SpectralResult, budget: float | None = 10.0) -> SpectralResult:
     """Fill minpoly/degree when integer factorization finishes within budget.
 
-    On timeout the result is returned unchanged, degree still PENDING, with
-    the isolating interval retained.
+    The bracket isolates lambda among the roots of the squarefree recurrence,
+    so exactly one irreducible factor has a root in it.  On timeout the result
+    is returned unchanged, degree still PENDING, with the bracket retained.
     """
-    sf = squarefree_part(list(res.charpoly))
-    factors = factor_int_poly(sf, budget)
+    factors = factor_int_poly(squarefree_part(list(res.recurrence)), budget)
     if factors is None:
         return res
     lo, hi = res.interval
-    while True:
-        if lo == hi:
-            matches = [f for f in factors if sign_at(f, lo) == 0]
-        else:
-            matches = [
-                f for f in factors if sign_at(f, lo) * sign_at(f, hi) <= 0
-            ]
-        if len(matches) <= 1:
-            break
-        # Two factors straddle the interval only if it is still too wide;
-        # bisect on the squarefree part until one root remains inside.
-        slo = sign_at(sf, lo)
-        for _ in range(32):
-            mid = (lo + hi) / 2
-            sm = sign_at(sf, mid)
-            if sm == 0:
-                lo = hi = mid
-                break
-            if sm == slo:
-                lo = mid
-            else:
-                hi = mid
+    matches = [f for f in factors if sign_at(f, lo) * sign_at(f, hi) <= 0]
     if len(matches) != 1:
         raise ArithmeticError("could not attribute the dominant root to a factor")
     m = matches[0]

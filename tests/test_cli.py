@@ -2,21 +2,26 @@
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import polypow
 from polypow import (
     FpPoly,
     extrema,
     line_complexity_range,
-    main,
     render_fractal,
     series_1px,
     to_pbm,
 )
+from polypow import _zzpoly
 from polypow.asympt import OnePlusX
-from polypow.cli import BitmapSizeError
+from polypow.cli import main
+from polypow.fpoly import BitmapSizeError
 
 
 def run(capsys, *argv):
@@ -104,6 +109,19 @@ def test_cli_series_rejects_unknown_family(capsys):
     code, _, err = run(capsys, "series", "--poly", "1+x+x^3", "--prime", "2")
     assert code == 2
     assert "error" in err
+    # 1+x+x^2 has a closed form only mod 2
+    code, out, err = run(capsys, "series", "--poly", "1+x+x^2", "--prime", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: no closed generating function for 1+x+x^2 mod 3\n"
+
+
+def test_cli_family_table_covers_both_families(capsys):
+    code, out, _ = run(capsys, "series", "--poly", "1+x+x^2", "--terms", "6")
+    assert code == 0
+    assert out.split()[1:] == [f"{n},{v}" for n, v in enumerate([1, 2, 4, 8, 14, 25, 36])]
+    code, out, _ = run(capsys, "limits", "--poly", "1+x+x^2", "--format", "json")
+    assert code == 0
+    assert (json.loads(out)["inf"], json.loads(out)["sup"]) == ("39/28", "7/5")
 
 
 # ------------------------------------------------------------------ limits --
@@ -154,6 +172,8 @@ def test_cli_willson_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["lambda"] == 3.0
+    assert doc["recurrence"] == ["-3", "1"]
+    assert "charpoly" not in doc
     assert doc["minpoly"] == ["-3", "1"]
     assert doc["degree"] == "1"
     assert doc["states"] == 3
@@ -205,6 +225,9 @@ def test_exit_code_2_for_usage_and_value_errors(capsys):
     assert run(capsys, "blocks", "--poly", "1+x", "--prime", "4")[0] == 2
     assert run(capsys, "nonsense")[0] == 2  # argparse usage error
     assert run(capsys, "willson", "--poly", "1+x", "--prime", "3")[0] == 2
+    code, out, err = run(capsys, "limits", "--poly", "1+x+x^3")
+    assert (code, out) == (2, "")
+    assert err == "error: no limit law available for 1+x+x^3 mod 2\n"
 
 
 def test_rows_beyond_a_byte_are_refused(capsys):
@@ -227,6 +250,31 @@ def test_exit_code_3_for_diagnostics(capsys):
     assert "diagnostic" in err
     code, _, err = run(capsys, "fractal", "--poly", "1+x", "--rows", "16384")
     assert code == 3
+
+
+def test_failed_certificate_exits_3(monkeypatch, capsys):
+    # a wrong recurrence from every prime stabilizes under CRT, so only the
+    # exact check over the integers can reject it
+    monkeypatch.setattr(_zzpoly, "_berlekamp_massey", lambda seq, q: [-2, 1])
+    code, out, err = run(capsys, "willson", "--poly", "1+x")
+    assert (code, out) == (3, "")
+    assert err.startswith("diagnostic: recurrence fails at term 1")
+
+
+def test_module_entry_point_and_import_stay_apart():
+    env = {**os.environ, "PYTHONPATH": str(Path(polypow.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "polypow.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: polypow")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, polypow; assert 'polypow.cli' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------- file out --

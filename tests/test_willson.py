@@ -8,6 +8,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -28,16 +29,42 @@ from polypow import (
     survey_tsv,
     verify_counts,
 )
-from polypow._zzpoly import poly_divides, sign_at
-from polypow.willson import PENDING
+from polypow._zzpoly import largest_real_root, sign_at
+from polypow.willson import PENDING, SpectralResult, count_sequence
 
 P1X = FpPoly.make(2, [1, 1])
 P1XX2 = FpPoly.make(2, [1, 1, 1])
 P1XX3 = FpPoly.make(2, [1, 1, 0, 1])
 
 
+X = sympy.Symbol("x")
+
+
 def mat_vec(m, v):
     return [sum(r * x for r, x in zip(row, v)) for row in m]
+
+
+def dense_b(sys, states=None, tables=None):
+    """B over `states` (default: the trimmed ones), one entry per map edge.
+
+    tables defaults to all four maps; sys.maps[2*eps:2*eps+2] gives B_eps.
+    """
+    states = sys.trimmed if states is None else states
+    tables = sys.maps if tables is None else tables
+    return [[sum(table[s] == t for table in tables) for s in states] for t in states]
+
+
+def sympy_charpoly(mat):
+    # ascending coefficients, monic
+    return [int(c) for c in reversed(sympy.Matrix(mat).charpoly().all_coeffs())]
+
+
+def sympy_poly(c):
+    return sympy.Poly(list(reversed(c)), X)
+
+
+def divides(m, c) -> bool:
+    return sympy.rem(sympy_poly(c), sympy_poly(m)).is_zero
 
 
 # ---------------------------------------------------------- construction ----
@@ -48,7 +75,7 @@ def test_transfer_1px_trimmed_shape():
     assert sys.window == 2
     assert len(sys.states) == 3  # 2^(d+1)-1 nonzero windows
     assert [sys.state_string(s) for s in sys.trimmed] == ["10", "11"]
-    assert sys.trimmed_b == ((2, 1), (1, 2))
+    assert dense_b(sys) == [[2, 1], [1, 2]]
     assert sys.trimmed_u == (1, 1)
     assert sys.trimmed_v == (1, 0)
 
@@ -71,7 +98,7 @@ def test_u_dot_v_is_one(f):
 @pytest.mark.parametrize("f", [P1X, P1XX2, P1XX3], ids=["1+x", "1+x+x^2", "1+x+x^3"])
 def test_four_outgoing_edges_counting_zero(f):
     sys = build_transfer(f)
-    b = sys.b
+    b = dense_b(sys, sys.states)
     for j, s in enumerate(sys.states):
         into_zero = sum(1 for table in sys.maps if table[s] == 0)
         assert sum(b[i][j] for i in range(len(sys.states))) + into_zero == 4
@@ -80,13 +107,26 @@ def test_four_outgoing_edges_counting_zero(f):
 @pytest.mark.parametrize("f", [P1X, P1XX2, P1XX3], ids=["1+x", "1+x+x^2", "1+x+x^3"])
 def test_trimming_preserves_growth_products(f):
     sys = build_transfer(f)
+    b_full, b_trim = dense_b(sys, sys.states), dense_b(sys)
     full, trim = list(sys.v), list(sys.trimmed_v)
     for _ in range(11):
         got_full = sum(a * b for a, b in zip(sys.u, full))
         got_trim = sum(a * b for a, b in zip(sys.trimmed_u, trim))
         assert got_full == got_trim
-        full = mat_vec(sys.b, full)
-        trim = mat_vec(sys.trimmed_b, trim)
+        full = mat_vec(b_full, full)
+        trim = mat_vec(b_trim, trim)
+
+
+@pytest.mark.parametrize("f", [P1X, P1XX2, P1XX3], ids=["1+x", "1+x+x^2", "1+x+x^3"])
+def test_scatter_adds_match_dense_matrices(f):
+    sys = build_transfer(f)
+    rng = np.random.default_rng(7)
+    batch = rng.integers(-9, 10, size=(5, len(sys.trimmed)))
+    for eps, tables in ((None, None), (0, sys.maps[0:2]), (1, sys.maps[2:4])):
+        b = dense_b(sys, tables=tables)
+        want = [mat_vec(b, list(w)) for w in batch]
+        assert sys.apply(batch, eps).tolist() == want
+        assert sys.apply(batch[0], eps).tolist() == want[0]
 
 
 # ------------------------------------------------------------- counting -----
@@ -94,11 +134,11 @@ def test_trimming_preserves_growth_products(f):
 
 def test_counts_1px_are_powers_of_three():
     sys = build_transfer(P1X)
-    w = list(sys.trimmed_v)
+    assert count_sequence(sys, 11) == [3**k for k in range(11)]
     for k in range(11):
-        assert sum(a * b for a, b in zip(sys.trimmed_u, w)) == 3**k
         assert cumulative_count(P1X, 2**k, TOTAL) == 3**k
-        w = mat_vec(sys.trimmed_b, w)
+    # exact far past int64
+    assert count_sequence(sys, 60)[-1] == 3**59
 
 
 @pytest.mark.parametrize("f", [P1X, P1XX2, P1XX3], ids=["1+x", "1+x+x^2", "1+x+x^3"])
@@ -116,6 +156,15 @@ def test_verify_counts_detects_tampering():
     assert bool(CountMismatch("row", 1, 2, 3)) is False
 
 
+def test_verify_counts_detects_swapped_parities():
+    # B0 + B1 and so every cumulative count is unchanged; only rows see it
+    sys = build_transfer(P1XX2)
+    swapped = replace(sys, maps=sys.maps[2:4] + sys.maps[0:2])
+    got = verify_counts(swapped, 4)
+    assert not got
+    assert got.kind == "row"
+
+
 # --------------------------------------------------------------- spectra ----
 
 
@@ -123,7 +172,8 @@ def test_perron_1px_is_exactly_three():
     res = perron(build_transfer(P1X))
     assert res.lam == 3.0
     assert res.interval == (Fraction(3), Fraction(3))
-    assert res.charpoly == (3, -4, 1)
+    assert res.recurrence == (-3, 1)
+    assert sympy_charpoly(dense_b(build_transfer(P1X))) == [3, -4, 1]
     res = minpoly_of_lambda(res, budget=None)
     assert res.minpoly == (-3, 1)
     assert res.degree == 1
@@ -134,19 +184,70 @@ def test_perron_1xx2_golden_quadratic():
     assert abs(res.lam - (1 + math.sqrt(5))) < 1e-9
     assert res.minpoly == (-4, -2, 1)
     assert res.degree == 2
-    # the quadratic divides the full characteristic polynomial
-    assert poly_divides([-4, -2, 1], list(res.charpoly))
+    # the quadratic is the count recurrence and divides the characteristic
+    # polynomial of the trimmed matrix
+    assert res.recurrence == (-4, -2, 1)
+    assert divides([-4, -2, 1], sympy_charpoly(dense_b(build_transfer(P1XX2))))
 
 
-@pytest.mark.parametrize("f", [P1XX2, P1XX3], ids=["1+x+x^2", "1+x+x^3"])
+# the recurrence of 1+x+x^2+x^5 splits into factors of degree 2 and 7
+@pytest.mark.parametrize(
+    "f",
+    [P1XX2, P1XX3, FpPoly.make(2, [1, 1, 1, 0, 0, 1])],
+    ids=["1+x+x^2", "1+x+x^3", "1+x+x^2+x^5"],
+)
 def test_minpoly_certificates(f):
-    res = minpoly_of_lambda(perron(build_transfer(f)), budget=None)
+    sys = build_transfer(f)
+    res = minpoly_of_lambda(perron(sys), budget=None)
     m = list(res.minpoly)
-    assert poly_divides(m, list(res.charpoly))
+    assert divides(m, list(res.recurrence))
+    assert divides(m, sympy_charpoly(dense_b(sys)))
     assert sympy.Poly(list(reversed(m)), sympy.Symbol("x")).is_irreducible
     lo, hi = res.interval
     # the isolated root of the minimal polynomial is the eigenvalue itself
     assert sign_at(m, lo) == 0 or sign_at(m, hi) == 0 or sign_at(m, lo) != sign_at(m, hi)
+
+
+@pytest.mark.parametrize(
+    "f", [c.canonical for c in enumerate_classes(4)], ids=lambda f: f"{f.coeffs}"
+)
+def test_recurrence_against_sympy_charpoly(f):
+    sys = build_transfer(f)
+    res = perron(sys)
+    rec = list(res.recurrence)
+    b = dense_b(sys)
+    # the count sequence, independently, from the dense matrix
+    seq, w = [], list(sys.trimmed_v)
+    for _ in range(3 * len(b) + 3):
+        seq.append(sum(a * x for a, x in zip(sys.trimmed_u, w)))
+        w = mat_vec(b, w)
+    assert all(
+        sum(c * s for c, s in zip(rec, seq[k:])) == 0
+        for k in range(len(seq) - len(rec) + 1)
+    )
+    cp = sympy_charpoly(b)
+    assert divides(rec, cp)
+    # no shorter recurrence: the order x order Hankel matrix is regular
+    order = len(rec) - 1
+    assert sympy.Matrix(order, order, lambda i, j: seq[i + j]).det() != 0
+    # the bracket holds the largest real eigenvalue of the trimmed matrix,
+    # and that eigenvalue is a root of the irreducible minpoly
+    top = max(sympy_poly(cp).real_roots())
+    lo, hi = res.interval
+    assert sympy.Rational(lo.numerator, lo.denominator) <= top
+    assert top <= sympy.Rational(hi.numerator, hi.denominator)
+    assert hi - lo <= Fraction(1, 10**9)
+    minpoly = sympy_poly(minpoly_of_lambda(res, budget=None).minpoly)
+    assert minpoly.is_irreducible
+    assert max(minpoly.real_roots()) == top
+
+
+def test_minpoly_is_the_factor_the_bracket_holds():
+    # (x^2 - 5)(x^3 - 2): the largest root, sqrt(5), is in the shorter factor
+    rec = [10, 0, -2, -5, 0, 1]
+    lo, hi = largest_real_root(rec)
+    res = SpectralResult(float((lo + hi) / 2), (lo, hi), tuple(rec), 0.0)
+    assert minpoly_of_lambda(res, budget=None).minpoly == (-5, 0, 1)
 
 
 def test_dimension_bracket():

@@ -1,22 +1,26 @@
-"""Exact integer linear algebra, cross-checked against sympy's generic paths."""
+"""Exact integer polynomial work, cross-checked against sympy's generic paths."""
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polypow import _zzpoly
 from polypow._zzpoly import (
-    _charpoly_crt,
-    _charpoly_interp,
-    bareiss_det,
-    charpoly,
     factor_int_poly,
-    isolate_root,
-    poly_divides,
+    largest_real_root,
+    minimal_recurrence,
     sign_at,
     squarefree_part,
 )
+
+X = sympy.Symbol("x")
+
+
+def sympy_poly(c):
+    return sympy.Poly(list(reversed(c)), X)
 
 
 def sympy_charpoly(mat):
@@ -24,63 +28,104 @@ def sympy_charpoly(mat):
     return [int(c) for c in reversed(sympy.Matrix(mat).charpoly().all_coeffs())]
 
 
+def divides(m, c) -> bool:
+    return sympy.rem(sympy_poly(c), sympy_poly(m)).is_zero
+
+
+def annihilates(rec, seq) -> bool:
+    return all(
+        sum(c * s for c, s in zip(rec, seq[k:])) == 0
+        for k in range(len(seq) - len(rec) + 1)
+    )
+
+
 @st.composite
-def int_matrices(draw, max_dim=5, bound=9):
+def matrix_sequences(draw, max_dim=5, bound=4):
+    """(matrix, u.M^k.v for k < 4*dim) for a random integer system."""
     dim = draw(st.integers(1, max_dim))
-    return [
-        draw(st.lists(st.integers(-bound, bound), min_size=dim, max_size=dim))
-        for _ in range(dim)
-    ]
+    entries = st.integers(-bound, bound)
+    mat = [draw(st.lists(entries, min_size=dim, max_size=dim)) for _ in range(dim)]
+    u = draw(st.lists(entries, min_size=dim, max_size=dim))
+    w = draw(st.lists(entries, min_size=dim, max_size=dim))
+    seq = []
+    for _ in range(4 * dim):
+        seq.append(sum(a * b for a, b in zip(u, w)))
+        w = [sum(r * x for r, x in zip(row, w)) for row in mat]
+    return mat, seq
 
 
-@given(int_matrices())
+@given(matrix_sequences())
 @settings(max_examples=60, deadline=None)
-def test_bareiss_det_matches_sympy(mat):
-    assert bareiss_det(mat) == int(sympy.Matrix(mat).det())
-
-
-def test_bareiss_det_edge_cases():
-    assert bareiss_det([[7]]) == 7
-    assert bareiss_det([[1, 2], [2, 4]]) == 0
-    assert bareiss_det([[0, 1], [1, 0]]) == -1
-    # determinant with an early zero pivot, needs the row swap
-    assert bareiss_det([[0, 2, 1], [1, 0, 0], [0, 1, 1]]) == -1
-
-
-@given(int_matrices())
-@settings(max_examples=40, deadline=None)
-def test_charpoly_matches_sympy(mat):
-    assert charpoly(mat) == sympy_charpoly(mat)
-
-
-@given(int_matrices(max_dim=4, bound=6))
-@settings(max_examples=25, deadline=None)
-def test_charpoly_paths_agree(mat):
-    # the interpolated determinant route and the modular route are independent
-    assert _charpoly_interp(mat) == _charpoly_crt(mat)
-
-
-@given(int_matrices(max_dim=4, bound=5))
-@settings(max_examples=25, deadline=None)
-def test_cayley_hamilton(mat):
-    cp = charpoly(mat)
+def test_minimal_recurrence_against_sympy(case):
+    mat, seq = case
     dim = len(mat)
-    acc = [[0] * dim for _ in range(dim)]
-    power = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    for coeff in cp:
-        for i in range(dim):
-            for j in range(dim):
-                acc[i][j] += coeff * power[i][j]
-        power = [
-            [sum(power[i][k] * mat[k][j] for k in range(dim)) for j in range(dim)]
-            for i in range(dim)
-        ]
-    assert all(v == 0 for row in acc for v in row)
+    rec = minimal_recurrence(seq[: 2 * dim + 2], dim)
+    order = len(rec) - 1
+    assert rec[-1] == 1
+    # found on 2n+2 terms, it holds on all 4n, divides the charpoly, and no
+    # shorter recurrence exists: the order x order Hankel matrix is regular
+    assert annihilates(rec, seq)
+    assert divides(rec, sympy_charpoly(mat))
+    hankel = sympy.Matrix(order, order, lambda i, j: seq[i + j])
+    assert hankel.det() != 0
 
 
-def test_charpoly_known_values():
-    assert charpoly([[2, 1], [1, 2]]) == [3, -4, 1]  # (x-1)(x-3)
-    assert charpoly([[0]]) == [0, 1]
+def test_minimal_recurrence_known_values():
+    assert minimal_recurrence([3**k for k in range(4)], 1) == [-3, 1]
+    fib = [0, 1, 1, 2, 3, 5, 8, 13]
+    assert minimal_recurrence(fib, 2) == [-1, -1, 1]
+    # a transient: 1, 0, 0, ... satisfies s(k+1) = 0, polynomial x
+    assert minimal_recurrence([1, 0, 0, 0], 2) == [0, 1]
+    assert minimal_recurrence([0] * 4, 2) == [1]
+
+
+def test_minimal_recurrence_skips_primes_that_lose_order(monkeypatch):
+    # a prime dividing a Hankel determinant sees a shorter recurrence; its
+    # result must not enter the CRT
+    real, calls = _zzpoly._berlekamp_massey, []
+
+    def unlucky_second_prime(seq, q):
+        calls.append(q)
+        return [1] if len(calls) == 2 else real(seq, q)
+
+    monkeypatch.setattr(_zzpoly, "_berlekamp_massey", unlucky_second_prime)
+    fib = [0, 1, 1, 2, 3, 5, 8, 13]
+    assert minimal_recurrence(fib, 2) == [-1, -1, 1]
+    assert len(calls) == 3
+
+
+def test_minimal_recurrence_refuses_what_it_cannot_certify():
+    with pytest.raises(ValueError):
+        minimal_recurrence([1, 2, 4], 2)  # fewer than 2 * max_order terms
+    with pytest.raises(ArithmeticError):
+        # the shortest recurrence of this prefix has order 6 > 3
+        minimal_recurrence([0, 0, 0, 0, 0, 1, 0, 0], 3)
+
+
+def test_largest_real_root_brackets():
+    for c in (
+        [-3, 1],
+        [3, -4, 1],  # roots 1 and 3
+        [-2, 0, 1],  # +- sqrt(2)
+        [-4, -2, 1],  # 1 +- sqrt(5)
+        [4, 2, -2, -3, 1],
+        [0, -3, 0, 1],  # 0 and +- sqrt(3)
+        [2, -6, 2, 1],
+    ):
+        lo, hi = largest_real_root(c)
+        top = max(sympy_poly(c).real_roots())
+        assert sympy.Rational(lo.numerator, lo.denominator) <= top, c
+        assert top <= sympy.Rational(hi.numerator, hi.denominator), c
+        assert hi - lo <= Fraction(1, 10**9)
+        if top.is_rational:  # an exact rational hit collapses the bracket
+            assert lo == hi == Fraction(int(top.p), int(top.q))
+        else:
+            assert sign_at(c, lo) * sign_at(c, hi) < 0
+
+
+def test_largest_real_root_needs_a_real_root():
+    with pytest.raises(ArithmeticError):
+        largest_real_root([1, 0, 1])
 
 
 def test_squarefree_part_drops_multiplicity():
@@ -96,22 +141,7 @@ def test_factor_int_poly_splits_and_respects_irreducibility():
     assert sorted(facs) == sorted([[-1, 1], [1, 1]])
     assert factor_int_poly([1, 0, 1], budget=None) == [[1, 0, 1]]  # x^2 + 1
     for f in factor_int_poly([3, -4, 1], budget=None):
-        assert poly_divides(f, [3, -4, 1])
-
-
-def test_isolate_root_brackets():
-    c = [3, -4, 1]  # roots 1 and 3
-    # guide within the search radius but outside the exact-snap tolerance
-    lo, hi = isolate_root(c, 2.9999999)
-    assert lo <= 3 <= hi
-    assert hi - lo <= Fraction(1, 10**9)
-    # exact rational hit collapses the bracket
-    lo, hi = isolate_root(c, 3.0)
-    assert lo == hi == 3
-    # sqrt(2): irrational root, so the bracket must be proper with a sign change
-    lo, hi = isolate_root([-2, 0, 1], 1.41421356)
-    assert lo < hi
-    assert sign_at([-2, 0, 1], lo) != sign_at([-2, 0, 1], hi)
+        assert divides(f, [3, -4, 1])
 
 
 def test_sign_at_rational_points():
@@ -121,7 +151,7 @@ def test_sign_at_rational_points():
     assert sign_at([0, 1], Fraction(0)) == 0
 
 
-def test_poly_divides():
-    assert poly_divides([1, 1], [1, 2, 1])  # (x+1) | (x+1)^2
-    assert not poly_divides([1, 1], [1, 0, 1])
-    assert poly_divides([2, 2], [1, 2, 1])  # rational quotient is fine
+def test_divides_helper_is_strict():
+    assert divides([1, 1], [1, 2, 1])  # (x+1) | (x+1)^2
+    assert not divides([1, 1], [1, 0, 1])
+    assert divides([2, 2], [1, 2, 1])  # rational quotient is fine
