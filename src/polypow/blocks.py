@@ -2,44 +2,48 @@
 
 A length-n block is accessible if it occurs as a window of some row embedded
 in a bi-infinite zero background.  a(n) counts distinct accessible n-blocks;
-a(0) = 1 for the empty block.  Alongside the finite-horizon row scanner this
-module holds an exact closure engine for a(n), the closed recursion for
-f = 1 + x, a generic base-p recursion engine, and an exact solver that infers
-such recursions from computed data.
+a(0) = 1 for the empty block.  One window engine gives the blocks of a finite
+row horizon (the scan) and exact a(n); alongside sit the closed recursion for
+f = 1 + x, a generic base-p recursion engine, and an exact recursion solver.
 
-The closure engine rests on f^(pm+r) = f(x^p)^m * f^r mod p: every n-window
-of row pm+r is the image of a short window of row m under one of p*p local
-maps (dilate by p, convolve with row r, slice at one of p phases).  The
-accessible sets are the least fixpoint of those maps over the windows of the
-first p rows, so counts are exact at every length with no row horizon or
-stabilization heuristic.  Discoveries in a plain scan recur near rows p*k+r
-for earlier discovery rows k, which makes any bounded-lookahead stopping rule
-unsound; the fixpoint sidesteps that entirely.
+The engine rests on f^(pm+r) = f(x^p)^m * f^r mod p: every n-window of row
+pm+r is the image of a short window of row m under one of p*p local maps
+(dilate by p, convolve with row r, slice at one of p phases).  So the blocks
+of rows 0..R follow from the windows of row 0 in log_p R map steps, and at
+the self-referencing length the same steps grow to a least fixpoint: the
+accessible sets, exact at every length with no row horizon or stabilization
+heuristic.  Discoveries in a plain scan recur near rows p*k+r for earlier
+discovery rows k, which makes any bounded-lookahead stopping rule unsound.
 
 Memory: each level is one packed matrix, the sorted distinct blocks as uint8
-rows.  Only the short fixpoint levels stay; a longer level is built from its
-source chain when a count needs it and dropped once nothing left to build
-sources from it, while its count is kept.  Closures are cached per (p, coeffs)
-in a bounded LRU, emptied by _closure.cache_clear().  Digits are bytes, so
-p > 255 is refused.
+rows.  Only the short fixpoint levels stay, built on the first count; a
+longer level is built from its source chain when a count needs it and
+dropped once nothing left to build sources from it, while its count is kept.
+A step that would hold more than MAX_CELLS digits raises ClosureSizeError
+before allocating.  Closures are cached per (p, coeffs) in a bounded LRU,
+emptied by _closure.cache_clear().  Digits are bytes, so p > 255 is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .fpoly import FpPoly, check_prime, digits_to_text, iter_rows
 
 SCAN_CAP = 2**14
+MAX_CELLS = 2**28
 
 
 class InferenceError(RuntimeError):
     """Raised when computed data admits no unique recursion of the template."""
+
+
+class ClosureSizeError(RuntimeError):
+    """Raised when one step of the maps would hold more than MAX_CELLS digits."""
 
 
 @dataclass(frozen=True)
@@ -56,16 +60,10 @@ class BlockSet:
         return "\n".join(sorted(self.members))
 
 
-def _window_codes(row: np.ndarray, n: int, weights) -> np.ndarray:
-    padded = np.concatenate([np.zeros(n, dtype=np.int64), row, np.zeros(n, dtype=np.int64)])
-    conv = np.convolve(padded, weights)
-    return conv[n - 1:len(padded)]
-
-
-def _windows(row: np.ndarray, n: int) -> np.ndarray:
-    """Every n-window of a uint8 row embedded in zeros, one per matrix row."""
-    padded = np.concatenate([np.zeros(n, np.uint8), row, np.zeros(n, np.uint8)])
-    return sliding_window_view(padded, n)
+def _row0_blocks(n: int) -> np.ndarray:
+    """The sorted n-windows of row 0, a lone 1 in zeros: 0...0, 0...01, ..., 10...0."""
+    _check_cells(n * (n + 1), f"the {n}-windows of row 0")
+    return np.eye(n + 1, n, dtype=np.uint8)[::-1]
 
 
 def _unique_rows(mat: np.ndarray) -> np.ndarray:
@@ -75,13 +73,9 @@ def _unique_rows(mat: np.ndarray) -> np.ndarray:
     return np.unique(packed).view(np.uint8).reshape(-1, width)
 
 
-def _decode(code: int, n: int, p: int) -> str:
-    # codes weight position u by p^u, so divmod yields digits in window order
-    digits = []
-    for _ in range(n):
-        code, d = divmod(code, p)
-        digits.append(d)
-    return digits_to_text(digits)
+def _check_cells(cells: int, what: str) -> None:
+    if cells > MAX_CELLS:
+        raise ClosureSizeError(f"{what} would hold {cells} digits, over the cap of {MAX_CELLS}")
 
 
 def scan_accessible(f: FpPoly, n: int, max_row: int = SCAN_CAP) -> BlockSet:
@@ -90,34 +84,22 @@ def scan_accessible(f: FpPoly, n: int, max_row: int = SCAN_CAP) -> BlockSet:
         raise ValueError("block length must be >= 0")
     if n == 0:
         return BlockSet(0, frozenset({""}))
-    p = f.p
-    if p**n < 2**62:
-        weights = np.asarray([p**i for i in range(n - 1, -1, -1)], dtype=np.int64)
-        seen: set[int] = set()
-        for row in iter_rows(f, max_row + 1):
-            arr = np.asarray(row, dtype=np.int64)
-            seen.update(np.unique(_window_codes(arr, n, weights)).tolist())
-        return BlockSet(n, frozenset(_decode(c, n, p) for c in seen))
-    void = np.dtype((np.void, n))
-    seen_b: set[bytes] = set()
-    for row in iter_rows(f, max_row + 1):
-        win = np.ascontiguousarray(_windows(row, n))
-        seen_b.update(np.unique(win.view(void).ravel()).tolist())
-    return BlockSet(n, frozenset(digits_to_text(b) for b in seen_b))
+    found = _closure(f.p, f.coeffs).horizon(n, max_row)
+    return BlockSet(n, frozenset(digits_to_text(b) for b in found))
 
 
 # ------------------------------------------------------------- closure ----
 
 class _Closure:
-    """Exact accessible-block sets of one polynomial, level by level.
+    """Accessible-block sets of one polynomial, level by level.
 
     Level m is the sorted, duplicate-free uint8 matrix of the accessible
     m-blocks, one block per matrix row.  Levels at or below the
-    self-referencing length lc come from the least fixpoint and are kept.
-    Each larger level m is one application of the maps to its source level
-    _source_len(m) < m, so a(n) needs only the chain n -> _source_len(n) ->
-    ... down to lc.  A larger level's count is kept, but its matrix lives only
-    while a level still to be built sources from it.
+    self-referencing length lc come from the least fixpoint, built on first
+    use and kept.  Each larger level m is one application of the maps to its
+    source level _source_len(m) < m, so a(n) needs only the chain n ->
+    _source_len(n) -> ... down to lc.  A larger level's count is kept, but
+    its matrix lives only while a level still to be built sources from it.
     """
 
     def __init__(self, f: FpPoly):
@@ -129,35 +111,56 @@ class _Closure:
         # an expanded digit sums at most this many products of two digits
         terms = (max(len(rr) for rr in self.rows) - 1) // self.p + 1
         self.dtype = np.min_scalar_type((self.p - 1) ** 2 * terms)
-        lc, m = 1, 2
-        while self._source_len(m) >= m:
-            lc, m = m, m + 1
-        assert self._source_len(lc) == lc
-        fix = self._seed(lc)
-        while True:
-            new = self._apply_maps(self._expand(fix), lc)
-            grown = _unique_rows(np.concatenate([fix, new]))
-            if len(grown) == len(fix):
-                break
-            fix = grown
-        self.levels = {m: _unique_rows(fix[:, :m]) for m in range(1, lc)}
-        self.levels[lc] = fix
-        self.sizes = {0: 1} | {m: len(level) for m, level in self.levels.items()}
+        # _source_len(m) >= m exactly when m <= d + 2, with equality at d + 2
+        self.lc = self.d + 2
+        self.sizes = {0: 1}  # a(m) of every level built so far
 
     def _source_len(self, m: int) -> int:
         # longest row-m' patch a length-m window of row p*m'+r can touch
         return (m + self.d * (self.p - 1) + self.p - 2) // self.p + 1
 
-    def _seed(self, n: int) -> np.ndarray:
-        return _unique_rows(np.concatenate([_windows(rr, n) for rr in self.rows]))
+    def horizon(self, n: int, max_row: int) -> np.ndarray:
+        """The n-blocks (n >= 1) of rows 0..max_row, one per matrix row.
+
+        Row r cuts its rows pm+r <= q from the blocks of rows 0..q//p if
+        r <= q%p, else of rows 0..q//p-1, so each step keeps two horizons.
+        """
+        chain = [(n, max_row)]
+        while chain[-1][1] > 0:
+            m, q = chain[-1]
+            chain.append((self._source_len(m), q // self.p))
+        m, q = chain.pop()
+        short = np.zeros((0, m), np.uint8)  # the blocks of rows 0..q-1
+        full = _row0_blocks(m) if q == 0 else short
+        for m, q in reversed(chain):
+            e_full, e_short = self._expand(full), self._expand(short)
+            s = q % self.p
+            full, short = (self._apply_maps(e_full[:k] + e_short[k:], m) for k in (s + 1, s))
+        return full
+
+    @cached_property
+    def levels(self) -> dict[int, np.ndarray]:
+        """The fixpoint levels 1..lc, built on first use.
+
+        The maps take the lc-blocks of rows 0..R to the larger set of rows
+        0..pR+p-1; from row 0 they grow it until its count stops.
+        """
+        fix = _row0_blocks(self.lc)
+        while len(grown := self._apply_maps(self._expand(fix), self.lc)) > len(fix):
+            fix = grown
+        levels = {m: _unique_rows(fix[:, :m]) for m in range(1, self.lc)} | {self.lc: fix}
+        self.sizes |= {m: len(level) for m, level in levels.items()}
+        return levels
 
     def _expand(self, src: np.ndarray) -> list[np.ndarray]:
         """Per row r, each source block dilated by p and convolved with row r."""
         digits = src.astype(self.dtype)
         span = self.p * (src.shape[1] - 1) + 1
+        widths = [span + len(rr) - 1 + self.p for rr in self.rows]
+        _check_cells(len(src) * sum(widths), f"the expansion of {len(src)} blocks")
         out = []
-        for rr in self.rows:
-            e = np.zeros((len(src), span + len(rr) - 1 + self.p), dtype=self.dtype)
+        for rr, width in zip(self.rows, widths):
+            e = np.zeros((len(src), width), dtype=self.dtype)
             for y, coef in enumerate(rr.tolist()):
                 if coef:
                     e[:, y:y + span:self.p] += coef * digits
@@ -166,6 +169,7 @@ class _Closure:
 
     def _apply_maps(self, expanded: list[np.ndarray], n: int) -> np.ndarray:
         """The level-n blocks that the expanded source level yields."""
+        _check_cells(self.p * n * sum(len(e) for e in expanded), f"the candidate {n}-blocks")
         cuts = []
         for rr, e in zip(self.rows, expanded):
             dr = len(rr) - 1
@@ -177,7 +181,7 @@ class _Closure:
     def _walk(self, targets):
         """Build the target levels and their source chains in ascending order.
 
-        Yields (m, level) for each level built.  Each source level is expanded
+        Returns the last level built, if any.  Each source level is expanded
         once for all the targets that share it, and a built level is held only
         until its last target is built.
         """
@@ -190,7 +194,7 @@ class _Closure:
                 stack.append(self._source_len(m))
         sources = {self._source_len(m) for m in todo}
         held: dict[int, np.ndarray] = {}
-        w = expanded = None
+        w = expanded = level = None
         for m in sorted(todo):
             if self._source_len(m) != w:
                 w = self._source_len(m)
@@ -199,20 +203,15 @@ class _Closure:
             self.sizes[m] = len(level)
             if m in sources:
                 held[m] = level
-            yield m, level
+        return level
 
     def level(self, n: int) -> np.ndarray:
         """The accessible n-blocks (n >= 1), one per matrix row."""
-        if n in self.levels:
-            return self.levels[n]
-        for _, level in self._walk([n]):
-            pass
-        return level
+        return self.levels[n] if n in self.levels else self._walk([n])
 
     def counts(self, ns) -> list[int]:
         """[a(n) for n in ns], building only the levels their chains need."""
-        for _ in self._walk([n for n in ns if n not in self.sizes]):
-            pass
+        self._walk([n for n in ns if n not in self.sizes])
         return [self.sizes[n] for n in ns]
 
 

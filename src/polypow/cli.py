@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 parse or usage error, 3 computation diagnostic
 (inference without a consistent recursion, an inconclusive residual check, a
-failed spectral certificate, an oversized bitmap, or PENDING results when
-exactness was demanded).
+failed spectral certificate, an oversized bitmap or closure step, or PENDING
+results when exactness was demanded).
 Output goes to stdout unless --out is given, in which case it is written to a
 temp file and renamed into place.
 """
@@ -351,6 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # ArithmeticError covers every failed spectral certificate, including
 # willson.SpectralMismatchError.
 _DIAGNOSTICS = (
+    blocks.ClosureSizeError,
     blocks.InferenceError,
     genfun.InconclusiveError,
     ArithmeticError,

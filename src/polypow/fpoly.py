@@ -9,6 +9,7 @@ as a bitmap.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,10 +19,13 @@ import numpy as np
 TOTAL = "total"
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461  # least strong pseudoprime to all of them
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for anything below 3.3e24."""
+    """Miller-Rabin, exact below _MR_BOUND (Sorenson & Webster 2015); larger n raise ValueError."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is only decided below {_MR_BOUND}, got {n}")
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -240,7 +244,7 @@ def _check_residue(p: int, alpha):
         raise ValueError(f"residue must be in 1..{p - 1} or TOTAL, got {alpha!r}")
 
 
-_TERM_RE = None  # compiled lazily so the module imports without the re cost
+_TERM_RE = re.compile(r"^(\d+)?\s*\*?\s*(x(?:\^(\d+))?)?$")
 
 
 def parse_poly(text: str, p: int) -> FpPoly:
@@ -250,11 +254,6 @@ def parse_poly(text: str, p: int) -> FpPoly:
     Coefficients are reduced mod p, so "3+x" with p=2 parses as 1+x.  A token
     that fits neither form raises ValueError naming it.
     """
-    global _TERM_RE
-    import re
-
-    if _TERM_RE is None:
-        _TERM_RE = re.compile(r"^(\d+)?\s*\*?\s*(x(?:\^(\d+))?)?$")
     check_prime(p)
     text = text.strip()
     if not text:

@@ -1,7 +1,8 @@
 """Accessible-window counting: scans, the exact closure engine, recursions.
 
 The reference oracle enumerates windows of zero-padded rows with plain Python
-string slicing, nothing shared with the vectorized scanner or the closure.
+string slicing, nothing shared with the window engine that runs both the scan
+and the closure.
 """
 
 import pytest
@@ -56,6 +57,12 @@ def windows_oracle(f, n, rows):
         (CXX2_12, 4, 50),
         (CXX2_23, 3, 30),
         (ONE_PLUS_X_5, 2, 30),
+    ]
+    # horizons that are not p^k - 1: row 0 alone, then 0..1, 0..p, 0..2p+1
+    + [
+        (f, n, rows)
+        for f, n in ((ONE_PLUS_X_3, 4), (CXX2_23, 5), (ONE_PLUS_X_5, 3))
+        for rows in (0, 1, f.p, 2 * f.p + 1)
     ],
 )
 def test_scan_matches_string_oracle(f, n, rows):
@@ -88,10 +95,42 @@ def test_scan_serialize_sorted():
 
 
 def test_scan_wide_alphabet_path():
-    # p^n large enough to force the non-integer encoding
+    # long blocks over a wide alphabet: 13^18 > 2^64, from a horizon below p
     f = FpPoly.make(13, [1, 1])
     got = scan_accessible(f, 18, max_row=6)
     assert got.members == frozenset(windows_oracle(f, 18, 7))
+
+
+def test_scan_of_a_far_horizon_reads_few_rows(monkeypatch):
+    blocks._closure.cache_clear()
+    asked = []
+    iter_rows = blocks.iter_rows
+
+    def recording(f, n):
+        asked.append(n)
+        return iter_rows(f, n)
+
+    monkeypatch.setattr(blocks, "iter_rows", recording)
+    got = scan_accessible(ONE_PLUS_X_2, 12, max_row=10**12)
+    assert len(got) == 12 * 12 - 12 + 2
+    assert asked and max(asked) <= 2
+
+
+def test_scan_refuses_oversized_blocks_before_allocating():
+    # row 0 alone has 10^5 + 2 windows of 10^5 digits; from rows 0..5 the
+    # refusal comes at the expansion of the 12502-blocks of row 0
+    for max_row in (0, 5):
+        with pytest.raises(blocks.ClosureSizeError):
+            scan_accessible(ONE_PLUS_X_2, 10**5, max_row=max_row)
+
+
+def test_scan_builds_no_fixpoint():
+    # lc = 5 here, and the fixpoint would cut 92 million candidate 5-blocks
+    f = FpPoly.make(17, [3, 5, 0, 16])
+    blocks._closure.cache_clear()
+    got = scan_accessible(f, 4, max_row=300)
+    assert got.members == frozenset(windows_oracle(f, 4, 301))
+    assert "levels" not in vars(blocks._closure(f.p, f.coeffs))
 
 
 # --------------------------------------------------------------- closure ----
@@ -108,9 +147,10 @@ def test_scan_wide_alphabet_path():
     ],
 )
 def test_closure_members_equal_deep_scan(f, n, rows):
-    # the scan horizon is generous enough that the scanned set is complete
+    # the horizon is generous enough that the scanned set is complete; the
+    # oracle shares nothing with the maps that the closure and the scan run
     exact = {digits_to_text(b) for b in blocks._closure(f.p, f.coeffs).level(n)}
-    assert exact == scan_accessible(f, n, max_row=rows).members
+    assert exact == windows_oracle(f, n, rows + 1)
 
 
 def test_line_complexity_base_cases():
@@ -178,6 +218,8 @@ def source_chain(f, n):
 def test_single_count_builds_only_the_source_chain(monkeypatch):
     blocks._closure.cache_clear()
     closure = blocks._closure(2, (1, 1))
+    # the fixpoint is built on first use; build it before recording
+    assert sorted(closure.levels) == [1, 2, 3]
     built = []
     apply_maps = blocks._Closure._apply_maps
 

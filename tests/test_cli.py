@@ -252,6 +252,14 @@ def test_exit_code_3_for_diagnostics(capsys):
     assert code == 3
 
 
+def test_oversized_closure_exits_3(capsys):
+    # the fixpoint of 5-blocks of this cubic would cut 92 million candidates
+    code, out, err = run(capsys, "blocks", "--poly", "3+5x+16x^3", "--prime", "17", "--n", "4")
+    assert (code, out) == (3, "")
+    assert err.startswith("diagnostic: the expansion of ")
+    assert err.endswith(f"over the cap of {2**28}\n")
+
+
 def test_failed_certificate_exits_3(monkeypatch, capsys):
     # a wrong recurrence from every prime stabilizes under CRT, so only the
     # exact check over the integers can reject it

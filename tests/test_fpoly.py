@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from polypow import (
     poly_pow,
     row_digits,
 )
+from polypow.cli import main
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -60,6 +62,22 @@ def test_is_prime_small_cases():
     # Carmichael number: composite that fools Fermat-only tests
     assert not is_prime(561)
     assert is_prime(2**31 - 1)
+
+
+def test_is_prime_refuses_beyond_its_exact_range():
+    # the least strong pseudoprime to all twelve witnesses 2..37: the test
+    # would call it prime, so it and everything above it are refused
+    bound = 318665857834031151167461
+    assert sympy.factorint(bound) == {399165290221: 1, 798330580441: 1}
+    for n in (bound, bound + 2, 3317044064679887385961981, 10**30):
+        with pytest.raises(ValueError, match="only decided below"):
+            is_prime(n)
+    below = sympy.prevprime(bound)
+    assert is_prime(below)
+    assert not any(is_prime(n) for n in range(below + 1, bound))
+    # the CLI reads --prime through the same check, so it exits 2
+    assert main(["series", "--poly", "1+x", "--prime", str(bound)]) == 2
+    assert main(["series", "--poly", "1+x", "--prime", str(below), "--terms", "2"]) == 0
 
 
 def test_make_normalizes_mod_p_and_strips_zeros():
