@@ -9,8 +9,6 @@ sympy's exact rational isolation, so no bracket rests on a float.
 
 from __future__ import annotations
 
-import signal
-import threading
 from fractions import Fraction
 
 from sympy.polys.domains import QQ, ZZ
@@ -132,31 +130,7 @@ def squarefree_part(c: list[int]) -> list[int]:
     return out
 
 
-class _FactorTimeout(Exception):
-    pass
-
-
-def factor_int_poly(c: list[int], budget: float | None = 10.0):
-    """Irreducible integer factors (ascending lists), or None on timeout.
-
-    The timeout uses SIGALRM and only applies on the main thread; elsewhere the
-    factorization simply runs to completion.
-    """
-    dup = _to_dup(c)
-    if budget is None or threading.current_thread() is not threading.main_thread():
-        _, facs = dup_zz_factor(dup, ZZ)
-        return [_from_dup(f) for f, _ in facs]
-
-    def _alarm(signum, frame):
-        raise _FactorTimeout
-
-    old = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, budget)
-    try:
-        _, facs = dup_zz_factor(dup, ZZ)
-        return [_from_dup(f) for f, _ in facs]
-    except _FactorTimeout:
-        return None
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, old)
+def factor_int_poly(c: list[int]) -> list[list[int]]:
+    """Irreducible integer factors (ascending lists), by Zassenhaus's Hensel lifting."""
+    _, facs = dup_zz_factor(_to_dup(c), ZZ)
+    return [_from_dup(f) for f, _ in facs]

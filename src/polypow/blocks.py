@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -123,7 +123,8 @@ class _Closure:
         """The n-blocks (n >= 1) of rows 0..max_row, one per matrix row.
 
         Row r cuts its rows pm+r <= q from the blocks of rows 0..q//p if
-        r <= q%p, else of rows 0..q//p-1, so each step keeps two horizons.
+        r <= q%p, else of rows 0..q//p-1, so each step keeps two horizons;
+        the last step needs only the first.
         """
         chain = [(n, max_row)]
         while chain[-1][1] > 0:
@@ -132,10 +133,13 @@ class _Closure:
         m, q = chain.pop()
         short = np.zeros((0, m), np.uint8)  # the blocks of rows 0..q-1
         full = _row0_blocks(m) if q == 0 else short
-        for m, q in reversed(chain):
+        while chain:
+            m, q = chain.pop()
             e_full, e_short = self._expand(full), self._expand(short)
             s = q % self.p
-            full, short = (self._apply_maps(e_full[:k] + e_short[k:], m) for k in (s + 1, s))
+            full = self._apply_maps(e_full[:s + 1] + e_short[s + 1:], m)
+            if chain:
+                short = self._apply_maps(e_full[:s] + e_short[s:], m)
         return full
 
     @cached_property
@@ -237,36 +241,9 @@ def line_complexity_range(f: FpPoly, n_max: int) -> list[int]:
 
 # ---------------------------------------------------------------- 1 + x ----
 
-def _coeff_rows_1px(p: int) -> tuple[tuple[int, ...], ...]:
-    # a(pn+k) = A_k a(n) + B_k a(n+1) + C_k a(n+2) - (2p-1)(2p-2)
-    rows = []
-    for k in range(p):
-        a = (p - k) * (p - k + 1) // 2
-        b = k * p + k - k * k + (p * p - p) // 2
-        c = (k * k - k) // 2
-        rows.append((a, b, c) if c else ((a, b) if b else (a,)))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _a_1px(p: int, n: int) -> int:
-    if n <= 2:
-        return (1, p, p * p)[n]
-    m, k = divmod(n, p)
-    const = (2 * p - 1) * (2 * p - 2)
-    total = -const
-    for j, c in enumerate(_coeff_rows_1px(p)[k]):
-        if c:
-            total += c * _a_1px(p, m + j)
-    return total
-
-
 def a_1px(p: int, n: int) -> int:
     """Line complexity of 1+x mod p via its closed base-p recursion."""
-    check_prime(p)
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    return _a_1px(p, n)
+    return a_from_recursion(recursion_1px(p), n)
 
 
 def ab_first_mismatch(p: int, n_max: int) -> int | None:
@@ -322,27 +299,26 @@ class RecursionSpec:
                 if c and m // self.p + j >= m:
                     raise ValueError(f"row {k} references a(n+{j}) at or above m={m}")
         for m in range(self.threshold, len(self.initials)):
-            # apply the rule directly: _eval_spec would short-circuit to the
-            # very initials being checked
-            q, k = divmod(m, self.p)
-            total = -self.constant
-            for j, c in enumerate(self.rows[k]):
-                if c:
-                    total += c * self.initials[q + j]
-            if total != self.initials[m]:
+            # apply the rule to the initials: _eval_spec would short-circuit
+            # to the very value being checked
+            if self._rule(m, self.initials.__getitem__) != self.initials[m]:
                 raise ValueError(f"recursion contradicts supplied value at {m}")
+
+    def _rule(self, m: int, a) -> int:
+        """The right-hand side for a(m), reading earlier values through a."""
+        q, k = divmod(m, self.p)
+        total = -self.constant
+        for j, c in enumerate(self.rows[k]):
+            if c:
+                total += c * a(q + j)
+        return total
 
 
 @lru_cache(maxsize=None)
 def _eval_spec(rec: RecursionSpec, n: int) -> int:
     if n < len(rec.initials):
         return rec.initials[n]
-    m, k = divmod(n, rec.p)
-    total = -rec.constant
-    for j, c in enumerate(rec.rows[k]):
-        if c:
-            total += c * _eval_spec(rec, m + j)
-    return total
+    return rec._rule(n, partial(_eval_spec, rec))
 
 
 def a_from_recursion(rec: RecursionSpec, n: int) -> int:
@@ -351,12 +327,23 @@ def a_from_recursion(rec: RecursionSpec, n: int) -> int:
     return _eval_spec(rec, n)
 
 
+@lru_cache(maxsize=None)
 def recursion_1px(p: int) -> RecursionSpec:
-    """The 1+x recursion packaged as a RecursionSpec."""
+    """The closed 1+x recursion mod p (cached per p).
+
+    a(pn+k) = A_k a(n) + B_k a(n+1) + C_k a(n+2) - (2p-1)(2p-2), trailing
+    zero coefficients dropped.
+    """
     check_prime(p)
+    rows = []
+    for k in range(p):
+        a = (p - k) * (p - k + 1) // 2
+        b = k * p + k - k * k + (p * p - p) // 2
+        c = (k * k - k) // 2
+        rows.append((a, b, c) if c else ((a, b) if b else (a,)))
     return RecursionSpec(
         p=p,
-        rows=_coeff_rows_1px(p),
+        rows=tuple(rows),
         constant=(2 * p - 1) * (2 * p - 2),
         initials=(1, p, p * p, (p**3 + 4 * p * p - 5 * p + 2) // 2),
         threshold=3,

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 parse or usage error, 3 computation diagnostic
 (inference without a consistent recursion, an inconclusive residual check, a
-failed spectral certificate, an oversized bitmap or closure step, or PENDING
-results when exactness was demanded).
+failed spectral certificate, or an oversized bitmap or closure step).  Inputs
+past a documented cap are usage errors: --n and --terms above MAX_TERMS, a
+term of degree above fpoly.MAX_POLY_DEGREE, and a willson polynomial or survey
+--max-deg above willson.MAX_TRANSFER_DEGREE.
 Output goes to stdout unless --out is given, in which case it is written to a
 temp file and renamed into place.
 """
@@ -27,9 +29,10 @@ from .fpoly import (
     to_pbm,
 )
 
-
-class PendingResultError(RuntimeError):
-    pass
+# Longest value list --terms and --n may ask for: about 3 s and 140 MB.  A
+# closure level of length n holds at least n+1 blocks of n digits, so no
+# --engine scan run above 2^14 fits under blocks.MAX_CELLS anyway.
+MAX_TERMS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +73,12 @@ def _values_json(f: FpPoly, values) -> str:
     )
 
 
+def _length(option: str, n: int) -> int:
+    if n > MAX_TERMS:
+        raise ValueError(f"{option} {n} exceeds MAX_TERMS = {MAX_TERMS}")
+    return n
+
+
 def _poly_arg(args) -> FpPoly:
     return parse_poly(args.poly, args.prime)
 
@@ -103,14 +112,15 @@ def _family(f: FpPoly) -> _Family | None:
 
 def _cmd_blocks(args) -> str:
     f = _poly_arg(args)
+    n = _length("--n", args.n)
     family = _family(f)
     rec = family.recursion(f.p) if family else None
     if args.engine == "recursion" and rec is None:
         rec = blocks.infer_recursion(f)
     if args.engine == "scan" or rec is None:
-        values = blocks.line_complexity_range(f, args.n)
+        values = blocks.line_complexity_range(f, n)
     else:
-        values = [blocks.a_from_recursion(rec, i) for i in range(args.n + 1)]
+        values = [blocks.a_from_recursion(rec, i) for i in range(n + 1)]
     if args.format == "json":
         return _values_json(f, values)
     return _table(values)
@@ -123,7 +133,7 @@ def _cmd_series(args) -> str:
         raise ValueError(
             f"no closed generating function for {format_poly(f)} mod {f.p}"
         )
-    values = family.series(f.p, args.terms)
+    values = family.series(f.p, _length("--terms", args.terms))
     if args.format == "json":
         return _values_json(f, values)
     return _table(values)
@@ -169,26 +179,9 @@ def _cmd_limits(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _spectral_report(f: FpPoly, depth: int, budget: float | None):
-    system = willson.build_transfer(f)
-    if depth > 0:
-        ok = willson.verify_counts(system, depth)
-        if ok is not True:
-            raise willson.SpectralMismatchError(
-                f"count identity failed for {format_poly(f)}: {ok}"
-            )
-    res = willson.minpoly_of_lambda(willson.perron(system), budget=budget)
-    return system, res
-
-
 def _cmd_willson(args) -> str:
     f = _poly_arg(args)
-    system, res = _spectral_report(f, args.depth, args.budget)
-    if args.exact and res.degree == willson.PENDING:
-        raise PendingResultError(
-            f"minimal polynomial of {format_poly(f)} still PENDING at "
-            f"budget {args.budget}s"
-        )
+    system, res = willson.spectrum(f, args.depth)
     bound = willson.eigen_bound(f.degree)
     if args.format == "tsv":
         row = willson.SurveyRow(
@@ -203,12 +196,8 @@ def _cmd_willson(args) -> str:
             "interval_lo": str(lo),
             "interval_hi": str(hi),
             "recurrence": [str(c) for c in res.recurrence],
-            "minpoly": (
-                res.minpoly
-                if res.minpoly == willson.PENDING
-                else [str(c) for c in res.minpoly]
-            ),
-            "degree": res.degree if res.degree == willson.PENDING else str(res.degree),
+            "minpoly": [str(c) for c in res.minpoly],
+            "degree": str(res.degree),
             "dimension": res.dimension,
             "bound": bound,
             "states": len(system.states),
@@ -218,7 +207,7 @@ def _cmd_willson(args) -> str:
 
 
 def _cmd_survey(args) -> str:
-    result = willson.survey(args.max_deg, depth=args.depth, minpoly_budget=args.budget)
+    result = willson.survey(args.max_deg, depth=args.depth)
     if args.format == "json":
         return _json(
             {
@@ -226,11 +215,7 @@ def _cmd_survey(args) -> str:
                     {
                         "poly": format_poly(row.poly),
                         "lambda": row.result.lam,
-                        "degree": (
-                            row.result.degree
-                            if row.result.degree == willson.PENDING
-                            else str(row.result.degree)
-                        ),
+                        "degree": str(row.result.degree),
                         "dimension": row.result.dimension,
                         "bound": row.bound,
                         "bound_ok": row.bound_ok,
@@ -323,14 +308,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("willson", help="spectral report for one polynomial")
     common(p, ("json", "tsv"), "json")
     p.add_argument("--depth", type=int, default=0, help="verify counts up to 2^depth")
-    p.add_argument("--budget", type=float, default=10.0, help="factoring budget, s")
-    p.add_argument("--exact", action="store_true", help="fail if minpoly is PENDING")
     p.set_defaults(func=_cmd_willson)
 
     p = sub.add_parser("survey", help="spectral survey of all classes")
     p.add_argument("--max-deg", type=int, required=True)
     p.add_argument("--depth", type=int, default=0)
-    p.add_argument("--budget", type=float, default=8.0)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=_cmd_survey)
@@ -356,7 +338,6 @@ _DIAGNOSTICS = (
     genfun.InconclusiveError,
     ArithmeticError,
     BitmapSizeError,
-    PendingResultError,
 )
 
 

@@ -244,6 +244,9 @@ def _check_residue(p: int, alpha):
         raise ValueError(f"residue must be in 1..{p - 1} or TOTAL, got {alpha!r}")
 
 
+# Bounds the coefficient list a short "x^N" term asks parse_poly to build.
+MAX_POLY_DEGREE = 1 << 16
+
 _TERM_RE = re.compile(r"^(\d+)?\s*\*?\s*(x(?:\^(\d+))?)?$")
 
 
@@ -252,7 +255,9 @@ def parse_poly(text: str, p: int) -> FpPoly:
 
     "1,1,0,1" reads low degree first; "1+x+x^3" means the same polynomial.
     Coefficients are reduced mod p, so "3+x" with p=2 parses as 1+x.  A token
-    that fits neither form raises ValueError naming it.
+    that fits neither form raises ValueError naming it, and so does a term of
+    degree above MAX_POLY_DEGREE, before the coefficient list is built.  (A
+    comma list is as long as its text.)
     """
     check_prime(p)
     text = text.strip()
@@ -283,7 +288,10 @@ def parse_poly(text: str, p: int) -> FpPoly:
             c = -c
         e = 0 if m.group(2) is None else int(m.group(3) or 1)
         coeffs[e] = (coeffs.get(e, 0) + c) % p
-    out = [0] * (max(coeffs) + 1 if coeffs else 0)
+    top = max(coeffs, default=-1)
+    if top > MAX_POLY_DEGREE:
+        raise ValueError(f"degree {top} exceeds MAX_POLY_DEGREE = {MAX_POLY_DEGREE}")
+    out = [0] * (top + 1)
     for e, c in coeffs.items():
         out[e] = c
     return FpPoly.make(p, out)

@@ -12,8 +12,12 @@ The dominant growth rate lambda (so the fractal dimension log2 lambda) is the
 largest real root of the minimal recurrence of the exact sequence r(2^k),
 found by Berlekamp-Massey, certified over the integers on 2n+2 terms for n
 trimmed states, and isolated exactly among all real roots.  Its minimal
-polynomial is the factor of that recurrence whose root the bracket holds,
-recovered when integer factorization finishes within budget.
+polynomial is the irreducible factor of that recurrence whose root the
+bracket holds.  spectrum runs the whole pipeline for one polynomial: build
+the maps, optionally check the count identities, certify lambda and factor.
+
+The window has d+1 digits for f of degree d, so there are 2^(d+1) states;
+MAX_TRANSFER_DEGREE bounds d before anything is allocated.
 
 Polynomials that differ by the similarity moves (shifts by x^c, reversal,
 substitution x -> x^c, c-th powers) share lambda, so the survey runs over
@@ -23,7 +27,7 @@ canonical representatives only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -38,7 +42,8 @@ from ._zzpoly import (
 )
 from .fpoly import CountTable, FpPoly, format_poly
 
-PENDING = "PENDING"
+# 2^13 window states: the build peaks near 70 MB here and 150 MB at degree 16.
+MAX_TRANSFER_DEGREE = 12
 
 
 class SpectralMismatchError(ArithmeticError):
@@ -119,6 +124,9 @@ def build_transfer(f: FpPoly) -> TransferSystem:
     if f.is_zero() or f.coeffs[0] != 1:
         raise ValueError("constant term must be 1 (canonicalize first)")
     d = f.degree
+    if d > MAX_TRANSFER_DEGREE:
+        raise ValueError(
+            f"transfer degree {d} exceeds MAX_TRANSFER_DEGREE = {MAX_TRANSFER_DEGREE}")
     lwin = d + 1
     coeff_rows = ((1,), f.coeffs)  # child row parity 2m+eps picks row of 1 or of f
     size = 1 << lwin
@@ -226,15 +234,16 @@ class SpectralResult:
     """Dominant eigenvalue data of a transfer system.
 
     recurrence is the certified minimal recurrence (ascending, monic) of the
-    count sequence r(2^k); lambda is its largest real root.
+    count sequence r(2^k); lambda is its largest real root, and minpoly
+    (ascending, positive leading coefficient) its minimal polynomial.
     """
 
     lam: float
     interval: tuple[Fraction, Fraction]
     recurrence: tuple[int, ...]
     dimension: float
-    minpoly: object = PENDING
-    degree: object = PENDING
+    minpoly: tuple[int, ...]
+    degree: int
 
 
 def _ratio_check(sys: TransferSystem, counts: list[int], lam: float):
@@ -260,35 +269,47 @@ def perron(sys: TransferSystem) -> SpectralResult:
     # 2n+2 terms certify the recurrence; the ratio check reads up to term 50
     counts = count_sequence(sys, max(2 * n + 2, 51))
     rec = minimal_recurrence(counts, n)
-    lo, hi = largest_real_root(squarefree_part(rec))
+    sqf = squarefree_part(rec)
+    lo, hi = largest_real_root(sqf)
     lam = float((lo + hi) / 2)
     _ratio_check(sys, counts, lam)
+    minpoly = minpoly_of_lambda(sqf, (lo, hi))
     return SpectralResult(
         lam=lam,
         interval=(lo, hi),
         recurrence=tuple(rec),
         dimension=math.log2(lam),
+        minpoly=minpoly,
+        degree=len(minpoly) - 1,
     )
 
 
-def minpoly_of_lambda(res: SpectralResult, budget: float | None = 10.0) -> SpectralResult:
-    """Fill minpoly/degree when integer factorization finishes within budget.
+def minpoly_of_lambda(c: list[int], interval: tuple[Fraction, Fraction]) -> tuple[int, ...]:
+    """The irreducible factor of the squarefree c with a root in interval.
 
-    The bracket isolates lambda among the roots of the squarefree recurrence,
-    so exactly one irreducible factor has a root in it.  On timeout the result
-    is returned unchanged, degree still PENDING, with the bracket retained.
+    The bracket isolates lambda among the roots of c, so exactly one factor
+    changes sign across it (or vanishes at an exact rational endpoint).
     """
-    factors = factor_int_poly(squarefree_part(list(res.recurrence)), budget)
-    if factors is None:
-        return res
-    lo, hi = res.interval
-    matches = [f for f in factors if sign_at(f, lo) * sign_at(f, hi) <= 0]
+    lo, hi = interval
+    matches = [f for f in factor_int_poly(c) if sign_at(f, lo) * sign_at(f, hi) <= 0]
     if len(matches) != 1:
         raise ArithmeticError("could not attribute the dominant root to a factor")
     m = matches[0]
-    if m[-1] < 0:
-        m = [-c for c in m]
-    return replace(res, minpoly=tuple(m), degree=len(m) - 1)
+    return tuple(m) if m[-1] > 0 else tuple(-v for v in m)
+
+
+def spectrum(f: FpPoly, depth: int = 0) -> tuple[TransferSystem, SpectralResult]:
+    """The transfer system of f and its certified spectrum.
+
+    depth > 0 first checks the count identities up to 2^depth rows and raises
+    SpectralMismatchError on the first failure, since those are exact.
+    """
+    system = build_transfer(f)
+    if depth > 0:
+        ok = verify_counts(system, depth)
+        if ok is not True:
+            raise SpectralMismatchError(f"count identity failed for {format_poly(f)}: {ok}")
+    return system, perron(system)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +444,8 @@ def canonicalize(f: FpPoly) -> SimilarityClass:
 
 def enumerate_classes(max_deg: int) -> list[SimilarityClass]:
     """All canonical representatives of degree 1..max_deg, deduplicated."""
-    if max_deg < 1:
-        raise ValueError("max_deg must be >= 1")
+    if not 1 <= max_deg <= MAX_TRANSFER_DEGREE:
+        raise ValueError(f"max_deg must be in 1..MAX_TRANSFER_DEGREE = {MAX_TRANSFER_DEGREE}")
     found: dict[tuple[int, ...], SimilarityClass] = {}
     for deg in range(1, max_deg + 1):
         base = (1 << deg) | 1
@@ -465,23 +486,14 @@ class SurveyResult:
     collisions: tuple[tuple[str, str], ...]
 
 
-def survey(max_deg: int, depth: int = 10, minpoly_budget: float | None = 8.0) -> SurveyResult:
+def survey(max_deg: int, depth: int = 10) -> SurveyResult:
     """Spectral survey of every similarity class of degree <= max_deg.
 
-    depth > 0 re-verifies the count identities per class (and raises on any
-    mismatch, since those are exact).  Factorization timeouts leave degree
-    PENDING for that row.
+    depth > 0 re-verifies the count identities per class (see spectrum).
     """
     rows = []
     for cls in enumerate_classes(max_deg):
-        system = build_transfer(cls.canonical)
-        if depth > 0:
-            ok = verify_counts(system, depth)
-            if ok is not True:
-                raise SpectralMismatchError(
-                    f"count identity failed for {format_poly(cls.canonical)}: {ok}"
-                )
-        res = minpoly_of_lambda(perron(system), budget=minpoly_budget)
+        _, res = spectrum(cls.canonical, depth)
         bound = eigen_bound(cls.canonical.degree)
         rows.append(
             SurveyRow(
@@ -510,13 +522,12 @@ def survey_tsv(result: SurveyResult) -> str:
     lines = ["poly\tlambda\tdegree\tdimension\tbound_ok"]
     for row in result.rows:
         res = row.result
-        degree = res.degree if res.degree == PENDING else str(res.degree)
         lines.append(
             "\t".join(
                 (
                     format_poly(row.poly),
                     f"{res.lam:.6f}",
-                    degree,
+                    str(res.degree),
                     f"{res.dimension:.6f}",
                     "true" if row.bound_ok else "false",
                 )

@@ -41,7 +41,6 @@ from polypow import (
     verify_ab_equivalence,
     verify_counts,
 )
-from polypow.willson import PENDING
 
 LAMBDA_TOL = 5e-6
 RATIO_TOL = 0.02
@@ -130,7 +129,7 @@ DEGREE_CORRECTIONS = {"1+x+x^2+x^3+x^6": 20}
 
 @pytest.fixture(scope="module")
 def survey6():
-    return survey(6, depth=0, minpoly_budget=15.0)
+    return survey(6, depth=0)
 
 
 def spectra_by_class(survey_result):
@@ -255,13 +254,7 @@ def test_criterion_09_spectra(survey6):
         assert abs(row.result.lam - lam_ref) <= LAMBDA_TOL, text
         if text == "1+x":
             assert row.result.lam == 3.0
-        deg = row.result.degree
-        want = DEGREE_CORRECTIONS.get(text, deg_ref)
-        if f.degree <= 4:
-            assert deg is not PENDING
-            assert deg == want, text
-        elif deg is not PENDING:  # best effort: completed values must agree
-            assert deg == want, text
+        assert row.result.degree == DEGREE_CORRECTIONS.get(text, deg_ref), text
     print("CRITERION 09: PASS (30/30 eigenvalues within 5e-6; degrees match)")
 
 

@@ -94,6 +94,31 @@ def test_scan_serialize_sorted():
     assert len(lines) == len(bs)
 
 
+@pytest.mark.parametrize(
+    "f,n,max_row",
+    [(ONE_PLUS_X_2, 6, 10), (ONE_PLUS_X_3, 4, 27), (CXX2_23, 3, 17)],
+)
+def test_scan_cuts_only_the_blocks_it_returns(monkeypatch, f, n, max_row):
+    # one step per base-p digit of max_row, each cutting the blocks of rows
+    # 0..q and 0..q-1, except that the last step needs only rows 0..max_row
+    steps, q = 0, max_row
+    while q:
+        steps, q = steps + 1, q // f.p
+    blocks._closure.cache_clear()
+    built = []
+    apply_maps = blocks._Closure._apply_maps
+
+    def recording(self, expanded, m):
+        built.append(m)
+        return apply_maps(self, expanded, m)
+
+    monkeypatch.setattr(blocks._Closure, "_apply_maps", recording)
+    got = scan_accessible(f, n, max_row=max_row)
+    assert got.members == frozenset(windows_oracle(f, n, max_row + 1))
+    assert len(built) == 2 * steps - 1
+    assert built[-1] == n
+
+
 def test_scan_wide_alphabet_path():
     # long blocks over a wide alphabet: 13^18 > 2^64, from a horizon below p
     f = FpPoly.make(13, [1, 1])

@@ -18,7 +18,7 @@ from polypow import (
     series_1px,
     to_pbm,
 )
-from polypow import _zzpoly
+from polypow import _zzpoly, cli
 from polypow.asympt import OnePlusX
 from polypow.cli import main
 from polypow.fpoly import BitmapSizeError
@@ -166,9 +166,7 @@ def test_cli_limits_oscillation(capsys):
 
 
 def test_cli_willson_json(capsys):
-    code, out, _ = run(
-        capsys, "willson", "--poly", "1+x", "--format", "json", "--exact"
-    )
+    code, out, _ = run(capsys, "willson", "--poly", "1+x", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["lambda"] == 3.0
@@ -228,6 +226,39 @@ def test_exit_code_2_for_usage_and_value_errors(capsys):
     code, out, err = run(capsys, "limits", "--poly", "1+x+x^3")
     assert (code, out) == (2, "")
     assert err == "error: no limit law available for 1+x+x^3 mod 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv,cap",
+    [
+        (["willson", "--poly", "1+x+x^22"], "MAX_TRANSFER_DEGREE = 12"),
+        (["survey", "--max-deg", "13"], "MAX_TRANSFER_DEGREE = 12"),
+        (["series", "--poly", "1+x^300000000", "--terms", "3"], "MAX_POLY_DEGREE = 65536"),
+        (["series", "--poly", "1+x", "--terms", "300000000"], "MAX_TERMS = 262144"),
+        (["blocks", "--poly", "1+x", "--n", "300000000"], "MAX_TERMS = 262144"),
+    ],
+    ids=["willson", "survey", "parse", "terms", "n"],
+)
+def test_short_inputs_past_a_cap_exit_2(capsys, argv, cap):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and cap in err
+
+
+def test_length_cap_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_TERMS", 10)
+    for argv in (["series", "--poly", "1+x", "--terms"], ["blocks", "--poly", "1+x", "--n"]):
+        code, out, _ = run(capsys, *argv, "10")
+        assert code == 0 and len(out.split()) == 12  # header and a(0..10)
+        assert run(capsys, *argv, "11")[0] == 2
+    # the scan engine is capped by the same flag
+    assert run(capsys, "blocks", "--poly", "1+x", "--n", "11", "--engine", "scan")[0] == 2
+
+
+def test_removed_spectral_flags_are_usage_errors(capsys):
+    assert run(capsys, "willson", "--poly", "1+x", "--budget", "5")[0] == 2
+    assert run(capsys, "willson", "--poly", "1+x", "--exact")[0] == 2
+    assert run(capsys, "survey", "--max-deg", "2", "--budget", "5")[0] == 2
 
 
 def test_rows_beyond_a_byte_are_refused(capsys):

@@ -5,6 +5,7 @@ tallies over poly_pow rows, and binomial coefficients for 1+x.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from polypow import (
     row_digits,
 )
 from polypow.cli import main
+from polypow.fpoly import MAX_POLY_DEGREE
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -266,6 +268,19 @@ def test_parse_poly_accepted_forms(text, p, coeffs):
 def test_parse_poly_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_poly(bad, 5)
+
+
+def test_parse_poly_refuses_degrees_past_the_cap():
+    assert parse_poly(f"1+x^{MAX_POLY_DEGREE}", 2).degree == MAX_POLY_DEGREE
+    # refused before the 3*10^8-entry coefficient list is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_POLY_DEGREE"):
+            parse_poly("1+x^300000000", 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @given(fp_polys())

@@ -5,6 +5,7 @@ The count oracle is always brute force: expand rows of f^k and tally digits.
 """
 
 import math
+import signal
 from dataclasses import replace
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from polypow import (
     verify_counts,
 )
 from polypow._zzpoly import largest_real_root, sign_at
-from polypow.willson import PENDING, SpectralResult, count_sequence
+from polypow.willson import MAX_TRANSFER_DEGREE, count_sequence
 
 P1X = FpPoly.make(2, [1, 1])
 P1XX2 = FpPoly.make(2, [1, 1, 1])
@@ -85,6 +86,20 @@ def test_transfer_requires_mod2_and_unit_constant():
         build_transfer(FpPoly.make(3, [1, 1]))
     with pytest.raises(ValueError):
         build_transfer(FpPoly.make(2, [0, 1]))  # strip the x factor first
+
+
+def test_transfer_degree_is_capped_before_allocating():
+    top = parse_poly(f"1+x+x^{MAX_TRANSFER_DEGREE}", 2)
+    assert len(build_transfer(top).states) == 2 ** (MAX_TRANSFER_DEGREE + 1) - 1
+    with pytest.raises(ValueError, match="MAX_TRANSFER_DEGREE"):
+        build_transfer(parse_poly(f"1+x+x^{MAX_TRANSFER_DEGREE + 1}", 2))
+    # 1+x+x^22 would need 2^23 states and gigabytes
+    with pytest.raises(ValueError, match="MAX_TRANSFER_DEGREE"):
+        build_transfer(parse_poly("1+x+x^22", 2))
+    with pytest.raises(ValueError, match="MAX_TRANSFER_DEGREE"):
+        enumerate_classes(MAX_TRANSFER_DEGREE + 1)
+    with pytest.raises(ValueError, match="MAX_TRANSFER_DEGREE"):
+        survey(MAX_TRANSFER_DEGREE + 1)
 
 
 @pytest.mark.parametrize("f", [P1X, P1XX2, P1XX3], ids=["1+x", "1+x+x^2", "1+x+x^3"])
@@ -174,13 +189,12 @@ def test_perron_1px_is_exactly_three():
     assert res.interval == (Fraction(3), Fraction(3))
     assert res.recurrence == (-3, 1)
     assert sympy_charpoly(dense_b(build_transfer(P1X))) == [3, -4, 1]
-    res = minpoly_of_lambda(res, budget=None)
     assert res.minpoly == (-3, 1)
     assert res.degree == 1
 
 
 def test_perron_1xx2_golden_quadratic():
-    res = minpoly_of_lambda(perron(build_transfer(P1XX2)), budget=None)
+    res = perron(build_transfer(P1XX2))
     assert abs(res.lam - (1 + math.sqrt(5))) < 1e-9
     assert res.minpoly == (-4, -2, 1)
     assert res.degree == 2
@@ -198,7 +212,7 @@ def test_perron_1xx2_golden_quadratic():
 )
 def test_minpoly_certificates(f):
     sys = build_transfer(f)
-    res = minpoly_of_lambda(perron(sys), budget=None)
+    res = perron(sys)
     m = list(res.minpoly)
     assert divides(m, list(res.recurrence))
     assert divides(m, sympy_charpoly(dense_b(sys)))
@@ -237,7 +251,7 @@ def test_recurrence_against_sympy_charpoly(f):
     assert sympy.Rational(lo.numerator, lo.denominator) <= top
     assert top <= sympy.Rational(hi.numerator, hi.denominator)
     assert hi - lo <= Fraction(1, 10**9)
-    minpoly = sympy_poly(minpoly_of_lambda(res, budget=None).minpoly)
+    minpoly = sympy_poly(res.minpoly)
     assert minpoly.is_irreducible
     assert max(minpoly.real_roots()) == top
 
@@ -245,9 +259,7 @@ def test_recurrence_against_sympy_charpoly(f):
 def test_minpoly_is_the_factor_the_bracket_holds():
     # (x^2 - 5)(x^3 - 2): the largest root, sqrt(5), is in the shorter factor
     rec = [10, 0, -2, -5, 0, 1]
-    lo, hi = largest_real_root(rec)
-    res = SpectralResult(float((lo + hi) / 2), (lo, hi), tuple(rec), 0.0)
-    assert minpoly_of_lambda(res, budget=None).minpoly == (-5, 0, 1)
+    assert minpoly_of_lambda(rec, largest_real_root(rec)) == (-5, 0, 1)
 
 
 def test_dimension_bracket():
@@ -320,13 +332,12 @@ def test_eigen_bound_values():
 
 
 def test_survey_deg3_report():
-    result = survey(3, depth=4, minpoly_budget=None)
+    result = survey(3, depth=4)
     assert len(result.rows) == 3
     for row in result.rows:
         assert row.bound_ok
         assert 3.0 <= row.result.lam < 4.0
-        if row.result.degree != PENDING:
-            assert row.result.degree <= 2 ** (row.poly.degree - 1)
+        assert row.result.degree <= 2 ** (row.poly.degree - 1)
     ks = [k for k, _ in result.lambda_max]
     vals = [v for _, v in result.lambda_max]
     assert ks == [1, 2, 3]
@@ -341,9 +352,31 @@ def test_survey_deg3_report():
     assert lines[1].startswith("1+x\t3")
 
 
+def test_spectral_pipeline_leaves_the_callers_alarm_alone():
+    # factoring runs to completion on its own; it must neither replace the
+    # caller's SIGALRM handler nor cancel the caller's interval timer
+    fired = []
+
+    def handler(signum, frame):
+        fired.append(signum)
+
+    old = signal.signal(signal.SIGALRM, handler)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 100.0)
+        result = survey(3, depth=2)
+        assert all(row.result.degree == len(row.result.minpoly) - 1 for row in result.rows)
+        assert signal.getsignal(signal.SIGALRM) is handler
+        remaining, _ = signal.getitimer(signal.ITIMER_REAL)
+        assert 90.0 < remaining <= 100.0
+        assert fired == []
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_survey_deg3_has_no_lambda_collisions():
     # 3, 1+sqrt(5) and the degree-3 growth rate are pairwise distinct
-    result = survey(3, depth=0, minpoly_budget=None)
+    result = survey(3, depth=0)
     assert result.collisions == ()
     lams = [row.result.lam for row in result.rows]
     assert len(set(lams)) == len(lams)

@@ -137,10 +137,10 @@ def test_squarefree_part_drops_multiplicity():
 
 
 def test_factor_int_poly_splits_and_respects_irreducibility():
-    facs = factor_int_poly([-1, 0, 1], budget=None)  # x^2 - 1
+    facs = factor_int_poly([-1, 0, 1])  # x^2 - 1
     assert sorted(facs) == sorted([[-1, 1], [1, 1]])
-    assert factor_int_poly([1, 0, 1], budget=None) == [[1, 0, 1]]  # x^2 + 1
-    for f in factor_int_poly([3, -4, 1], budget=None):
+    assert factor_int_poly([1, 0, 1]) == [[1, 0, 1]]  # x^2 + 1
+    for f in factor_int_poly([3, -4, 1]):
         assert divides(f, [3, -4, 1])
 
 
