@@ -14,6 +14,8 @@ the self-referencing length the same steps grow to a least fixpoint: the
 accessible sets, exact at every length with no row horizon or stabilization
 heuristic.  Discoveries in a plain scan recur near rows p*k+r for earlier
 discovery rows k, which makes any bounded-lookahead stopping rule unsound.
+At a length that is its own source, window_maps also gives, per map, the
+image of every block by index: the transfer maps of the nonzero counts.
 
 Memory: each level is one packed matrix, the sorted distinct blocks as uint8
 rows.  Only the short fixpoint levels stay, built on the first count; a
@@ -66,11 +68,14 @@ def _row0_blocks(n: int) -> np.ndarray:
     return np.eye(n + 1, n, dtype=np.uint8)[::-1]
 
 
+def _packed(mat: np.ndarray) -> np.ndarray:
+    """Each row of a uint8 matrix as one void scalar, ordered as its digits."""
+    return np.ascontiguousarray(mat).view(np.dtype((np.void, mat.shape[1]))).ravel()
+
+
 def _unique_rows(mat: np.ndarray) -> np.ndarray:
     """The distinct rows of a uint8 matrix, in lexicographic order."""
-    width = mat.shape[1]
-    packed = np.ascontiguousarray(mat).view(np.dtype((np.void, width))).ravel()
-    return np.unique(packed).view(np.uint8).reshape(-1, width)
+    return np.unique(_packed(mat)).view(np.uint8).reshape(-1, mat.shape[1])
 
 
 def _check_cells(cells: int, what: str) -> None:
@@ -171,16 +176,24 @@ class _Closure:
             out.append((e % self.p).astype(np.uint8, copy=False))
         return out
 
-    def _apply_maps(self, expanded: list[np.ndarray], n: int) -> np.ndarray:
-        """The level-n blocks that the expanded source level yields."""
-        _check_cells(self.p * n * sum(len(e) for e in expanded), f"the candidate {n}-blocks")
+    def _cuts(self, expanded: list[np.ndarray], n: int) -> list[np.ndarray]:
+        """The p*p cuts of the expanded source level: per row r, p n-windows.
+
+        Cut p*r+j sends the source block at position t of row m to the
+        n-window at p*t+dr+j of row p*m+r, where dr is the degree of row r.
+        """
         cuts = []
         for rr, e in zip(self.rows, expanded):
             dr = len(rr) - 1
             # offsets dr..dr+p-1 realize every alignment of a true window
             # while staying inside the patch the source block determines
             cuts.extend(e[:, o:o + n] for o in range(dr, dr + self.p))
-        return _unique_rows(np.concatenate(cuts))
+        return cuts
+
+    def _apply_maps(self, expanded: list[np.ndarray], n: int) -> np.ndarray:
+        """The level-n blocks that the expanded source level yields."""
+        _check_cells(self.p * n * sum(len(e) for e in expanded), f"the candidate {n}-blocks")
+        return _unique_rows(np.concatenate(self._cuts(expanded, n)))
 
     def _walk(self, targets):
         """Build the target levels and their source chains in ascending order.
@@ -217,6 +230,23 @@ class _Closure:
         """[a(n) for n in ns], building only the levels their chains need."""
         self._walk([n for n in ns if n not in self.sizes])
         return [self.sizes[n] for n in ns]
+
+
+def window_maps(f: FpPoly, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The sorted accessible n-blocks and, per cut, the index of each one's image.
+
+    n must be its own source length (d+1 or d+2 for f of degree d), so that
+    every cut of an accessible n-block is again one.  Array p*r+j holds, for
+    each block, the index of its image under cut p*r+j (see _Closure._cuts).
+    The closure is a fresh one, outside the _closure cache.
+    """
+    closure = _Closure(f)
+    if closure._source_len(n) != n:
+        raise ValueError(f"window length {n} is not its own source length")
+    level = closure.level(n)
+    keys = _packed(level)
+    cuts = closure._cuts(closure._expand(level), n)
+    return level, [np.searchsorted(keys, _packed(cut)) for cut in cuts]
 
 
 @lru_cache(maxsize=32)
@@ -291,9 +321,8 @@ class RecursionSpec:
         if self.threshold < max((len(r) for r in self.rows), default=0):
             raise ValueError("threshold below the recursion's forward reach")
         for k, row in enumerate(self.rows):
-            m = self.threshold
-            while m % self.p != k:
-                m += 1
+            # the first index m >= threshold with m = k mod p
+            m = self.threshold + (k - self.threshold) % self.p
             # descent: every referenced index must sit strictly below m
             for j, c in enumerate(row):
                 if c and m // self.p + j >= m:

@@ -3,9 +3,11 @@
 Exit codes: 0 success, 2 parse or usage error, 3 computation diagnostic
 (inference without a consistent recursion, an inconclusive residual check, a
 failed spectral certificate, or an oversized bitmap or closure step).  Inputs
-past a documented cap are usage errors: --n and --terms above MAX_TERMS, a
-term of degree above fpoly.MAX_POLY_DEGREE, and a willson polynomial or survey
---max-deg above willson.MAX_TRANSFER_DEGREE.
+past a documented cap are usage errors: --n, --terms and --window above
+MAX_TERMS, a term of degree above fpoly.MAX_POLY_DEGREE, a willson polynomial
+of degree d mod p or a survey --max-deg d (p = 2) with p^(d+3) above
+willson.MAX_TRANSFER_EDGES, and a willson or survey --depth with p^depth above
+willson.MAX_VERIFY_ROWS.
 Output goes to stdout unless --out is given, in which case it is written to a
 temp file and renamed into place.
 """
@@ -182,11 +184,8 @@ def _cmd_limits(args) -> str:
 def _cmd_willson(args) -> str:
     f = _poly_arg(args)
     system, res = willson.spectrum(f, args.depth)
-    bound = willson.eigen_bound(f.degree)
+    row = willson.survey_row(f, res)
     if args.format == "tsv":
-        row = willson.SurveyRow(
-            poly=f, result=res, bound=bound, bound_ok=res.lam <= bound + 1e-9
-        )
         return willson.survey_tsv(willson.SurveyResult((row,), (), ()))
     lo, hi = res.interval
     return _json(
@@ -199,7 +198,7 @@ def _cmd_willson(args) -> str:
             "minpoly": [str(c) for c in res.minpoly],
             "degree": str(res.degree),
             "dimension": res.dimension,
-            "bound": bound,
+            "bound": row.bound,
             "states": len(system.states),
             "states_trimmed": len(system.trimmed),
         }
@@ -233,7 +232,8 @@ def _cmd_survey(args) -> str:
 
 def _cmd_infer(args) -> str:
     f = _poly_arg(args)
-    rec = blocks.infer_recursion(f, window=args.window)
+    window = None if args.window is None else _length("--window", args.window)
+    rec = blocks.infer_recursion(f, window=window)
     if args.format == "csv":
         width = max(len(row) for row in rec.rows)
         header = "k," + ",".join(f"c{j}" for j in range(width)) + ",constant"
@@ -307,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("willson", help="spectral report for one polynomial")
     common(p, ("json", "tsv"), "json")
-    p.add_argument("--depth", type=int, default=0, help="verify counts up to 2^depth")
+    p.add_argument("--depth", type=int, default=0, help="verify counts up to p^depth rows")
     p.set_defaults(func=_cmd_willson)
 
     p = sub.add_parser("survey", help="spectral survey of all classes")

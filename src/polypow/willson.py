@@ -1,27 +1,30 @@
-"""Transfer maps for the nonzero-coefficient counts of f^k mod 2.
+"""Transfer maps for the nonzero-coefficient counts of f^k mod p.
 
-A state is a length d+1 window of a coefficient row.  Doubling the row index
-and choosing one of two child anchors gives four self-maps of the state set;
-summing the two anchor choices per child parity yields count matrices B0, B1
-whose total B satisfies u.B^k.v = r(2^k), the number of nonzero coefficients
-in rows 0..2^k-1.  The matrices are never stored: the four maps are the only
-representation, and B acts on vectors over the trimmed states as scatter-adds
-along them.
+A state is a nonzero accessible window of length d+1 of a coefficient row,
+for f of degree d.  Row pm+r is f(x^p)^m f^r, so each of the p*p cuts of
+blocks.window_maps sends the window at t of row m to a window of row pm+r,
+the p cuts of row r to the windows at pt+dr..pt+dr+p-1 (dr = rd).  Summing
+those p maps gives the count matrix B_r, and B = B_0 + ... + B_(p-1)
+satisfies u.B^k.v = r(p^k), the number of nonzero coefficients in rows
+0..p^k-1: v marks the windows of row 0 and u the windows whose first digit
+is nonzero.  The matrices are never stored: the maps are the only
+representation, and B acts on vectors as scatter-adds along them.
 
-The dominant growth rate lambda (so the fractal dimension log2 lambda) is the
-largest real root of the minimal recurrence of the exact sequence r(2^k),
-found by Berlekamp-Massey, certified over the integers on 2n+2 terms for n
-trimmed states, and isolated exactly among all real roots.  Its minimal
+The dominant growth rate lambda (so the fractal dimension log_p lambda) is
+the largest real root of the minimal recurrence of the exact sequence
+r(p^k), found by Berlekamp-Massey, certified over the integers on 2n+2 terms
+for n states, and isolated exactly among all real roots.  Its minimal
 polynomial is the irreducible factor of that recurrence whose root the
 bracket holds.  spectrum runs the whole pipeline for one polynomial: build
 the maps, optionally check the count identities, certify lambda and factor.
 
-The window has d+1 digits for f of degree d, so there are 2^(d+1) states;
-MAX_TRANSFER_DEGREE bounds d before anything is allocated.
+There are at most p^(d+1) states and p*p maps, so MAX_TRANSFER_EDGES bounds
+p^(d+3) before anything is allocated; MAX_VERIFY_ROWS bounds the p^depth
+rows that verify_counts expands.
 
-Polynomials that differ by the similarity moves (shifts by x^c, reversal,
-substitution x -> x^c, c-th powers) share lambda, so the survey runs over
-canonical representatives only.
+Polynomials mod 2 that differ by the similarity moves (shifts by x^c,
+reversal, substitution x -> x^c, c-th powers) share lambda, so the survey
+runs over canonical representatives only; eigen_bound is a bound mod 2.
 """
 
 from __future__ import annotations
@@ -40,10 +43,14 @@ from ._zzpoly import (
     sign_at,
     squarefree_part,
 )
+from .blocks import window_maps
 from .fpoly import CountTable, FpPoly, format_poly
 
-# 2^13 window states: the build peaks near 70 MB here and 150 MB at degree 16.
-MAX_TRANSFER_DEGREE = 12
+# Degree 12 at p = 2 (5660 states, built in under a second); 1+x mod 13
+# (28561) takes about a second, while 1+x+x^2 mod 11 (161051) takes minutes.
+MAX_TRANSFER_EDGES = 2**15
+# 2^14 brute-force rows take about 7 s at p = 2.
+MAX_VERIFY_ROWS = 2**14
 
 
 class SpectralMismatchError(ArithmeticError):
@@ -63,137 +70,94 @@ class CountMismatch:
         return False
 
 
-@dataclass(frozen=True)
-class TransferSystem:
-    """Window-transfer realization of the count identity for f^k mod 2.
+def _over(p: int, e: int, cap: int) -> bool:
+    """p^e > cap for p >= 2, without building p^e when e is large."""
+    return e >= cap.bit_length() or p**e > cap
 
-    states lists every nonzero window bitmask (bit j = digit a_{t+j}, so bit 0
-    is the window's first digit); maps[2*eps+delta] sends each mask to its
-    child window, 0 included as the absorbing zero window.  B_eps has one unit
-    entry per edge s -> maps[2*eps+delta][s] between nonzero windows; u and v
-    live over all of states.  trimmed is the sub-multiset that carries every
-    supp(v) -> supp(u) path, and apply and the trimmed_* views restrict to it.
+
+def _check_edges(p: int, d: int) -> None:
+    if _over(p, d + 3, MAX_TRANSFER_EDGES):
+        raise ValueError(
+            f"degree {d} mod {p} allows {p}^{d + 3} transfer edges, "
+            f"over MAX_TRANSFER_EDGES = {MAX_TRANSFER_EDGES}")
+
+
+def _check_depth(p: int, depth: int) -> None:
+    if _over(p, depth, MAX_VERIFY_ROWS):
+        raise ValueError(
+            f"depth {depth} mod {p} needs {p}^{depth} rows, "
+            f"over MAX_VERIFY_ROWS = {MAX_VERIFY_ROWS}")
+
+
+@dataclass(frozen=True, eq=False)
+class TransferSystem:
+    """Window-transfer realization of the count identity for f^k mod p.
+
+    states holds the nonzero accessible (d+1)-windows, sorted, one per row;
+    maps[r, j] sends each state to the index of its image under cut p*r+j of
+    blocks.window_maps, or to -1 for the zero window.  B_r has one unit entry
+    per edge s -> maps[r, j, s] >= 0.  u masks the states whose first digit
+    is nonzero; v (0/1) marks the windows of row 0.
     """
 
     f: FpPoly
-    window: int
-    states: tuple[int, ...]
-    maps: tuple[tuple[int, ...], ...]
-    u: tuple[int, ...]
-    v: tuple[int, ...]
-    trimmed: tuple[int, ...]
+    states: np.ndarray
+    maps: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
 
-    def state_string(self, mask: int) -> str:
-        return "".join("1" if mask >> j & 1 else "0" for j in range(self.window))
+    @property
+    def trimmed(self) -> np.ndarray:
+        """The states B acts on: all of them.
+
+        Dropping states off every v -> u path would leave each count u.B^k.v
+        as it is and only lower the order bound perron hands to
+        minimal_recurrence, so no trim is made.
+        """
+        return self.states
 
     @cached_property
     def _edges(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        # per map: the trimmed indices of each edge's source and target, for
-        # the edges that stay inside the trimmed states
-        trimmed = np.array(self.trimmed, dtype=np.intp)
-        index = np.full(len(self.states) + 1, -1, dtype=np.intp)
-        index[trimmed] = np.arange(len(trimmed))
+        # per child row r: the source and target state of each edge of B_r
         edges = []
-        for table in self.maps:
-            dst = index[np.array(table, dtype=np.intp)[trimmed]]
-            src = np.flatnonzero(dst >= 0)
-            edges.append((src, dst[src]))
+        for tables in self.maps:
+            keep = tables >= 0
+            src = np.broadcast_to(np.arange(tables.shape[1]), tables.shape)
+            edges.append((src[keep], tables[keep]))
         return tuple(edges)
 
     def apply(self, w: np.ndarray, eps: int | None = None) -> np.ndarray:
-        """B.w, or B_eps.w, over the trimmed states; w may be a stack of rows."""
-        edges = self._edges if eps is None else self._edges[2 * eps : 2 * eps + 2]
+        """B.w, or B_eps.w, over the states; w may be a stack of rows."""
+        edges = self._edges if eps is None else self._edges[eps : eps + 1]
         out = np.zeros_like(w)
         for src, dst in edges:
             np.add.at(out, (..., dst), w[..., src])
         return out
 
-    @cached_property
-    def trimmed_u(self) -> tuple[int, ...]:
-        return tuple(1 if s & 1 else 0 for s in self.trimmed)
-
-    @cached_property
-    def trimmed_v(self) -> tuple[int, ...]:
-        return tuple(self.v[self.states.index(s)] for s in self.trimmed)
-
 
 def build_transfer(f: FpPoly) -> TransferSystem:
-    """Construct the four window maps for f mod 2 and trim them."""
-    if f.p != 2:
-        raise ValueError(f"transfer construction requires p=2, got p={f.p}")
-    if f.is_zero() or f.coeffs[0] != 1:
-        raise ValueError("constant term must be 1 (canonicalize first)")
-    d = f.degree
-    if d > MAX_TRANSFER_DEGREE:
-        raise ValueError(
-            f"transfer degree {d} exceeds MAX_TRANSFER_DEGREE = {MAX_TRANSFER_DEGREE}")
-    lwin = d + 1
-    coeff_rows = ((1,), f.coeffs)  # child row parity 2m+eps picks row of 1 or of f
-    size = 1 << lwin
-    maps = []
-    for eps in (0, 1):
-        for delta in (0, 1):
-            # Contribution of parent digit j to the child window, as a bitmask
-            # over child positions r; XOR of single-digit masks by linearity.
-            digit_masks = []
-            for j in range(lwin):
-                m = 0
-                for r in range(lwin):
-                    idx = d - 1 + delta + r - 2 * j
-                    if 0 <= idx < len(coeff_rows[eps]) and coeff_rows[eps][idx]:
-                        m |= 1 << r
-                digit_masks.append(m)
-            table = [0] * size
-            for s in range(1, size):
-                low = (s & -s).bit_length() - 1
-                table[s] = table[s & (s - 1)] ^ digit_masks[low]
-            maps.append(tuple(table))
-
-    u = tuple(1 if s & 1 else 0 for s in range(1, size))
-    v = tuple(1 if s & (s - 1) == 0 else 0 for s in range(1, size))
-
-    forward = {s for s in range(1, size) if s & (s - 1) == 0}
-    queue = list(forward)
-    while queue:
-        s = queue.pop()
-        for table in maps:
-            t = table[s]
-            if t and t not in forward:
-                forward.add(t)
-                queue.append(t)
-    parents = {s: set() for s in range(1, size)}
-    for s in range(1, size):
-        for table in maps:
-            t = table[s]
-            if t:
-                parents[t].add(s)
-    backward = {s for s in range(1, size) if s & 1}
-    queue = list(backward)
-    while queue:
-        s = queue.pop()
-        for q in parents[s]:
-            if q not in backward:
-                backward.add(q)
-                queue.append(q)
-
+    """The window maps of f mod p, read off its closure at length d+1."""
+    if f.is_zero() or f.coeffs[0] == 0:
+        raise ValueError("constant term must be nonzero (canonicalize first)")
+    _check_edges(f.p, f.degree)
+    level, maps = window_maps(f, f.degree + 1)
+    # level[0] is the zero window, absorbing and never counted
+    states = level[1:]
     return TransferSystem(
         f=f,
-        window=lwin,
-        states=tuple(range(1, size)),
-        maps=tuple(maps),
-        u=u,
-        v=v,
-        trimmed=tuple(sorted(forward & backward)),
+        states=states,
+        maps=(np.stack(maps)[:, 1:] - 1).reshape(f.p, f.p, len(states)),
+        u=states[:, 0] != 0,
+        v=(states.sum(axis=1) == 1).astype(np.int64),
     )
 
 
 def count_sequence(sys: TransferSystem, terms: int) -> list[int]:
-    """r(2^k) = u.B^k.v for k < terms, exact, over the trimmed states."""
-    u = np.array(sys.trimmed_u, dtype=bool)
-    w = np.array(sys.trimmed_v, dtype=object)
+    """r(p^k) = u.B^k.v for k < terms, exact."""
+    w = sys.v.astype(object)
     out = []
     for _ in range(terms):
-        out.append(int(w[u].sum()))
+        out.append(int(w[sys.u].sum()))
         w = sys.apply(w)
     return out
 
@@ -201,27 +165,29 @@ def count_sequence(sys: TransferSystem, terms: int) -> list[int]:
 def verify_counts(sys: TransferSystem, depth: int):
     """Check the count identities against brute-force row expansion.
 
-    Returns True when u.B^k.v matches the cumulative nonzero count r(2^k) for
+    Returns True when u.B^k.v matches the cumulative nonzero count r(p^k) for
     all k <= depth and the per-row digit products match every row count q(m)
-    for m < 2^depth; otherwise returns a falsy CountMismatch for the first
-    failure.
+    for m < p^depth; otherwise returns a falsy CountMismatch for the first
+    failure.  More than MAX_VERIFY_ROWS rows are refused with ValueError.
     """
-    table = CountTable.from_rows(sys.f, 1 << depth)
+    p = sys.f.p
+    _check_depth(p, depth)
+    table = CountTable.from_rows(sys.f, p**depth)
     for k, got in enumerate(count_sequence(sys, depth + 1)):
-        want = table.r_cumulative[1 << k]
+        want = table.r_cumulative[p**k]
         if got != want:
             return CountMismatch("cumulative", k, got, want)
 
-    # row m has vector B_{m&1} times that of row m>>1, so the rows 2^l..2^(l+1)-1
+    # row pm+r has vector B_r times that of row m, so the rows p^l..p^(l+1)-1
     # come from the previous block in one batch; row 0 carries v itself
-    vecs = np.array([sys.trimmed_v], dtype=np.int64)
-    vecs = np.concatenate([vecs, sys.apply(vecs, 1)])
-    while len(vecs) < 1 << depth:
-        block = vecs[len(vecs) // 2 :]
-        children = np.stack([sys.apply(block, 0), sys.apply(block, 1)], axis=1)
+    vecs = sys.v[np.newaxis]
+    vecs = np.concatenate([vecs] + [sys.apply(vecs, r) for r in range(1, p)])
+    while len(vecs) < p**depth:
+        block = vecs[len(vecs) // p :]
+        children = np.stack([sys.apply(block, r) for r in range(p)], axis=1)
         vecs = np.concatenate([vecs, children.reshape(-1, vecs.shape[1])])
-    rows = vecs[:, np.array(sys.trimmed_u, dtype=bool)].sum(axis=1)
-    for m in range(1 << depth):
+    rows = vecs[:, sys.u].sum(axis=1)
+    for m in range(p**depth):
         got = int(rows[m])
         want = table.q_total[m]
         if got != want:
@@ -234,7 +200,7 @@ class SpectralResult:
     """Dominant eigenvalue data of a transfer system.
 
     recurrence is the certified minimal recurrence (ascending, monic) of the
-    count sequence r(2^k); lambda is its largest real root, and minpoly
+    count sequence r(p^k); lambda is its largest real root, and minpoly
     (ascending, positive leading coefficient) its minimal polynomial.
     """
 
@@ -263,9 +229,7 @@ def _ratio_check(sys: TransferSystem, counts: list[int], lam: float):
 
 def perron(sys: TransferSystem) -> SpectralResult:
     """Largest real root of the certified count recurrence, ratio cross-checked."""
-    n = len(sys.trimmed)
-    if not n:
-        raise ValueError("trimmed system is empty")
+    n = len(sys.states)
     # 2n+2 terms certify the recurrence; the ratio check reads up to term 50
     counts = count_sequence(sys, max(2 * n + 2, 51))
     rec = minimal_recurrence(counts, n)
@@ -278,7 +242,8 @@ def perron(sys: TransferSystem) -> SpectralResult:
         lam=lam,
         interval=(lo, hi),
         recurrence=tuple(rec),
-        dimension=math.log2(lam),
+        # log_p lambda, written so that p = 2 gives exactly log2 lambda
+        dimension=math.log2(lam) / math.log2(sys.f.p),
         minpoly=minpoly,
         degree=len(minpoly) - 1,
     )
@@ -301,9 +266,10 @@ def minpoly_of_lambda(c: list[int], interval: tuple[Fraction, Fraction]) -> tupl
 def spectrum(f: FpPoly, depth: int = 0) -> tuple[TransferSystem, SpectralResult]:
     """The transfer system of f and its certified spectrum.
 
-    depth > 0 first checks the count identities up to 2^depth rows and raises
+    depth > 0 first checks the count identities up to p^depth rows and raises
     SpectralMismatchError on the first failure, since those are exact.
     """
+    _check_depth(f.p, depth)
     system = build_transfer(f)
     if depth > 0:
         ok = verify_counts(system, depth)
@@ -444,8 +410,9 @@ def canonicalize(f: FpPoly) -> SimilarityClass:
 
 def enumerate_classes(max_deg: int) -> list[SimilarityClass]:
     """All canonical representatives of degree 1..max_deg, deduplicated."""
-    if not 1 <= max_deg <= MAX_TRANSFER_DEGREE:
-        raise ValueError(f"max_deg must be in 1..MAX_TRANSFER_DEGREE = {MAX_TRANSFER_DEGREE}")
+    if max_deg < 1:
+        raise ValueError("max_deg must be >= 1")
+    _check_edges(2, max_deg)
     found: dict[tuple[int, ...], SimilarityClass] = {}
     for deg in range(1, max_deg + 1):
         base = (1 << deg) | 1
@@ -475,8 +442,16 @@ def eigen_bound(deg_f: int) -> float:
 class SurveyRow:
     poly: FpPoly
     result: SpectralResult
-    bound: float
-    bound_ok: bool
+    bound: float | None  # eigen_bound, for p = 2 only
+    bound_ok: bool | None
+
+
+def survey_row(f: FpPoly, result: SpectralResult) -> SurveyRow:
+    """The report row of f, checked against eigen_bound when p = 2."""
+    if f.p != 2:
+        return SurveyRow(f, result, None, None)
+    bound = eigen_bound(f.degree)
+    return SurveyRow(f, result, bound, result.lam <= bound + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -491,18 +466,9 @@ def survey(max_deg: int, depth: int = 10) -> SurveyResult:
 
     depth > 0 re-verifies the count identities per class (see spectrum).
     """
-    rows = []
-    for cls in enumerate_classes(max_deg):
-        _, res = spectrum(cls.canonical, depth)
-        bound = eigen_bound(cls.canonical.degree)
-        rows.append(
-            SurveyRow(
-                poly=cls.canonical,
-                result=res,
-                bound=bound,
-                bound_ok=res.lam <= bound + 1e-9,
-            )
-        )
+    _check_depth(2, depth)
+    rows = [survey_row(cls.canonical, spectrum(cls.canonical, depth)[1])
+            for cls in enumerate_classes(max_deg)]
     lambda_max = []
     best = 0.0
     for k in range(1, max_deg + 1):
@@ -529,7 +495,7 @@ def survey_tsv(result: SurveyResult) -> str:
                     f"{res.lam:.6f}",
                     str(res.degree),
                     f"{res.dimension:.6f}",
-                    "true" if row.bound_ok else "false",
+                    {True: "true", False: "false", None: "n/a"}[row.bound_ok],
                 )
             )
         )

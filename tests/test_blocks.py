@@ -23,6 +23,7 @@ from polypow import (
     recursion_1px,
     recursion_1xx2_mod2,
     scan_accessible,
+    series_1px,
     verify_ab_equivalence,
 )
 from polypow import blocks
@@ -315,6 +316,46 @@ def test_ab_equivalence_needs_room():
         verify_ab_equivalence(3, 2)
 
 
+# ----------------------------------------------------------- window maps ---
+
+
+@pytest.mark.parametrize(
+    "f",
+    [ONE_PLUS_X_2, CXX2_12, ONE_PLUS_X_3, CXX2_23, FpPoly.make(5, [1, 0, 2])],
+    ids=lambda f: f"{f.coeffs} mod {f.p}",
+)
+def test_window_maps_follow_the_rows(f):
+    # cut p*r+j sends the window at t of row m to the one at p*t+r*d+j of
+    # row p*m+r; rows come from poly_pow and windows from string slicing
+    p, d = f.p, f.degree
+    n = d + 1
+    level, maps = blocks.window_maps(f, n)
+    index = {digits_to_text(b): i for i, b in enumerate(level.tolist())}
+    assert set(index) == windows_oracle(f, n, p**3)
+
+    def window(k, t):
+        digits = poly_pow(f, k).coeffs
+        return digits_to_text(digits[i] if 0 <= i < len(digits) else 0 for i in range(t, t + n))
+
+    for m in range(2 * p):
+        for t in range(-n, m * d + 1):
+            src = index[window(m, t)]
+            for r in range(p):
+                for j in range(p):
+                    assert level[maps[p * r + j][src]].tolist() == [
+                        int(c) for c in window(p * m + r, p * t + r * d + j)
+                    ]
+
+
+def test_window_maps_need_a_self_sourcing_length():
+    # at degree 2 only the lengths d+1 = 3 and d+2 = 4 are their own sources
+    for n in (2, 5):
+        with pytest.raises(ValueError, match="source length"):
+            blocks.window_maps(CXX2_23, n)
+    for n in (3, 4):
+        assert len(blocks.window_maps(CXX2_23, n)[1]) == 9
+
+
 # ---------------------------------------------------------- RecursionSpec ---
 
 
@@ -343,6 +384,13 @@ def test_a_from_recursion_known_values():
     assert a_from_recursion(rec, 12) == 170
     with pytest.raises(ValueError):
         a_from_recursion(rec, -1)
+
+
+def test_recursion_1px_for_a_large_prime():
+    # each residue's first index is found by arithmetic, so building the
+    # p-row recursion costs O(p), not O(p^2)
+    p = 100003
+    assert [a_from_recursion(recursion_1px(p), n) for n in range(11)] == series_1px(p, 10)
 
 
 def test_recursion_1px_matches_counts():

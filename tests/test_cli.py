@@ -1,9 +1,11 @@
 """End-to-end command tests: output formats, file writing, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -92,6 +94,13 @@ def test_cli_blocks_json_uses_decimal_strings(capsys):
     assert doc["a"] == [str(n * n - n + 2) if n else "1" for n in range(7)]
 
 
+def test_cli_blocks_recursion_for_a_large_prime(capsys):
+    # the closed 1+x recursion needs no closure, so p > 255 is fine here
+    code, out, _ = run(capsys, "blocks", "--poly", "1+x", "--prime", "100003", "--n", "10")
+    assert code == 0
+    assert [int(line.split(",")[1]) for line in out.split()[1:]] == series_1px(100003, 10)
+
+
 # ------------------------------------------------------------------ series --
 
 
@@ -174,8 +183,26 @@ def test_cli_willson_json(capsys):
     assert "charpoly" not in doc
     assert doc["minpoly"] == ["-3", "1"]
     assert doc["degree"] == "1"
-    assert doc["states"] == 3
-    assert doc["states_trimmed"] == 2
+    # the nonzero 2-windows 01, 10, 11, none of them trimmed
+    assert doc["states"] == doc["states_trimmed"] == 3
+
+
+def test_cli_willson_odd_prime(capsys):
+    code, out, _ = run(capsys, "willson", "--poly", "1+x", "--prime", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["lambda"] == 6.0  # p(p+1)/2
+    assert doc["recurrence"] == doc["minpoly"] == ["-6", "1"]
+    assert doc["dimension"] == math.log2(6) / math.log2(3)
+    # eigen_bound is a bound mod 2 only
+    assert doc["bound"] is None
+    assert doc["states"] == doc["states_trimmed"] == 8
+    code, out, _ = run(capsys, "willson", "--poly", "1+x", "--prime", "3", "--format", "tsv")
+    assert code == 0
+    assert out.split("\n")[1] == "1+x\t6.000000\t1\t1.630930\tn/a"
+    # 13^4 edges are under the cap
+    code, out, _ = run(capsys, "willson", "--poly", "1+x", "--prime", "13")
+    assert code == 0 and json.loads(out)["lambda"] == 91.0
 
 
 def test_cli_willson_depth_check(capsys):
@@ -222,7 +249,6 @@ def test_exit_code_2_for_usage_and_value_errors(capsys):
     assert run(capsys, "blocks", "--poly", "1+y")[0] == 2  # parse failure
     assert run(capsys, "blocks", "--poly", "1+x", "--prime", "4")[0] == 2
     assert run(capsys, "nonsense")[0] == 2  # argparse usage error
-    assert run(capsys, "willson", "--poly", "1+x", "--prime", "3")[0] == 2
     code, out, err = run(capsys, "limits", "--poly", "1+x+x^3")
     assert (code, out) == (2, "")
     assert err == "error: no limit law available for 1+x+x^3 mod 2\n"
@@ -231,16 +257,27 @@ def test_exit_code_2_for_usage_and_value_errors(capsys):
 @pytest.mark.parametrize(
     "argv,cap",
     [
-        (["willson", "--poly", "1+x+x^22"], "MAX_TRANSFER_DEGREE = 12"),
-        (["survey", "--max-deg", "13"], "MAX_TRANSFER_DEGREE = 12"),
+        (["willson", "--poly", "1+x+x^22"], "MAX_TRANSFER_EDGES = 32768"),
+        (["survey", "--max-deg", "13"], "MAX_TRANSFER_EDGES = 32768"),
         (["series", "--poly", "1+x^300000000", "--terms", "3"], "MAX_POLY_DEGREE = 65536"),
         (["series", "--poly", "1+x", "--terms", "300000000"], "MAX_TERMS = 262144"),
         (["blocks", "--poly", "1+x", "--n", "300000000"], "MAX_TERMS = 262144"),
+        (["willson", "--poly", "1+x+x^2", "--prime", "11"], "MAX_TRANSFER_EDGES = 32768"),
+        (["willson", "--poly", "1+x", "--prime", "17"], "MAX_TRANSFER_EDGES = 32768"),
+        (["willson", "--poly", "1+x+x^3", "--depth", "18"], "MAX_VERIFY_ROWS = 16384"),
+        (["survey", "--max-deg", "2", "--depth", "18"], "MAX_VERIFY_ROWS = 16384"),
+        (["willson", "--poly", "1+x", "--prime", "5", "--depth", "7"], "MAX_VERIFY_ROWS = 16384"),
+        (["infer", "--poly", "1+x+x^2", "--prime", "3", "--window", "1000000000"],
+         "MAX_TERMS = 262144"),
     ],
-    ids=["willson", "survey", "parse", "terms", "n"],
+    ids=["willson", "survey", "parse", "terms", "n", "edges-mod-11", "edges-mod-17",
+         "willson-depth", "survey-depth", "depth-mod-5", "window"],
 )
 def test_short_inputs_past_a_cap_exit_2(capsys, argv, cap):
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    # refused before any large work starts
+    assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and cap in err
 

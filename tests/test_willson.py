@@ -1,7 +1,9 @@
-"""Transfer systems for nonzero-count growth at p=2: construction, counts,
+"""Transfer systems for nonzero-count growth mod p: construction, counts,
 exact spectra, similarity classes, and the eigenvalue bound.
 
 The count oracle is always brute force: expand rows of f^k and tally digits.
+At p = 2 the window maps are also checked against an independent bitmask
+construction that shares no code with the closure.
 """
 
 import math
@@ -26,12 +28,14 @@ from polypow import (
     parse_poly,
     perron,
     poly_pow,
+    spectrum,
     survey,
     survey_tsv,
     verify_counts,
 )
 from polypow._zzpoly import largest_real_root, sign_at
-from polypow.willson import MAX_TRANSFER_DEGREE, count_sequence
+from polypow.fpoly import digits_to_text
+from polypow.willson import MAX_TRANSFER_EDGES, MAX_VERIFY_ROWS, count_sequence
 
 P1X = FpPoly.make(2, [1, 1])
 P1XX2 = FpPoly.make(2, [1, 1, 1])
@@ -45,14 +49,100 @@ def mat_vec(m, v):
     return [sum(r * x for r, x in zip(row, v)) for row in m]
 
 
-def dense_b(sys, states=None, tables=None):
-    """B over `states` (default: the trimmed ones), one entry per map edge.
+def dense_b(sys, rows=None):
+    """B over the states, one entry per map edge; rows=[r] gives B_r."""
+    n = len(sys.states)
+    b = [[0] * n for _ in range(n)]
+    for r in range(sys.f.p) if rows is None else rows:
+        for table in sys.maps[r].tolist():
+            for s, t in enumerate(table):
+                if t >= 0:
+                    b[t][s] += 1
+    return b
 
-    tables defaults to all four maps; sys.maps[2*eps:2*eps+2] gives B_eps.
+
+def state_strings(sys):
+    return [digits_to_text(row) for row in sys.states.tolist()]
+
+
+def bitmask_transfer(f):
+    """The p = 2 window maps built from bitmasks, with forward and backward trims.
+
+    A state is a mask over a length d+1 window (bit j = digit a_(t+j)).
+    maps[2*eps+delta] sends each mask to its child window in row 2m+eps,
+    0 included as the absorbing zero window.  Returns the maps, the vectors u
+    and v over masks 1..2^(d+1)-1, the masks reachable from v and those
+    that also reach u.
     """
-    states = sys.trimmed if states is None else states
-    tables = sys.maps if tables is None else tables
-    return [[sum(table[s] == t for table in tables) for s in states] for t in states]
+    d = f.degree
+    lwin = d + 1
+    coeff_rows = ((1,), f.coeffs)  # child row parity 2m+eps picks row of 1 or of f
+    size = 1 << lwin
+    maps = []
+    for eps in (0, 1):
+        for delta in (0, 1):
+            # contribution of parent digit j to the child window, as a bitmask
+            # over child positions r; XOR of single-digit masks by linearity
+            digit_masks = []
+            for j in range(lwin):
+                m = 0
+                for r in range(lwin):
+                    idx = d - 1 + delta + r - 2 * j
+                    if 0 <= idx < len(coeff_rows[eps]) and coeff_rows[eps][idx]:
+                        m |= 1 << r
+                digit_masks.append(m)
+            table = [0] * size
+            for s in range(1, size):
+                low = (s & -s).bit_length() - 1
+                table[s] = table[s & (s - 1)] ^ digit_masks[low]
+            maps.append(table)
+    u = [0] + [s & 1 for s in range(1, size)]
+    v = [0] + [1 if s & (s - 1) == 0 else 0 for s in range(1, size)]
+    forward = {s for s in range(1, size) if s & (s - 1) == 0}
+    queue = list(forward)
+    while queue:
+        s = queue.pop()
+        for table in maps:
+            t = table[s]
+            if t and t not in forward:
+                forward.add(t)
+                queue.append(t)
+    parents = {s: set() for s in range(1, size)}
+    for s in range(1, size):
+        for table in maps:
+            if table[s]:
+                parents[table[s]].add(s)
+    backward = {s for s in range(1, size) if s & 1}
+    queue = list(backward)
+    while queue:
+        s = queue.pop()
+        for q in parents[s]:
+            if q not in backward:
+                backward.add(q)
+                queue.append(q)
+    return maps, u, v, sorted(forward), sorted(forward & backward)
+
+
+def bitmask_counts(f, terms, trim=False):
+    """u.B^k.v for k < terms from bitmask_transfer, over all its nonzero
+    masks or (trim=True) over the trimmed ones."""
+    maps, u, v, _, trimmed = bitmask_transfer(f)
+    keep = set(trimmed) if trim else set(range(1, len(u)))
+    w = [x if s in keep else 0 for s, x in enumerate(v)]
+    out = []
+    for _ in range(terms):
+        out.append(sum(a * x for a, x in zip(u, w)))
+        nxt = [0] * len(w)
+        for s in keep:
+            for table in maps:
+                if table[s] in keep:
+                    nxt[table[s]] += w[s]
+        w = nxt
+    return out
+
+
+def mask_string(mask, width):
+    return "".join("1" if mask >> j & 1 else "0" for j in range(width))
 
 
 def sympy_charpoly(mat):
@@ -73,75 +163,115 @@ def divides(m, c) -> bool:
 
 def test_transfer_1px_trimmed_shape():
     sys = build_transfer(P1X)
-    assert sys.window == 2
-    assert len(sys.states) == 3  # 2^(d+1)-1 nonzero windows
-    assert [sys.state_string(s) for s in sys.trimmed] == ["10", "11"]
-    assert dense_b(sys) == [[2, 1], [1, 2]]
-    assert sys.trimmed_u == (1, 1)
-    assert sys.trimmed_v == (1, 0)
+    # every nonzero 2-window is accessible, and none is trimmed
+    assert state_strings(sys) == ["01", "10", "11"]
+    assert sys.trimmed is sys.states
+    assert sys.maps.shape == (2, 2, 3)
+    # 10 only feeds itself; 01 and 11 feed each other
+    assert dense_b(sys) == [[2, 0, 1], [0, 2, 1], [1, 0, 2]]
+    assert sys.u.tolist() == [False, True, True]
+    assert sys.v.tolist() == [1, 1, 0]
 
 
-def test_transfer_requires_mod2_and_unit_constant():
-    with pytest.raises(ValueError):
-        build_transfer(FpPoly.make(3, [1, 1]))
+def test_transfer_requires_nonzero_constant():
     with pytest.raises(ValueError):
         build_transfer(FpPoly.make(2, [0, 1]))  # strip the x factor first
+    with pytest.raises(ValueError):
+        build_transfer(FpPoly.make(3, [0, 1, 2]))
 
 
 def test_transfer_degree_is_capped_before_allocating():
-    top = parse_poly(f"1+x+x^{MAX_TRANSFER_DEGREE}", 2)
-    assert len(build_transfer(top).states) == 2 ** (MAX_TRANSFER_DEGREE + 1) - 1
-    with pytest.raises(ValueError, match="MAX_TRANSFER_DEGREE"):
-        build_transfer(parse_poly(f"1+x+x^{MAX_TRANSFER_DEGREE + 1}", 2))
+    # p^(d+3) edges: degree 12 is the last one allowed at p = 2
+    assert MAX_TRANSFER_EDGES == 2**15
+    top = parse_poly("1+x+x^12", 2)
+    assert len(build_transfer(top).states) < 2**13
+    with pytest.raises(ValueError, match="MAX_TRANSFER_EDGES"):
+        build_transfer(parse_poly("1+x+x^13", 2))
     # 1+x+x^22 would need 2^23 states and gigabytes
-    with pytest.raises(ValueError, match="MAX_TRANSFER_DEGREE"):
+    with pytest.raises(ValueError, match="MAX_TRANSFER_EDGES"):
         build_transfer(parse_poly("1+x+x^22", 2))
-    with pytest.raises(ValueError, match="MAX_TRANSFER_DEGREE"):
-        enumerate_classes(MAX_TRANSFER_DEGREE + 1)
-    with pytest.raises(ValueError, match="MAX_TRANSFER_DEGREE"):
-        survey(MAX_TRANSFER_DEGREE + 1)
+    # 11^5 = 161051 edges; 13^4 = 28561 pass and 17^4 = 83521 do not
+    with pytest.raises(ValueError, match="MAX_TRANSFER_EDGES"):
+        build_transfer(parse_poly("1+x+x^2", 11))
+    with pytest.raises(ValueError, match="MAX_TRANSFER_EDGES"):
+        build_transfer(parse_poly("1+x", 17))
+    with pytest.raises(ValueError, match="MAX_TRANSFER_EDGES"):
+        enumerate_classes(13)
+    with pytest.raises(ValueError, match="MAX_TRANSFER_EDGES"):
+        survey(13)
+    # a huge degree is refused without building p^(d+3)
+    with pytest.raises(ValueError, match="MAX_TRANSFER_EDGES"):
+        enumerate_classes(10**12)
 
 
-@pytest.mark.parametrize("f", [P1X, P1XX2, P1XX3], ids=["1+x", "1+x+x^2", "1+x+x^3"])
+P3_QUAD = FpPoly.make(3, [1, 1, 1])
+SMALL = [P1X, P1XX2, P1XX3, P3_QUAD]
+SMALL_IDS = ["1+x", "1+x+x^2", "1+x+x^3", "1+x+x^2 mod 3"]
+
+
+@pytest.mark.parametrize("f", SMALL, ids=SMALL_IDS)
 def test_u_dot_v_is_one(f):
     sys = build_transfer(f)
     assert sum(a * b for a, b in zip(sys.u, sys.v)) == 1
     # v marks exactly the d+1 windows of row 0
-    assert sum(sys.v) == sys.window
+    assert sum(sys.v) == f.degree + 1 == sys.states.shape[1]
 
 
-@pytest.mark.parametrize("f", [P1X, P1XX2, P1XX3], ids=["1+x", "1+x+x^2", "1+x+x^3"])
+@pytest.mark.parametrize("f", SMALL, ids=SMALL_IDS)
 def test_four_outgoing_edges_counting_zero(f):
+    # p*p cuts per state, four at p = 2
     sys = build_transfer(f)
-    b = dense_b(sys, sys.states)
-    for j, s in enumerate(sys.states):
-        into_zero = sum(1 for table in sys.maps if table[s] == 0)
-        assert sum(b[i][j] for i in range(len(sys.states))) + into_zero == 4
+    b = dense_b(sys)
+    for j in range(len(sys.states)):
+        into_zero = int((sys.maps[:, :, j] < 0).sum())
+        assert sum(b[i][j] for i in range(len(sys.states))) + into_zero == f.p**2
 
 
-@pytest.mark.parametrize("f", [P1X, P1XX2, P1XX3], ids=["1+x", "1+x+x^2", "1+x+x^3"])
+@pytest.mark.parametrize("f", SMALL, ids=SMALL_IDS)
 def test_trimming_preserves_growth_products(f):
     sys = build_transfer(f)
-    b_full, b_trim = dense_b(sys, sys.states), dense_b(sys)
-    full, trim = list(sys.v), list(sys.trimmed_v)
-    for _ in range(11):
-        got_full = sum(a * b for a, b in zip(sys.u, full))
-        got_trim = sum(a * b for a, b in zip(sys.trimmed_u, trim))
-        assert got_full == got_trim
-        full = mat_vec(b_full, full)
-        trim = mat_vec(b_trim, trim)
+    b = dense_b(sys)
+    n = len(sys.states)
+    # every state lies on a v -> u path, so a trim would keep them all
+    forward = {s for s in range(n) if sys.v[s]}
+    backward = {s for s in range(n) if sys.u[s]}
+    for _ in range(n):
+        forward |= {t for s in forward for t in range(n) if b[t][s]}
+        backward |= {s for t in backward for s in range(n) if b[t][s]}
+    assert forward == backward == set(range(n))
+    want = count_sequence(sys, 11)
+    w = sys.v.tolist()
+    for k in range(11):
+        assert sum(a * x for a, x in zip(sys.u.tolist(), w)) == want[k]
+        w = mat_vec(b, w)
+    if f.p == 2:
+        # the bitmask system has states off every v -> u path; trimming them
+        # keeps every product
+        assert bitmask_counts(f, 11) == bitmask_counts(f, 11, trim=True) == want
 
 
-@pytest.mark.parametrize("f", [P1X, P1XX2, P1XX3], ids=["1+x", "1+x+x^2", "1+x+x^3"])
+@pytest.mark.parametrize("f", SMALL, ids=SMALL_IDS)
 def test_scatter_adds_match_dense_matrices(f):
     sys = build_transfer(f)
     rng = np.random.default_rng(7)
     batch = rng.integers(-9, 10, size=(5, len(sys.trimmed)))
-    for eps, tables in ((None, None), (0, sys.maps[0:2]), (1, sys.maps[2:4])):
-        b = dense_b(sys, tables=tables)
+    for eps in (None, *range(f.p)):
+        b = dense_b(sys, None if eps is None else [eps])
         want = [mat_vec(b, list(w)) for w in batch]
         assert sys.apply(batch, eps).tolist() == want
         assert sys.apply(batch[0], eps).tolist() == want[0]
+
+
+@pytest.mark.parametrize(
+    "f", [c.canonical for c in enumerate_classes(6)], ids=lambda f: f"{f.coeffs}"
+)
+def test_window_maps_agree_with_bitmask_oracle(f):
+    sys = build_transfer(f)
+    _, _, _, forward, _ = bitmask_transfer(f)
+    # the states reachable from row 0 are exactly the closure's nonzero windows
+    assert sorted(mask_string(s, f.degree + 1) for s in forward) == state_strings(sys)
+    terms = 2 * len(sys.states) + 2
+    assert count_sequence(sys, terms) == bitmask_counts(f, terms)
 
 
 # ------------------------------------------------------------- counting -----
@@ -161,9 +291,29 @@ def test_verify_counts_against_brute_force(f):
     assert verify_counts(build_transfer(f), 8) is True
 
 
+@pytest.mark.parametrize(
+    "f,depth",
+    [(P3_QUAD, 8), (FpPoly.make(3, [2, 1, 1]), 8), (FpPoly.make(5, [1, 1, 1]), 5)],
+    ids=["1+x+x^2 mod 3", "2+x+x^2 mod 3", "1+x+x^2 mod 5"],
+)
+def test_verify_counts_against_brute_force_odd_primes(f, depth):
+    # 3^8 and 5^5 rows expanded and tallied by CountTable
+    assert verify_counts(build_transfer(f), depth) is True
+
+
+def test_verify_counts_refuses_deep_checks_before_expanding_rows():
+    assert MAX_VERIFY_ROWS == 2**14
+    with pytest.raises(ValueError, match="MAX_VERIFY_ROWS"):
+        verify_counts(build_transfer(P1X), 15)
+    with pytest.raises(ValueError, match="MAX_VERIFY_ROWS"):
+        spectrum(FpPoly.make(5, [1, 1]), 7)
+    with pytest.raises(ValueError, match="MAX_VERIFY_ROWS"):
+        survey(2, depth=10**12)
+
+
 def test_verify_counts_detects_tampering():
     sys = build_transfer(P1X)
-    bad = replace(sys, v=tuple(2 * x for x in sys.v))
+    bad = replace(sys, v=2 * sys.v)
     got = verify_counts(bad, 3)
     assert got is not True
     assert not got  # falsy mismatch record
@@ -174,10 +324,18 @@ def test_verify_counts_detects_tampering():
 def test_verify_counts_detects_swapped_parities():
     # B0 + B1 and so every cumulative count is unchanged; only rows see it
     sys = build_transfer(P1XX2)
-    swapped = replace(sys, maps=sys.maps[2:4] + sys.maps[0:2])
+    swapped = replace(sys, maps=sys.maps[::-1])
     got = verify_counts(swapped, 4)
     assert not got
     assert got.kind == "row"
+
+
+def test_verify_counts_detects_swapped_residues_mod3():
+    # rows 1 and 2 of 1+x+x^2 mod 3 have 3 and 4 nonzero digits
+    sys = build_transfer(P3_QUAD)
+    got = verify_counts(replace(sys, maps=sys.maps[[0, 2, 1]]), 3)
+    assert not got
+    assert (got.kind, got.index, got.got, got.want) == ("row", 1, 4, 3)
 
 
 # --------------------------------------------------------------- spectra ----
@@ -188,9 +346,22 @@ def test_perron_1px_is_exactly_three():
     assert res.lam == 3.0
     assert res.interval == (Fraction(3), Fraction(3))
     assert res.recurrence == (-3, 1)
-    assert sympy_charpoly(dense_b(build_transfer(P1X))) == [3, -4, 1]
+    # eigenvalues 3 and 1 on {01, 11}, 2 on the sink 10
+    assert sympy_charpoly(dense_b(build_transfer(P1X))) == [-6, 11, -6, 1]
     assert res.minpoly == (-3, 1)
     assert res.degree == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_perron_1px_mod_p_is_fines_count(p):
+    # Fine (1947): rows 0..p^k-1 of (1+x)^k mod p hold (p(p+1)/2)^k nonzero digits
+    res = perron(build_transfer(FpPoly.make(p, [1, 1])))
+    lam = p * (p + 1) // 2
+    assert res.recurrence == res.minpoly == (-lam, 1)
+    assert res.degree == 1
+    assert res.interval == (Fraction(lam), Fraction(lam))
+    assert res.lam == lam
+    assert res.dimension == math.log2(lam) / math.log2(p)
 
 
 def test_perron_1xx2_golden_quadratic():
@@ -199,7 +370,7 @@ def test_perron_1xx2_golden_quadratic():
     assert res.minpoly == (-4, -2, 1)
     assert res.degree == 2
     # the quadratic is the count recurrence and divides the characteristic
-    # polynomial of the trimmed matrix
+    # polynomial of the matrix
     assert res.recurrence == (-4, -2, 1)
     assert divides([-4, -2, 1], sympy_charpoly(dense_b(build_transfer(P1XX2))))
 
@@ -231,9 +402,9 @@ def test_recurrence_against_sympy_charpoly(f):
     rec = list(res.recurrence)
     b = dense_b(sys)
     # the count sequence, independently, from the dense matrix
-    seq, w = [], list(sys.trimmed_v)
+    seq, w = [], sys.v.tolist()
     for _ in range(3 * len(b) + 3):
-        seq.append(sum(a * x for a, x in zip(sys.trimmed_u, w)))
+        seq.append(sum(a * x for a, x in zip(sys.u.tolist(), w)))
         w = mat_vec(b, w)
     assert all(
         sum(c * s for c, s in zip(rec, seq[k:])) == 0
@@ -244,7 +415,7 @@ def test_recurrence_against_sympy_charpoly(f):
     # no shorter recurrence: the order x order Hankel matrix is regular
     order = len(rec) - 1
     assert sympy.Matrix(order, order, lambda i, j: seq[i + j]).det() != 0
-    # the bracket holds the largest real eigenvalue of the trimmed matrix,
+    # the bracket holds the largest real eigenvalue of the matrix,
     # and that eigenvalue is a root of the irreducible minpoly
     top = max(sympy_poly(cp).real_roots())
     lo, hi = res.interval
