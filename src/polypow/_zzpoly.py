@@ -1,20 +1,19 @@
-"""Exact integer polynomial work: minimal recurrences, real roots, factoring.
+"""Exact integer polynomial work: minimal recurrences, root exclusion, factoring.
 
 Everything here works over plain Python ints (ascending coefficient lists,
 index = power) so callers get provable answers.  The minimal recurrence of an
 integer sequence comes from Berlekamp-Massey modulo word-sized primes glued by
-CRT and is then checked exactly over the integers; real roots are isolated by
-sympy's exact rational isolation, so no bracket rests on a float.
+CRT and is then checked exactly over the integers; whether a polynomial may
+vanish on a rational interval is decided by an exact mean-value bound, so no
+conclusion rests on a float.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.euclidtools import dup_inner_gcd
+from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_zz_factor
-from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 
 from .fpoly import is_prime
 
@@ -80,31 +79,19 @@ def minimal_recurrence(seq: list[int], max_order: int) -> list[int]:
     return lift
 
 
-def largest_real_root(c: list[int], width=Fraction(1, 10**9)):
-    """Bracket (lo, hi) of the largest real root of a squarefree c.
+def may_vanish(c: list[int], lo: Fraction, hi: Fraction) -> bool:
+    """False when an exact mean-value bound proves c has no root in [lo, hi].
 
-    Every real root is isolated exactly and refined to hi - lo <= width; an
-    exact rational root comes back as lo == hi.
+    For 0 <= lo <= x <= hi, c(x) differs from c(mid) by at most the half-width
+    times sum i |c_i| hi^(i-1), so a larger |c(mid)| excludes every root.
     """
-    intervals = dup_isolate_real_roots_sqf(_to_dup(c), ZZ, eps=QQ(width))
-    if not intervals:
-        raise ArithmeticError("polynomial has no real root")
-    return tuple(Fraction(int(x.numerator), int(x.denominator)) for x in max(intervals))
-
-
-def poly_deriv(c: list[int]) -> list[int]:
-    return [i * c[i] for i in range(1, len(c))]
-
-
-def sign_at(c, x: Fraction) -> int:
-    """Sign of the polynomial (ascending coeffs) at a rational point, exact."""
-    num, den = x.numerator, x.denominator
-    n = len(c) - 1
-    acc = 0
-    # Horner on sum c_i num^i den^(n-i)
-    for i in range(n, -1, -1):
-        acc = acc * num + int(c[i]) * den ** (n - i)
-    return (acc > 0) - (acc < 0)
+    mid, half = (lo + hi) / 2, (hi - lo) / 2
+    value = slope = Fraction(0)
+    for i in range(len(c) - 1, -1, -1):
+        value = value * mid + c[i]
+        if i:
+            slope = slope * hi + i * abs(c[i])
+    return abs(value) <= half * slope
 
 
 def _to_dup(c: list[int]) -> list:
@@ -116,18 +103,6 @@ def _to_dup(c: list[int]) -> list:
 
 def _from_dup(d) -> list[int]:
     return [int(v) for v in reversed(d)]
-
-
-def squarefree_part(c: list[int]) -> list[int]:
-    """c / gcd(c, c'), ascending, leading coefficient positive."""
-    d = poly_deriv(c)
-    if not any(d):
-        return [0, 1] if not any(c) else [1]
-    _, cff, _ = dup_inner_gcd(_to_dup(c), _to_dup(d), ZZ)
-    out = _from_dup(cff)
-    if out[-1] < 0:
-        out = [-v for v in out]
-    return out
 
 
 def factor_int_poly(c: list[int]) -> list[list[int]]:

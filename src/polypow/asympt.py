@@ -165,6 +165,8 @@ def oscillation_table(rec: RecursionSpec, samples_per_octave: int,
     """Deterministic (log_p n, a(n)/n^2) samples, one octave per power of p."""
     if samples_per_octave < 1:
         raise ValueError("samples_per_octave must be >= 1")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     p = rec.p
     ns: set[int] = set()
     for k in range(1, k_max + 1):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -328,8 +328,8 @@ class RecursionSpec:
                 if c and m // self.p + j >= m:
                     raise ValueError(f"row {k} references a(n+{j}) at or above m={m}")
         for m in range(self.threshold, len(self.initials)):
-            # apply the rule to the initials: _eval_spec would short-circuit
-            # to the very value being checked
+            # apply the rule to the initials: a_from_recursion would
+            # short-circuit to the very value being checked
             if self._rule(m, self.initials.__getitem__) != self.initials[m]:
                 raise ValueError(f"recursion contradicts supplied value at {m}")
 
@@ -343,17 +343,31 @@ class RecursionSpec:
         return total
 
 
-@lru_cache(maxsize=None)
-def _eval_spec(rec: RecursionSpec, n: int) -> int:
-    if n < len(rec.initials):
-        return rec.initials[n]
-    return rec._rule(n, partial(_eval_spec, rec))
-
-
 def a_from_recursion(rec: RecursionSpec, n: int) -> int:
+    """a(n), one base-p digit at a time: a(m) reads a(m//p + j), so each digit
+    level needs one short run of indices, listed down to the initials."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    return _eval_spec(rec, n)
+    init, runs = len(rec.initials), [(n, n)]
+    while runs[-1][1] >= init:
+        lo, hi = runs[-1]
+        runs.append((lo // rec.p, max(m // rec.p + len(rec.rows[m % rec.p]) - 1
+                                      for m in range(max(lo, init), hi + 1))))
+    known: dict[int, int] = {}
+    for lo, hi in reversed(runs):
+        for m in range(lo, hi + 1):
+            known[m] = rec.initials[m] if m < init else rec._rule(m, known.__getitem__)
+    return known[n]
+
+
+def a_from_recursion_range(rec: RecursionSpec, n_max: int) -> list[int]:
+    """[a(0), ..., a(n_max)], filled bottom-up in one list."""
+    if n_max < 0:
+        raise ValueError("index must be >= 0")
+    values = list(rec.initials[: n_max + 1])
+    for m in range(len(values), n_max + 1):
+        values.append(rec._rule(m, values.__getitem__))
+    return values
 
 
 @lru_cache(maxsize=None)

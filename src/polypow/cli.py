@@ -3,11 +3,13 @@
 Exit codes: 0 success, 2 parse or usage error, 3 computation diagnostic
 (inference without a consistent recursion, an inconclusive residual check, a
 failed spectral certificate, or an oversized bitmap or closure step).  Inputs
-past a documented cap are usage errors: --n, --terms and --window above
-MAX_TERMS, a term of degree above fpoly.MAX_POLY_DEGREE, a willson polynomial
-of degree d mod p or a survey --max-deg d (p = 2) with p^(d+3) above
-willson.MAX_TRANSFER_EDGES, and a willson or survey --depth with p^depth above
-willson.MAX_VERIFY_ROWS.
+outside a documented range are usage errors: a negative --n, --terms,
+--window or --depth; --n, --terms and --window above MAX_TERMS; an
+--oscillation KMAX below 1, or KMAX times --samples above MAX_TERMS; a term
+of degree above fpoly.MAX_POLY_DEGREE; a willson polynomial of degree d mod p
+or a survey --max-deg d (p = 2) with p^(d+3) above
+willson.MAX_TRANSFER_EDGES; and a willson or survey --depth with p^depth
+above willson.MAX_VERIFY_ROWS.
 Output goes to stdout unless --out is given, in which case it is written to a
 temp file and renamed into place.
 """
@@ -76,6 +78,8 @@ def _values_json(f: FpPoly, values) -> str:
 
 
 def _length(option: str, n: int) -> int:
+    if n < 0:
+        raise ValueError(f"{option} must be >= 0, got {n}")
     if n > MAX_TERMS:
         raise ValueError(f"{option} {n} exceeds MAX_TERMS = {MAX_TERMS}")
     return n
@@ -122,7 +126,7 @@ def _cmd_blocks(args) -> str:
     if args.engine == "scan" or rec is None:
         values = blocks.line_complexity_range(f, n)
     else:
-        values = [blocks.a_from_recursion(rec, i) for i in range(n + 1)]
+        values = blocks.a_from_recursion_range(rec, n)
     if args.format == "json":
         return _values_json(f, values)
     return _table(values)
@@ -147,6 +151,10 @@ def _cmd_limits(args) -> str:
     if family is None:
         raise ValueError(f"no limit law available for {format_poly(f)} mod {f.p}")
     if args.oscillation is not None:
+        if args.oscillation * args.samples > MAX_TERMS:
+            raise ValueError(
+                f"--oscillation {args.oscillation} times --samples {args.samples} "
+                f"exceeds MAX_TERMS = {MAX_TERMS}")
         table = asympt.oscillation_table(
             family.recursion(f.p), args.samples, args.oscillation
         )

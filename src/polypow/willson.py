@@ -11,12 +11,15 @@ is nonzero.  The matrices are never stored: the maps are the only
 representation, and B acts on vectors as scatter-adds along them.
 
 The dominant growth rate lambda (so the fractal dimension log_p lambda) is
-the largest real root of the minimal recurrence of the exact sequence
-r(p^k), found by Berlekamp-Massey, certified over the integers on 2n+2 terms
-for n states, and isolated exactly among all real roots.  Its minimal
-polynomial is the irreducible factor of that recurrence whose root the
-bracket holds.  spectrum runs the whole pipeline for one polynomial: build
-the maps, optionally check the count identities, certify lambda and factor.
+the spectral radius of B, certified in one walk of the exact vectors B^k.v
+(see perron): their counts r(p^k) give the minimal recurrence by
+Berlekamp-Massey, certified over the integers on 2n+2 terms for n states,
+and a later pair of them gives a Collatz-Wielandt bracket on lambda, which
+by Pringsheim's theorem is the largest real root of that recurrence.  Its
+minimal polynomial is the one irreducible factor of the recurrence that may
+vanish on the bracket.  spectrum runs the whole pipeline for one polynomial:
+build the maps, optionally check the count identities, certify lambda and
+factor.
 
 There are at most p^(d+1) states and p*p maps, so MAX_TRANSFER_EDGES bounds
 p^(d+3) before anything is allocated; MAX_VERIFY_ROWS bounds the p^depth
@@ -30,19 +33,15 @@ runs over canonical representatives only; eigen_bound is a bound mod 2.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
-from ._zzpoly import (
-    factor_int_poly,
-    largest_real_root,
-    minimal_recurrence,
-    sign_at,
-    squarefree_part,
-)
+from ._zzpoly import factor_int_poly, may_vanish, minimal_recurrence
 from .blocks import window_maps
 from .fpoly import CountTable, FpPoly, format_poly
 
@@ -51,10 +50,15 @@ from .fpoly import CountTable, FpPoly, format_poly
 MAX_TRANSFER_EDGES = 2**15
 # 2^14 brute-force rows take about 7 s at p = 2.
 MAX_VERIFY_ROWS = 2**14
+# perron's bracket: endpoints on multiples of 1/_GRID, width at most _WIDTH,
+# walked at most 2n * 2^_MAX_DOUBLINGS steps for n states
+_GRID = 2**64
+_WIDTH = Fraction(1, 10**9)
+_MAX_DOUBLINGS = 4
 
 
 class SpectralMismatchError(ArithmeticError):
-    """Exact eigenvalue and empirical count growth disagree."""
+    """The transfer maps disagree with the brute-force counts."""
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,8 @@ def _check_edges(p: int, d: int) -> None:
 
 
 def _check_depth(p: int, depth: int) -> None:
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     if _over(p, depth, MAX_VERIFY_ROWS):
         raise ValueError(
             f"depth {depth} mod {p} needs {p}^{depth} rows, "
@@ -110,9 +116,8 @@ class TransferSystem:
     def trimmed(self) -> np.ndarray:
         """The states B acts on: all of them.
 
-        Dropping states off every v -> u path would leave each count u.B^k.v
-        as it is and only lower the order bound perron hands to
-        minimal_recurrence, so no trim is made.
+        Every state is reachable from v by construction, and perron refuses
+        a system with a state that reaches no u, so no trim is made.
         """
         return self.states
 
@@ -152,14 +157,17 @@ def build_transfer(f: FpPoly) -> TransferSystem:
     )
 
 
+def _krylov(sys: TransferSystem):
+    """The exact vectors B^k.v for k = 0, 1, 2, ..."""
+    w = sys.v.astype(object)
+    while True:
+        yield w
+        w = sys.apply(w)
+
+
 def count_sequence(sys: TransferSystem, terms: int) -> list[int]:
     """r(p^k) = u.B^k.v for k < terms, exact."""
-    w = sys.v.astype(object)
-    out = []
-    for _ in range(terms):
-        out.append(int(w[sys.u].sum()))
-        w = sys.apply(w)
-    return out
+    return [int(w[sys.u].sum()) for w in islice(_krylov(sys), terms)]
 
 
 def verify_counts(sys: TransferSystem, depth: int):
@@ -197,11 +205,13 @@ def verify_counts(sys: TransferSystem, depth: int):
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Dominant eigenvalue data of a transfer system.
+    """Certified Perron data of a transfer system.
 
-    recurrence is the certified minimal recurrence (ascending, monic) of the
-    count sequence r(p^k); lambda is its largest real root, and minpoly
-    (ascending, positive leading coefficient) its minimal polynomial.
+    lambda is the spectral radius of B and the largest real root of
+    recurrence, the certified minimal recurrence (ascending, monic) of the
+    count sequence r(p^k).  interval = (lo, hi) brackets it by Collatz-Wielandt
+    on a dyadic grid, collapsed to the root itself when minpoly, lambda's
+    minimal polynomial (ascending, positive leading coefficient), is linear.
     """
 
     lam: float
@@ -212,32 +222,51 @@ class SpectralResult:
     degree: int
 
 
-def _ratio_check(sys: TransferSystem, counts: list[int], lam: float):
-    ratio = (counts[50] / counts[40]) ** (1 / 10)
-    if abs(ratio - lam) <= 0.02 * lam:
-        return
-    # Reducible systems can drag a polynomial factor along the dominant
-    # growth; push the anchor deep enough to squeeze it out.
-    counts = count_sequence(sys, 251)
-    ratio = (counts[250] / counts[200]) ** (1 / 50)
-    if abs(ratio - lam) <= 0.01 * lam:
-        return
-    raise SpectralMismatchError(
-        f"root {lam} vs count growth {ratio} for {format_poly(sys.f)}"
-    )
-
-
 def perron(sys: TransferSystem) -> SpectralResult:
-    """Largest real root of the certified count recurrence, ratio cross-checked."""
+    """Spectral radius of B, certified in one walk of the exact vectors B^k.v.
+
+    The first 2n+2 counts give the minimal recurrence; x = B^K.v + B^(K+1).v
+    at K = 2n gives the Collatz-Wielandt bracket min (Bx)_i/x_i <= rho(B) <=
+    max (Bx)_i/x_i.  With every state on a v -> u path the counts grow like
+    rho(B)^k, so by Pringsheim's theorem rho(B) is the largest real root of
+    the recurrence, and its minpoly is the one factor that may vanish on the
+    bracket.  K doubles while that factor is not linear and the bracket is
+    wider than 1e-9, or while it holds several factors, up to
+    2n * 2^_MAX_DOUBLINGS; past that, ArithmeticError.
+    """
     n = len(sys.states)
-    # 2n+2 terms certify the recurrence; the ratio check reads up to term 50
-    counts = count_sequence(sys, max(2 * n + 2, 51))
-    rec = minimal_recurrence(counts, n)
-    sqf = squarefree_part(rec)
-    lo, hi = largest_real_root(sqf)
+    reach, size = sys.u.copy(), -1  # one backward fixpoint from u
+    while size != reach.sum():
+        size = reach.sum()
+        for src, dst in sys._edges:
+            reach[src[reach[dst]]] = True
+    if not reach.all():
+        raise ArithmeticError(f"{n - size} states of {format_poly(sys.f)} "
+                              "reach no window with a nonzero first digit")
+    counts, tail, K = [], deque(maxlen=3), 2 * n
+    for k, w in enumerate(_krylov(sys)):
+        if k < 2 * n + 2:
+            counts.append(int(w[sys.u].sum()))
+        tail.append(w)
+        if k < K + 2:
+            continue
+        if k == 2 * n + 2:
+            rec = minimal_recurrence(counts, n)
+            factors = factor_int_poly(rec)
+        x, bx = tail[0] + tail[1], tail[1] + tail[2]
+        if (x > 0).all():  # the bracket, rounded outward to the grid
+            lo = Fraction(int((bx * _GRID // x).min()), _GRID)
+            hi = Fraction(-int((-bx * _GRID // x).min()), _GRID)
+            held = [g for g in factors if may_vanish(g, lo, hi)]
+            if len(held) == 1 and (len(held[0]) == 2 or hi - lo <= _WIDTH):
+                break
+        if K >= 2 * n << _MAX_DOUBLINGS:
+            raise ArithmeticError(f"no certified bracket for {format_poly(sys.f)} after {K} steps")
+        K *= 2
+    minpoly = tuple(held[0]) if held[0][-1] > 0 else tuple(-c for c in held[0])
+    if len(minpoly) == 2:
+        lo = hi = Fraction(-minpoly[0], minpoly[1])
     lam = float((lo + hi) / 2)
-    _ratio_check(sys, counts, lam)
-    minpoly = minpoly_of_lambda(sqf, (lo, hi))
     return SpectralResult(
         lam=lam,
         interval=(lo, hi),
@@ -247,20 +276,6 @@ def perron(sys: TransferSystem) -> SpectralResult:
         minpoly=minpoly,
         degree=len(minpoly) - 1,
     )
-
-
-def minpoly_of_lambda(c: list[int], interval: tuple[Fraction, Fraction]) -> tuple[int, ...]:
-    """The irreducible factor of the squarefree c with a root in interval.
-
-    The bracket isolates lambda among the roots of c, so exactly one factor
-    changes sign across it (or vanishes at an exact rational endpoint).
-    """
-    lo, hi = interval
-    matches = [f for f in factor_int_poly(c) if sign_at(f, lo) * sign_at(f, hi) <= 0]
-    if len(matches) != 1:
-        raise ArithmeticError("could not attribute the dominant root to a factor")
-    m = matches[0]
-    return tuple(m) if m[-1] > 0 else tuple(-v for v in m)
 
 
 def spectrum(f: FpPoly, depth: int = 0) -> tuple[TransferSystem, SpectralResult]:
@@ -469,34 +484,20 @@ def survey(max_deg: int, depth: int = 10) -> SurveyResult:
     _check_depth(2, depth)
     rows = [survey_row(cls.canonical, spectrum(cls.canonical, depth)[1])
             for cls in enumerate_classes(max_deg)]
-    lambda_max = []
-    best = 0.0
-    for k in range(1, max_deg + 1):
-        for row in rows:
-            if row.poly.degree <= k:
-                best = max(best, row.result.lam)
-        lambda_max.append((k, best))
-    collisions = []
-    for i, a in enumerate(rows):
-        for b in rows[i + 1 :]:
-            if abs(a.result.lam - b.result.lam) <= 1e-9:
-                collisions.append((format_poly(a.poly), format_poly(b.poly)))
-    return SurveyResult(tuple(rows), tuple(lambda_max), tuple(collisions))
+    lambda_max = tuple(
+        (k, max((row.result.lam for row in rows if row.poly.degree <= k), default=0.0))
+        for k in range(1, max_deg + 1))
+    # equal minpolys mean equal lambda: each is the largest real root of its minpoly
+    collisions = tuple((format_poly(a.poly), format_poly(b.poly))
+                       for i, a in enumerate(rows) for b in rows[i + 1 :]
+                       if a.result.minpoly == b.result.minpoly)
+    return SurveyResult(tuple(rows), lambda_max, collisions)
 
 
 def survey_tsv(result: SurveyResult) -> str:
     lines = ["poly\tlambda\tdegree\tdimension\tbound_ok"]
     for row in result.rows:
-        res = row.result
-        lines.append(
-            "\t".join(
-                (
-                    format_poly(row.poly),
-                    f"{res.lam:.6f}",
-                    str(res.degree),
-                    f"{res.dimension:.6f}",
-                    {True: "true", False: "false", None: "n/a"}[row.bound_ok],
-                )
-            )
-        )
+        res, ok = row.result, {True: "true", False: "false", None: "n/a"}[row.bound_ok]
+        lines.append(f"{format_poly(row.poly)}\t{res.lam:.6f}\t{res.degree}\t"
+                     f"{res.dimension:.6f}\t{ok}")
     return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ from polypow import (
     RecursionSpec,
     a_1px,
     a_from_recursion,
+    a_from_recursion_range,
     ab_first_mismatch,
     infer_recursion,
     line_complexity,
@@ -384,6 +385,21 @@ def test_a_from_recursion_known_values():
     assert a_from_recursion(rec, 12) == 170
     with pytest.raises(ValueError):
         a_from_recursion(rec, -1)
+
+
+def test_a_from_recursion_descends_past_the_recursion_limit():
+    # 2^2000 + 12345 has 2001 binary digits; a(n) = n^2 - n + 2 for 1+x mod 2
+    n = 2**2000 + 12345
+    assert a_from_recursion(recursion_1px(2), n) == n * n - n + 2
+
+
+def test_a_from_recursion_range_fills_bottom_up():
+    for rec in (recursion_1px(2), recursion_1px(5), recursion_1xx2_mod2(),
+                infer_recursion(CXX2_23)):
+        assert a_from_recursion_range(rec, 300) == [a_from_recursion(rec, n) for n in range(301)]
+    assert a_from_recursion_range(recursion_1px(3), 1) == [1, 3]
+    with pytest.raises(ValueError):
+        a_from_recursion_range(recursion_1px(3), -1)
 
 
 def test_recursion_1px_for_a_large_prime():

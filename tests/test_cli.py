@@ -282,6 +282,45 @@ def test_short_inputs_past_a_cap_exit_2(capsys, argv, cap):
     assert err.startswith("error: ") and cap in err
 
 
+@pytest.mark.parametrize(
+    "argv,msg",
+    [
+        (["blocks", "--poly", "1+x", "--n", "-1"], "--n must be >= 0"),
+        (["blocks", "--poly", "1+x", "--n", "-1", "--engine", "scan"], "--n must be >= 0"),
+        (["blocks", "--poly", "1+x", "--n", "-1", "--engine", "recursion"], "--n must be >= 0"),
+        (["series", "--poly", "1+x", "--terms", "-1"], "--terms must be >= 0"),
+        (["infer", "--poly", "1+x+x^2", "--window", "-1"], "--window must be >= 0"),
+        (["willson", "--poly", "1+x", "--depth", "-1"], "depth must be >= 0"),
+        (["survey", "--max-deg", "2", "--depth", "-1"], "depth must be >= 0"),
+        (["limits", "--poly", "1+x", "--oscillation", "0"], "k_max must be >= 1"),
+        (["limits", "--poly", "1+x", "--oscillation", "-3", "--samples", "2"],
+         "k_max must be >= 1"),
+        (["limits", "--poly", "1+x", "--oscillation", "2", "--samples", "100000000"],
+         "--oscillation 2 times --samples 100000000 exceeds MAX_TERMS = 262144"),
+    ],
+    ids=["n", "n-scan", "n-recursion", "terms", "window", "willson-depth", "survey-depth",
+         "kmax", "negative-kmax", "samples"],
+)
+def test_out_of_range_inputs_exit_2(capsys, argv, msg):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and msg in err
+
+
+def test_cli_limits_oscillation_past_the_recursion_limit(capsys):
+    # a(3^600) descends 600 base-3 digits; a recursive evaluation overflowed
+    # the interpreter's stack here
+    code, out, _ = run(
+        capsys, "limits", "--poly", "1+x", "--prime", "3",
+        "--oscillation", "600", "--samples", "1",
+    )
+    assert code == 0
+    lines = out.split()
+    assert len(lines) == 601 and lines[-1].startswith("600,")
+
+
 def test_length_cap_is_inclusive(monkeypatch, capsys):
     monkeypatch.setattr(cli, "MAX_TERMS", 10)
     for argv in (["series", "--poly", "1+x", "--terms"], ["blocks", "--poly", "1+x", "--n"]):

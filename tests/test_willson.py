@@ -19,12 +19,13 @@ from polypow import (
     TOTAL,
     CountMismatch,
     FpPoly,
+    SimilarityClass,
+    TransferSystem,
     build_transfer,
     canonicalize,
     cumulative_count,
     eigen_bound,
     enumerate_classes,
-    minpoly_of_lambda,
     parse_poly,
     perron,
     poly_pow,
@@ -33,7 +34,9 @@ from polypow import (
     survey_tsv,
     verify_counts,
 )
-from polypow._zzpoly import largest_real_root, sign_at
+from polypow import willson
+from polypow._zzpoly import factor_int_poly, may_vanish
+from polypow.cli import main
 from polypow.fpoly import digits_to_text
 from polypow.willson import MAX_TRANSFER_EDGES, MAX_VERIFY_ROWS, count_sequence
 
@@ -389,12 +392,12 @@ def test_minpoly_certificates(f):
     assert divides(m, sympy_charpoly(dense_b(sys)))
     assert sympy.Poly(list(reversed(m)), sympy.Symbol("x")).is_irreducible
     lo, hi = res.interval
-    # the isolated root of the minimal polynomial is the eigenvalue itself
-    assert sign_at(m, lo) == 0 or sign_at(m, hi) == 0 or sign_at(m, lo) != sign_at(m, hi)
+    # the bracket holds a root of the minimal polynomial: the eigenvalue itself
+    assert sympy_poly(m).count_roots(sympy.Rational(lo), sympy.Rational(hi)) >= 1
 
 
 @pytest.mark.parametrize(
-    "f", [c.canonical for c in enumerate_classes(4)], ids=lambda f: f"{f.coeffs}"
+    "f", [c.canonical for c in enumerate_classes(6)], ids=lambda f: f"{f.coeffs}"
 )
 def test_recurrence_against_sympy_charpoly(f):
     sys = build_transfer(f)
@@ -415,22 +418,72 @@ def test_recurrence_against_sympy_charpoly(f):
     # no shorter recurrence: the order x order Hankel matrix is regular
     order = len(rec) - 1
     assert sympy.Matrix(order, order, lambda i, j: seq[i + j]).det() != 0
-    # the bracket holds the largest real eigenvalue of the matrix,
-    # and that eigenvalue is a root of the irreducible minpoly
+    # the bracket holds the largest real eigenvalue of the matrix, found by
+    # sympy and as numpy's dominant eigenvalue, and that eigenvalue is the
+    # largest real root of the irreducible minpoly
     top = max(sympy_poly(cp).real_roots())
     lo, hi = res.interval
-    assert sympy.Rational(lo.numerator, lo.denominator) <= top
-    assert top <= sympy.Rational(hi.numerator, hi.denominator)
+    assert sympy.Rational(lo) <= top <= sympy.Rational(hi)
     assert hi - lo <= Fraction(1, 10**9)
+    eig = np.linalg.eigvals(np.array(b, dtype=float))
+    dominant = eig[np.argmax(abs(eig))]
+    assert abs(dominant.imag) < 1e-9
+    assert float(lo) - 1e-9 <= dominant.real <= float(hi) + 1e-9
     minpoly = sympy_poly(res.minpoly)
     assert minpoly.is_irreducible
     assert max(minpoly.real_roots()) == top
 
 
 def test_minpoly_is_the_factor_the_bracket_holds():
-    # (x^2 - 5)(x^3 - 2): the largest root, sqrt(5), is in the shorter factor
+    # (x^2 - 5)(x^3 - 2): the largest root, sqrt(5), is in the shorter factor;
+    # a bracket of width 2^-40 around it excludes the cubic, a wide one not
     rec = [10, 0, -2, -5, 0, 1]
-    assert minpoly_of_lambda(rec, largest_real_root(rec)) == (-5, 0, 1)
+    lo = Fraction(int(sympy.floor(sympy.sqrt(5) * 2**40)), 2**40)
+    hi = lo + Fraction(1, 2**40)
+    held = [g for g in factor_int_poly(rec) if may_vanish(g, lo, hi)]
+    assert held == [[-5, 0, 1]]
+    assert len([g for g in factor_int_poly(rec) if may_vanish(g, Fraction(1), Fraction(3))]) == 2
+
+
+def loop_system(loops, u):
+    """States with loops[s] self-loops each and no other edge, all in v."""
+    n = len(loops)
+    maps = np.full((2, 2, n), -1, dtype=np.int64)
+    for s, count in enumerate(loops):
+        maps.reshape(4, n)[:count, s] = s
+    return TransferSystem(
+        f=P1X, states=np.zeros((n, 2), dtype=np.uint8), maps=maps,
+        u=np.array(u), v=np.ones(n, dtype=np.int64))
+
+
+def refused(monkeypatch, capsys, system):
+    """The message perron raises for system, and the willson command's exit code."""
+    with pytest.raises(ArithmeticError) as exc:
+        perron(system)
+    monkeypatch.setattr(willson, "build_transfer", lambda f: system)
+    code = main(["willson", "--poly", "1+x"])
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"diagnostic: {exc.value}\n"
+    return str(exc.value), code
+
+
+def test_doubling_cap_exits_3(monkeypatch, capsys):
+    # counts 3^k + 2^k: each state keeps its own rate, so every bracket is
+    # [2, 3] and holds both factors of (x - 3)(x - 2)
+    system = loop_system([3, 2], [True, True])
+    assert count_sequence(system, 4) == [2, 5, 13, 35]
+    msg, code = refused(monkeypatch, capsys, system)
+    assert code == 3
+    assert msg == f"no certified bracket for 1+x after {4 << willson._MAX_DOUBLINGS} steps"
+
+
+def test_state_reaching_no_u_exits_3(monkeypatch, capsys):
+    # the uncounted state has rho = 4 while the counts grow like 3^k
+    system = loop_system([3, 4], [True, False])
+    assert count_sequence(system, 4) == [1, 3, 9, 27]
+    msg, code = refused(monkeypatch, capsys, system)
+    assert code == 3
+    assert msg == "1 states of 1+x reach no window with a nonzero first digit"
 
 
 def test_dimension_bracket():
@@ -551,3 +604,12 @@ def test_survey_deg3_has_no_lambda_collisions():
     assert result.collisions == ()
     lams = [row.result.lam for row in result.rows]
     assert len(set(lams)) == len(lams)
+
+
+def test_survey_pairs_collisions_by_minpoly(monkeypatch):
+    # a class and its reversal share lambda exactly, so their minpolys agree
+    pair = [SimilarityClass(P1XX3, ()), SimilarityClass(P1XX3.reverse(), ())]
+    monkeypatch.setattr(willson, "enumerate_classes", lambda max_deg: pair)
+    result = survey(3, depth=0)
+    assert result.rows[0].result.minpoly == result.rows[1].result.minpoly
+    assert result.collisions == (("1+x+x^3", "1+x^2+x^3"),)

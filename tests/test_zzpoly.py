@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polypow import _zzpoly
-from polypow._zzpoly import (
-    factor_int_poly,
-    largest_real_root,
-    minimal_recurrence,
-    sign_at,
-    squarefree_part,
-)
+from polypow._zzpoly import factor_int_poly, may_vanish, minimal_recurrence
 
 X = sympy.Symbol("x")
 
@@ -102,38 +96,34 @@ def test_minimal_recurrence_refuses_what_it_cannot_certify():
         minimal_recurrence([0, 0, 0, 0, 0, 1, 0, 0], 3)
 
 
-def test_largest_real_root_brackets():
-    for c in (
-        [-3, 1],
-        [3, -4, 1],  # roots 1 and 3
-        [-2, 0, 1],  # +- sqrt(2)
-        [-4, -2, 1],  # 1 +- sqrt(5)
-        [4, 2, -2, -3, 1],
-        [0, -3, 0, 1],  # 0 and +- sqrt(3)
-        [2, -6, 2, 1],
-    ):
-        lo, hi = largest_real_root(c)
-        top = max(sympy_poly(c).real_roots())
-        assert sympy.Rational(lo.numerator, lo.denominator) <= top, c
-        assert top <= sympy.Rational(hi.numerator, hi.denominator), c
-        assert hi - lo <= Fraction(1, 10**9)
-        if top.is_rational:  # an exact rational hit collapses the bracket
-            assert lo == hi == Fraction(int(top.p), int(top.q))
-        else:
-            assert sign_at(c, lo) * sign_at(c, hi) < 0
+POLYS = (
+    [-3, 1],
+    [3, -4, 1],  # roots 1 and 3
+    [-2, 0, 1],  # +- sqrt(2)
+    [-4, -2, 1],  # 1 +- sqrt(5)
+    [4, 2, -2, -3, 1],
+    [0, -3, 0, 1],  # 0 and +- sqrt(3)
+    [2, -6, 2, 1],
+    [1, 0, 1],  # no real root
+)
 
 
-def test_largest_real_root_needs_a_real_root():
-    with pytest.raises(ArithmeticError):
-        largest_real_root([1, 0, 1])
-
-
-def test_squarefree_part_drops_multiplicity():
-    # x^2 (x+1) -> x (x+1)
-    assert squarefree_part([0, 0, 1, 1]) == [0, 1, 1]
-    assert squarefree_part([1]) == [1]
-    # sign normalization: leading coefficient comes out positive
-    assert squarefree_part([0, 0, -1, -1])[-1] > 0
+@pytest.mark.parametrize("c", POLYS, ids=str)
+def test_may_vanish_against_sympy_real_roots(c):
+    roots = [r for r in sympy_poly(c).real_roots() if r >= 0]
+    for r in roots:
+        # a bracket of width 2^-40 around each nonnegative root keeps it
+        lo = Fraction(int(sympy.floor(r * 2**40)), 2**40)
+        assert may_vanish(c, lo, lo + Fraction(1, 2**40))
+        assert may_vanish(c, lo, lo + 1)
+    excluded = 0
+    for k in range(32):
+        # an interval the test excludes holds no root
+        lo, hi = Fraction(k, 8), Fraction(k + 1, 8)
+        if not may_vanish(c, lo, hi):
+            excluded += 1
+            assert not any(lo <= r <= hi for r in roots), (c, lo)
+    assert excluded >= 16  # the bound is loose only near a root
 
 
 def test_factor_int_poly_splits_and_respects_irreducibility():
@@ -142,13 +132,6 @@ def test_factor_int_poly_splits_and_respects_irreducibility():
     assert factor_int_poly([1, 0, 1]) == [[1, 0, 1]]  # x^2 + 1
     for f in factor_int_poly([3, -4, 1]):
         assert divides(f, [3, -4, 1])
-
-
-def test_sign_at_rational_points():
-    c = [-2, 0, 1]  # x^2 - 2
-    assert sign_at(c, Fraction(1)) == -1
-    assert sign_at(c, Fraction(3, 2)) == 1
-    assert sign_at([0, 1], Fraction(0)) == 0
 
 
 def test_divides_helper_is_strict():
