@@ -1,40 +1,43 @@
-"""Piecewise-quadratic limits of a(n)/n^2 and empirical convergence sampling.
+"""Piecewise-quadratic limits of a(n)/n^2, derived from any base-p recursion.
 
-The limit L(x) of a(floor(p^k/x))/floor(p^k/x)^2 is piecewise quadratic on
-[1/p, 1] and invariant under x -> p*x.  Everything here is exact Fraction
-arithmetic except the final float in empirical ratios and CSV rendering.
+L(x) = lim a(n)/n^2 along n = floor(p^k/x) is piecewise quadratic on [1/p, 1]
+and invariant under x -> p*x; L(x) = x^2 Phi(1/x), Phi(y) = lim a(p^k y)/p^(2k).
+Exact: with V(n) = (a(n), ..., a(n+w), 1) and V(pn) = M_0 V(n), Phi(m/p^i) =
+p^(-2i) l.V(m) at every p-adic point of [1, p], l the first row of M_0's
+p^2-eigenprojection.  p^2 must be a simple root and every other root smaller
+in modulus (decided exactly, by Schur-Cohn), else ArithmeticError.  Only
+checked: the pieces, fitted on a grid that cuts each cell [m, m+1] of [1, p]
+at its own level i (adjacent pieces meet at the double root of their
+difference, as Phi' is continuous) and accepted when every level-(i+1) point
+of every cell lies on its piece; a cell that holds a miss, or a run too short
+to fit, goes one level deeper.  A law built on an inferred recursion is only
+as good as that recursion.  Floats appear only in empirical ratios and CSV
+rendering.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
-from .blocks import RecursionSpec, a_from_recursion
-from .fpoly import check_prime
+from sympy import integer_nthroot, zeros
+
+from .blocks import RecursionSpec, a_from_recursion, a_from_recursion_range
 
 F = Fraction
 
-
-@dataclass(frozen=True)
-class OnePlusX:
-    """The family 1+x mod p."""
-
-    p: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-
-
-@dataclass(frozen=True)
-class OnePlusXPlusX2Mod2:
-    """The family 1+x+x^2 mod 2."""
-
-
-ONE_PLUS_X_PLUS_X2_MOD2 = OnePlusXPlusX2Mod2()
-
-Family = OnePlusX | OnePlusXPlusX2Mod2
+# Largest grid a law is checked on: level 16 at p = 2; 3p^2 + (p-4)p + 1
+# points for 1+x mod p, up to p = 181 (about 2.5 s).
+MAX_LAW_POINTS = 2**17
+# Largest sum of the exponents ks+j of the powers p^(ks+j) whose s-th roots
+# are the samples of oscillation_table, s^2 K(K+1)/2 + K s(s-1)/2 for s
+# samples per octave up to p^K.  It bounds the roots and the descents, k
+# base-p digits a sample: K = 723 at s = 1 (about 3 s), s = 418 at K = 1.
+MAX_SAMPLE_DIGITS = 2**18
 
 
 @dataclass(frozen=True)
@@ -88,54 +91,135 @@ class ExtremaResult:
     arg_sup: Fraction
 
 
-def _vertex_piece(lo, hi, a, vertex, floor_value) -> Piece:
-    # a*(x - vertex)^2 + floor expanded to monomial coefficients
-    a, vertex, floor_value = F(a), F(vertex), F(floor_value)
-    return Piece(F(lo), F(hi), a, -2 * a * vertex, a * vertex * vertex + floor_value)
+def _inside_unit_circle(f: list[int]) -> bool:
+    """Schur-Cohn: every root of f (descending coefficients) has modulus < 1."""
+    while len(f) > 1:
+        if abs(f[-1]) >= abs(f[0]):
+            return False
+        f = [f[0] * x - f[-1] * y for x, y in zip(f, f[::-1])][:-1]
+    return True
 
 
-def limit_function(family: Family) -> PiecewiseQuadratic:
-    """Exact limit of a(n)/n^2 along n = floor(p^k/x) as k grows, per family."""
-    if isinstance(family, OnePlusXPlusX2Mod2):
-        return PiecewiseQuadratic((
-            Piece(F(1, 2), F(2, 3), F(-5, 12), F(1, 2), F(5, 4)),
-            Piece(F(2, 3), F(1, 1), F(7, 48), F(-1, 4), F(3, 2)),
-        ))
-    p = family.p
-    if p == 2:
-        # degree-1 base case: a(n) = n^2 - n + 2, so the ratio tends to 1
-        return PiecewiseQuadratic((Piece(F(1, 2), F(1), F(0), F(0), F(1)),))
-    pieces = []
-    if p == 5:
-        pieces.append(Piece(F(1, 5), F(1, 3), F(0), F(20), F(8)))
-    elif p > 5:
-        # the generic first piece has a removable (p-5) factor; p=5 above, p=3 degenerate
-        pieces.append(_vertex_piece(
-            F(1, p), F(1, 3),
-            F(p * p * (p - 5) * (p - 1), 2 * (p + 1)),
-            F(-(p + 1), p * (p - 5)),
-            F((p - 1) * (p * p - 7 * p + 4), 2 * (p - 5)),
-        ))
-    d2 = 7 * p**3 - 8 * p**2 - 9 * p + 18
-    pieces.append(_vertex_piece(
-        F(1, 3), F(1, 2),
-        F(-(p - 1) * d2, 4 * (p + 1)),
-        F((p + 1) * (3 * p * p - 7 * p + 6), d2),
-        F((p - 1) * (p**5 + 5 * p**4 - 8 * p**3 - 15 * p**2 + 39 * p - 18), 2 * d2),
-    ))
-    d3 = p * p + 2 * p + 5
-    pieces.append(_vertex_piece(
-        F(1, 2), F(1),
-        F((p - 2) * (p - 1) * d3, 4 * (p + 1)),
-        F((p + 1) ** 2, d3),
-        F((p - 1) * (p**3 + 4 * p**2 + 3 * p - 4), 2 * d3),
-    ))
-    return PiecewiseQuadratic(tuple(pieces))
+def _projection_row(rec: RecursionSpec) -> tuple[list[int], int]:
+    """(r, D): r/D is the first row of the p^2-eigenprojection of M_0."""
+    p, rows = rec.p, rec.rows
+    w = max(map(len, rows)) - 1  # V(n) = (a(n), ..., a(n+w), 1)
+    while any(j // p + len(rows[j % p]) - 1 > w for j in range(w + 1)):
+        w += 1
+    m0 = zeros(w + 2)
+    for j in range(w + 1):
+        for i, c in enumerate(rows[j % p]):
+            m0[j, j // p + i] = c
+        m0[j, -1] = -rec.constant
+    m0[-1, -1] = 1
+    chi = [int(c) for c in m0.charpoly().all_coeffs()]
+    lam, q = p * p, [1]  # q = chi / (t - lam), descending
+    for c in chi[1:]:
+        q.append(q[-1] * lam + c)
+    row, denom = zeros(1, w + 2), 0
+    for c in q[:-1]:  # r = e_0 q(M_0), D = q(lam): q(M_0)/q(lam) projects
+        row = row * m0
+        row[0] += c
+        denom = denom * lam + c
+    deg = len(q) - 2
+    if q[-1] or not denom or not _inside_unit_circle(
+            [c * lam ** (deg - i) for i, c in enumerate(q[:-1])]):
+        raise ArithmeticError(
+            f"p^2 = {lam} is not a simple dominant root of {chi}, the "
+            f"characteristic polynomial of the recursion's M_0")
+    return [int(v) for v in row], denom
 
 
-def extrema(family: Family) -> ExtremaResult:
+def _points(rec: RecursionSpec, row: list[int], denom: int,
+            levels: list[int]) -> list[tuple[Fraction, Fraction]]:
+    """(y, Phi(y)) on [1, p], the cell [m, m+1] cut on the level-levels[m-1]
+    grid; exact, Phi(n/p^j) = l.V(n)/(D p^(2j)) at a level j >= the point's,
+    where V(pn) = M_0 V(n) holds."""
+    p, w = rec.p, len(row) - 2
+    j0 = 0
+    while p ** (j0 + 1) < rec.threshold:
+        j0 += 1
+    a = a_from_recursion_range(
+        rec, max((m + 1) * p ** max(i, j0) for m, i in enumerate(levels, 1)) + w)
+
+    def phi(n: int, i: int) -> Fraction:  # Phi(n/p^i)
+        j = max(i, j0)
+        n *= p ** (j - i)
+        return F(sum(map(mul, row, a[n:n + w + 1])) + row[-1], denom * p ** (2 * j))
+
+    pts = [(F(1), phi(1, 0))]
+    for m, i in enumerate(levels, 1):
+        pts += [(F(n, p**i), phi(n, i)) for n in range(m * p**i + 1, (m + 1) * p**i + 1)]
+    return pts
+
+
+def _quadratic(pts) -> Piece:
+    """The quadratic in y through three points (y, Phi(y)), over their span."""
+    (y0, f0), (y1, f1), (y2, f2) = pts
+    slope = (f1 - f0) / (y1 - y0)
+    alpha = ((f2 - f1) / (y2 - y1) - slope) / (y2 - y0)
+    return Piece(y0, y2, alpha, slope - alpha * (y0 + y1), f0 - slope * y0 + alpha * y0 * y1)
+
+
+def _fit(pts):
+    """(pieces, None), the quadratic pieces in y of Phi through the points, or
+    (None, (lo, hi)), the span to refine where a run of points on one
+    quadratic is shorter than three or two runs do not meet at a double root."""
+    y = [t for t, _ in pts]
+    starts, t = [0], 3  # a point off the quadratic through the three before starts a run
+    while t < len(pts):
+        if _quadratic(pts[t - 3:t])(y[t]) != pts[t][1]:
+            starts.append(t)
+            t += 3
+        else:
+            t += 1
+    ends = starts[1:] + [len(pts)]
+    if ends[-1] - starts[-1] < 3:
+        return None, (y[max(starts[-1] - 1, 0)], y[-1])
+    quads = [_quadratic(pts[s:s + 3]) for s in starts]
+    cuts = [y[0]]
+    for k in range(1, len(starts)):
+        # Phi' is continuous, so adjacent pieces differ by da (y - cut)^2
+        (s0, s1), e1, left, right = starts[k - 1:k + 1], ends[k], quads[k - 1], quads[k]
+        da, db, dc = left.a - right.a, left.b - right.b, left.c - right.c
+        cut = -db / (2 * da) if da and db * db == 4 * da * dc else None
+        if cut is None or not y[s1 - 1] <= cut <= y[s1]:
+            # refine the gap, with either run if its three points went unchecked
+            return None, (y[s0] if s1 - s0 == 3 else y[s1 - 1],
+                          y[e1 - 1] if e1 - s1 == 3 else y[s1])
+        cuts.append(cut)
+    return [replace(q, lo=lo, hi=hi) for lo, hi, q in zip(cuts, cuts[1:] + [y[-1]], quads)], None
+
+
+@lru_cache(maxsize=None)
+def limit_function(rec: RecursionSpec) -> PiecewiseQuadratic:
+    """Exact limit of a(n)/n^2 along n = floor(p^k/x), derived from rec."""
+    row, denom = _projection_row(rec)
+    p = rec.p
+    levels = [0] * (p - 1)  # the grid level of each cell [m, m+1] of [1, p]
+    while True:
+        check = [i + 1 for i in levels]
+        if 1 + sum(p**i for i in check) > MAX_LAW_POINTS:
+            raise ArithmeticError(
+                f"no piece structure confirmed on grids within MAX_LAW_POINTS = {MAX_LAW_POINTS}")
+        pieces, span = _fit(_points(rec, row, denom, levels))
+        if span:
+            cells = range(int(span[0]), math.ceil(span[1]))
+        else:  # the cells holding a point of the next level off its piece
+            cuts = [pc.lo for pc in pieces]
+            cells = {int(y) for y, f in _points(rec, row, denom, check)
+                     if f != pieces[bisect_right(cuts, y) - 1](y)}
+            if not cells:
+                # Phi(y) = a y^2 + b y + c gives L(x) = Phi(1/x) x^2 = c x^2 + b x + a
+                return PiecewiseQuadratic(tuple(
+                    Piece(1 / pc.hi, 1 / pc.lo, pc.c, pc.b, pc.a) for pc in reversed(pieces)))
+        for m in cells:
+            levels[m - 1] += 1
+
+
+def extrema(rec: RecursionSpec) -> ExtremaResult:
     """Global inf/sup of the limit function by per-piece vertex analysis."""
-    pq = limit_function(family)
+    pq = limit_function(rec)
     candidates: list[tuple[Fraction, Fraction]] = []
     for piece in pq.pieces:
         candidates.append((piece.lo, piece(piece.lo)))
@@ -162,22 +246,21 @@ def empirical_ratio(rec: RecursionSpec, x, k: int) -> float:
 
 def oscillation_table(rec: RecursionSpec, samples_per_octave: int,
                       k_max: int) -> list[tuple[float, float]]:
-    """Deterministic (log_p n, a(n)/n^2) samples, one octave per power of p."""
-    if samples_per_octave < 1:
+    """(log_p n, a(n)/n^2) at n = floor(p^(k + j/s)), k = 1..k_max, j < s."""
+    s = samples_per_octave
+    if s < 1:
         raise ValueError("samples_per_octave must be >= 1")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    p = rec.p
-    ns: set[int] = set()
-    for k in range(1, k_max + 1):
-        base = p**k
-        for j in range(samples_per_octave):
-            n = int(base * p ** (j / samples_per_octave))
-            if n >= 1:
-                ns.add(n)
-    logp = math.log(p)
-    return [(math.log(n) / logp, a_from_recursion(rec, n) / (n * n))
-            for n in sorted(ns)]
+    digits = s * (s * k_max * (k_max + 1) + k_max * (s - 1)) // 2  # sum of ks+j
+    if digits > MAX_SAMPLE_DIGITS:
+        raise ValueError(
+            f"{s} samples per octave up to p^{k_max} take roots of powers of "
+            f"{digits} base-p digits in all, over MAX_SAMPLE_DIGITS = {MAX_SAMPLE_DIGITS}")
+    p, logp = rec.p, math.log(rec.p)
+    ns = sorted({integer_nthroot(p ** (k * s + j), s)[0]
+                 for k in range(1, k_max + 1) for j in range(s)})
+    return [(math.log(n) / logp, a_from_recursion(rec, n) / (n * n)) for n in ns]
 
 
 def oscillation_csv(rows: list[tuple[float, float]]) -> str:

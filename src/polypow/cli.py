@@ -2,14 +2,14 @@
 
 Exit codes: 0 success, 2 parse or usage error, 3 computation diagnostic
 (inference without a consistent recursion, an inconclusive residual check, a
-failed spectral certificate, or an oversized bitmap or closure step).  Inputs
-outside a documented range are usage errors: a negative --n, --terms,
---window or --depth; --n, --terms and --window above MAX_TERMS; an
---oscillation KMAX below 1, or KMAX times --samples above MAX_TERMS; a term
-of degree above fpoly.MAX_POLY_DEGREE; a willson polynomial of degree d mod p
-or a survey --max-deg d (p = 2) with p^(d+3) above
-willson.MAX_TRANSFER_EDGES; and a willson or survey --depth with p^depth
-above willson.MAX_VERIFY_ROWS.
+failed spectral certificate, a limit law that cannot be derived, or an
+oversized bitmap or closure step).  Inputs outside a documented range are
+usage errors: a negative --n, --terms, --window or --depth; --n, --terms and
+--window above MAX_TERMS; an --oscillation KMAX below 1, or samples past
+asympt.MAX_SAMPLE_DIGITS; a term of degree above fpoly.MAX_POLY_DEGREE; a
+willson polynomial of degree d mod p or a survey --max-deg d (p = 2) with
+p^(d+3) above willson.MAX_TRANSFER_EDGES; and a willson or survey --depth
+with p^depth above willson.MAX_VERIFY_ROWS.
 Output goes to stdout unless --out is given, in which case it is written to a
 temp file and renamed into place.
 """
@@ -98,16 +98,14 @@ class _Family(NamedTuple):
 
     recursion: Callable[[int], blocks.RecursionSpec]
     series: Callable[[int, int], list[int]]  # (p, terms) -> a(0..terms)
-    law: Callable[[int], asympt.Family]
 
 
 # (coefficients, prime) -> family; prime None means any p.
 _FAMILIES = {
-    ((1, 1), None): _Family(blocks.recursion_1px, genfun.series_1px, asympt.OnePlusX),
+    ((1, 1), None): _Family(blocks.recursion_1px, genfun.series_1px),
     ((1, 1, 1), 2): _Family(
         lambda p: blocks.recursion_1xx2_mod2(),
         lambda p, terms: genfun.series_1xx2(terms),
-        lambda p: asympt.ONE_PLUS_X_PLUS_X2_MOD2,
     ),
 }
 
@@ -116,17 +114,19 @@ def _family(f: FpPoly) -> _Family | None:
     return _FAMILIES.get((f.coeffs, None)) or _FAMILIES.get((f.coeffs, f.p))
 
 
+def _recursion(f: FpPoly) -> blocks.RecursionSpec:
+    """The family's closed recursion, else one inferred from the closure."""
+    family = _family(f)
+    return family.recursion(f.p) if family else blocks.infer_recursion(f)
+
+
 def _cmd_blocks(args) -> str:
     f = _poly_arg(args)
     n = _length("--n", args.n)
-    family = _family(f)
-    rec = family.recursion(f.p) if family else None
-    if args.engine == "recursion" and rec is None:
-        rec = blocks.infer_recursion(f)
-    if args.engine == "scan" or rec is None:
+    if args.engine == "scan" or (args.engine == "auto" and _family(f) is None):
         values = blocks.line_complexity_range(f, n)
     else:
-        values = blocks.a_from_recursion_range(rec, n)
+        values = blocks.a_from_recursion_range(_recursion(f), n)
     if args.format == "json":
         return _values_json(f, values)
     return _table(values)
@@ -147,21 +147,11 @@ def _cmd_series(args) -> str:
 
 def _cmd_limits(args) -> str:
     f = _poly_arg(args)
-    family = _family(f)
-    if family is None:
-        raise ValueError(f"no limit law available for {format_poly(f)} mod {f.p}")
     if args.oscillation is not None:
-        if args.oscillation * args.samples > MAX_TERMS:
-            raise ValueError(
-                f"--oscillation {args.oscillation} times --samples {args.samples} "
-                f"exceeds MAX_TERMS = {MAX_TERMS}")
-        table = asympt.oscillation_table(
-            family.recursion(f.p), args.samples, args.oscillation
-        )
+        table = asympt.oscillation_table(_recursion(f), args.samples, args.oscillation)
         return asympt.oscillation_csv(table)
-    limits = family.law(f.p)
-    law = asympt.limit_function(limits)
-    ex = asympt.extrema(limits)
+    rec = _recursion(f)
+    law, ex = asympt.limit_function(rec), asympt.extrema(rec)
     if args.format == "json":
         return _json(
             {

@@ -13,10 +13,8 @@ from fractions import Fraction as F
 import pytest
 
 from polypow import (
-    ONE_PLUS_X_PLUS_X2_MOD2,
     TOTAL,
     FpPoly,
-    OnePlusX,
     a_1px,
     build_transfer,
     canonicalize,
@@ -192,22 +190,17 @@ def test_criterion_05_quadratic_family_recursions():
 
 
 def test_criterion_06_limit_laws():
-    e3 = extrema(OnePlusX(3))
+    e3 = extrema(recursion_1px(3))
     assert (e3.inf, e3.sup) == (F(17, 5), F(11, 3))
-    e5 = extrema(OnePlusX(5))
+    e5 = extrema(recursion_1px(5))
     assert (e5.inf, e5.sup) == (F(59, 5), F(421, 27))
-    em = extrema(ONE_PLUS_X_PLUS_X2_MOD2)
+    em = extrema(recursion_1xx2_mod2())
     assert (em.inf, em.sup) == (F(39, 28), F(7, 5))
 
-    families = [
-        (OnePlusX(3), recursion_1px(3)),
-        (OnePlusX(5), recursion_1px(5)),
-        (OnePlusX(7), recursion_1px(7)),
-        (ONE_PLUS_X_PLUS_X2_MOD2, recursion_1xx2_mod2()),
-    ]
+    recs = [recursion_1px(3), recursion_1px(5), recursion_1px(7), recursion_1xx2_mod2()]
     t0 = time.perf_counter()
-    for family, rec in families:
-        law = limit_function(family)
+    for rec in recs:
+        law = limit_function(rec)
         lo, hi = law.domain
         for left, right in zip(law.pieces, law.pieces[1:]):
             assert left.hi == right.lo

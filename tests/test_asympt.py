@@ -1,5 +1,6 @@
 """Piecewise-quadratic limits of a(n)/n^2 and their empirical cross-checks."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polypow import (
-    ONE_PLUS_X_PLUS_X2_MOD2,
-    OnePlusX,
     Piece,
     PiecewiseQuadratic,
+    RecursionSpec,
+    a_from_recursion_range,
     empirical_ratio,
     extrema,
     limit_function,
@@ -19,56 +20,202 @@ from polypow import (
     recursion_1px,
     recursion_1xx2_mod2,
 )
+from polypow import asympt
 
-FAMILIES = [OnePlusX(3), OnePlusX(5), OnePlusX(7), ONE_PLUS_X_PLUS_X2_MOD2]
-
-
-def recursion_for(family):
-    if isinstance(family, OnePlusX):
-        return recursion_1px(family.p)
-    return recursion_1xx2_mod2()
-
-
-def domain_lo(family):
-    return F(1, family.p) if isinstance(family, OnePlusX) else F(1, 2)
+# the recursions whose laws the suite checks, under their family labels
+FAMILIES = {
+    "OnePlusX(p=3)": recursion_1px(3),
+    "OnePlusX(p=5)": recursion_1px(5),
+    "OnePlusX(p=7)": recursion_1px(7),
+    "OnePlusXPlusX2Mod2()": recursion_1xx2_mod2(),
+}
+families = pytest.mark.parametrize("rec", FAMILIES.values(), ids=FAMILIES.keys())
 
 
-@pytest.mark.parametrize("family", FAMILIES, ids=str)
-def test_pieces_tile_domain_and_join_continuously(family):
-    law = limit_function(family)
-    assert law.domain == (domain_lo(family), F(1))
+# ------------------------------------------------- closed forms as oracles --
+# Closed forms of the 1+x and 1+x+x^2 mod 2 laws: an oracle that shares
+# nothing with the derivation.
+
+
+def _vertex_piece(lo, hi, a, vertex, floor_value):
+    # a*(x - vertex)^2 + floor expanded to monomial coefficients
+    a, vertex, floor_value = F(a), F(vertex), F(floor_value)
+    return (F(lo), F(hi), a, -2 * a * vertex, a * vertex * vertex + floor_value)
+
+
+def closed_form_1px(p):
+    """(lo, hi, a, b, c) pieces of the 1+x mod p law in closed form."""
+    if p == 2:
+        # degree-1 base case: a(n) = n^2 - n + 2, so the ratio tends to 1
+        return [(F(1, 2), F(1), F(0), F(0), F(1))]
+    pieces = []
+    if p == 5:
+        pieces.append((F(1, 5), F(1, 3), F(0), F(20), F(8)))
+    elif p > 5:
+        # the generic first piece has a removable (p-5) factor; p=5 above, p=3 degenerate
+        pieces.append(_vertex_piece(
+            F(1, p), F(1, 3),
+            F(p * p * (p - 5) * (p - 1), 2 * (p + 1)),
+            F(-(p + 1), p * (p - 5)),
+            F((p - 1) * (p * p - 7 * p + 4), 2 * (p - 5)),
+        ))
+    d2 = 7 * p**3 - 8 * p**2 - 9 * p + 18
+    pieces.append(_vertex_piece(
+        F(1, 3), F(1, 2),
+        F(-(p - 1) * d2, 4 * (p + 1)),
+        F((p + 1) * (3 * p * p - 7 * p + 6), d2),
+        F((p - 1) * (p**5 + 5 * p**4 - 8 * p**3 - 15 * p**2 + 39 * p - 18), 2 * d2),
+    ))
+    d3 = p * p + 2 * p + 5
+    pieces.append(_vertex_piece(
+        F(1, 2), F(1),
+        F((p - 2) * (p - 1) * d3, 4 * (p + 1)),
+        F((p + 1) ** 2, d3),
+        F((p - 1) * (p**3 + 4 * p**2 + 3 * p - 4), 2 * d3),
+    ))
+    return pieces
+
+
+CLOSED_FORM_1XX2_MOD2 = [
+    (F(1, 2), F(2, 3), F(-5, 12), F(1, 2), F(5, 4)),
+    (F(2, 3), F(1, 1), F(7, 48), F(-1, 4), F(3, 2)),
+]
+
+
+def as_table(law):
+    return [(pc.lo, pc.hi, pc.a, pc.b, pc.c) for pc in law.pieces]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_derived_law_equals_the_closed_form_1px(p):
+    limit_function.cache_clear()
+    start = time.perf_counter()
+    law = limit_function(recursion_1px(p))
+    assert time.perf_counter() - start < 1.0
+    assert as_table(law) == closed_form_1px(p)
+
+
+def test_derived_law_equals_the_closed_form_1xx2_mod2():
+    limit_function.cache_clear()
+    start = time.perf_counter()
+    law = limit_function(recursion_1xx2_mod2())
+    assert time.perf_counter() - start < 1.0
+    assert as_table(law) == CLOSED_FORM_1XX2_MOD2
+
+
+def spec_2(rows):
+    """A p = 2 recursion a(2n+k) = rows[k] . (a(n), a(n+1)); M_0 has the
+    eigenvalues of the 2x2 matrix of rows, and 1."""
+    return RecursionSpec(p=2, rows=rows, constant=0, initials=(1, 2, 3), threshold=3)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((3, 2), (2, 3)), ((4, 1), (0, 5)), ((4, 1), (0, 4)), ((4, 0), (0, -4))],
+    # each row sums past p^2 = 4 (roots 5, 1); 4 simple but 5 dominates;
+    # 4 double; 4 simple but -4 as large
+    ids=["rows-sum-past-p2", "larger-root", "double-root", "equal-modulus"],
+)
+def test_law_refuses_a_spectrum_without_a_simple_dominant_p_squared(rows):
+    with pytest.raises(ArithmeticError, match="not a simple dominant root"):
+        limit_function(spec_2(rows))
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [lambda y: 2 * (y - F(3, 2)) ** 2 - (y - F(3, 2)) / 4, lambda y: (y - 1) ** 2],
+    # Phi' jumps at 3/2, so the pieces differ by no square; Phi itself jumps
+    # at 3/2, though the pieces differ by the square (y - 1)^2
+    ids=["kink", "jump"],
+)
+def test_fit_refuses_pieces_that_do_not_meet_at_a_double_root(extra):
+    # Phi(y) = y^2 on [1, 2], plus extra(y) past y = 3/2
+    for i in range(3, 7):  # from level 3 on, both runs have three points
+        ys = [1 + F(m, 2**i) for m in range(2**i + 1)]
+        pts = [(y, y * y + (extra(y) if y > F(3, 2) else 0)) for y in ys]
+        pieces, (lo, hi) = asympt._fit(pts)
+        # the span to refine reaches past the break (at level 3 the kink's
+        # extra term also vanishes at 13/8, so the left run ends there)
+        assert pieces is None and 1 <= lo < hi <= 2 and hi > F(3, 2)
+
+
+def test_fit_refines_a_run_too_short_to_fit():
+    pts = [(F(y), F(y * y)) for y in (1, 2, 3, 4)] + [(F(5), F(0))]
+    assert asympt._fit(pts) == (None, (F(4), F(5)))
+    assert asympt._fit(pts[:2]) == (None, (F(1), F(2)))
+
+
+def test_law_refines_only_the_cells_that_need_it():
+    # 1+x mod 101 breaks at y = 2 and 3: only the cells [1, 2], [2, 3] and
+    # [3, 4] go to level 1 (checked on level 2), the other 97 stay at level 0
+    start = time.perf_counter()
+    law = limit_function.__wrapped__(recursion_1px(101))
+    assert time.perf_counter() - start < 5.0
+    assert as_table(law) == closed_form_1px(101)
+
+
+def test_points_read_phi_where_the_recursion_holds():
+    # the 1+x mod 3 recursion, declared only from index 9 on and with a(1)
+    # altered below it: Phi is unchanged, but V(3) = M_0 V(1) fails, so
+    # level 0 must be read at level 1
+    base = recursion_1px(3)
+    initials = list(a_from_recursion_range(base, 8))
+    initials[1] += 1
+    rec = RecursionSpec(p=3, rows=base.rows, constant=base.constant,
+                        initials=tuple(initials), threshold=9)
+    row, denom = asympt._projection_row(rec)
+    for levels in ([0, 0], [0, 1], [2, 0]):
+        assert (asympt._points(rec, row, denom, levels)
+                == asympt._points(base, row, denom, levels))
+    assert limit_function(rec) == limit_function(base)
+
+
+def test_law_refuses_past_the_grid_cap(monkeypatch):
+    # 1+x mod 7 is checked first on level 1, whose grid of 43 points this cap refuses
+    monkeypatch.setattr(asympt, "MAX_LAW_POINTS", 20)
+    with pytest.raises(ArithmeticError, match="MAX_LAW_POINTS = 20"):
+        asympt.limit_function.__wrapped__(recursion_1px(7))
+
+
+# ------------------------------------------------------------ law shape ----
+
+
+@families
+def test_pieces_tile_domain_and_join_continuously(rec):
+    law = limit_function(rec)
+    assert law.domain == (F(1, rec.p), F(1))
     for left, right in zip(law.pieces, law.pieces[1:]):
         assert left.hi == right.lo
         assert left(left.hi) == right(right.lo)  # exact rational equality
 
 
-@pytest.mark.parametrize("family", FAMILIES, ids=str)
-def test_endpoint_identity(family):
+@families
+def test_endpoint_identity(rec):
     # L(1/p) and L(1) describe the same subsequence, so they must agree
-    law = limit_function(family)
+    law = limit_function(rec)
     lo, hi = law.domain
     assert law(lo) == law(hi)
 
 
 def test_mod2_limit_is_constant_one():
-    law = limit_function(OnePlusX(2))
+    law = limit_function(recursion_1px(2))
     assert law(F(1, 2)) == law(F(3, 4)) == law(F(1)) == 1
-    assert extrema(OnePlusX(2)).inf == extrema(OnePlusX(2)).sup == 1
+    assert extrema(recursion_1px(2)).inf == extrema(recursion_1px(2)).sup == 1
 
 
 def test_extrema_exact_values():
-    e3 = extrema(OnePlusX(3))
+    e3 = extrema(recursion_1px(3))
     assert (e3.inf, e3.sup) == (F(17, 5), F(11, 3))
-    e5 = extrema(OnePlusX(5))
+    e5 = extrema(recursion_1px(5))
     assert (e5.inf, e5.sup) == (F(59, 5), F(421, 27))
-    em = extrema(ONE_PLUS_X_PLUS_X2_MOD2)
+    em = extrema(recursion_1xx2_mod2())
     assert (em.inf, em.sup) == (F(39, 28), F(7, 5))
 
 
-@pytest.mark.parametrize("family", FAMILIES, ids=str)
-def test_extrema_witnessed_and_bracketing(family):
-    law = limit_function(family)
-    e = extrema(family)
+@families
+def test_extrema_witnessed_and_bracketing(rec):
+    law = limit_function(rec)
+    e = extrema(rec)
     assert law(e.arg_inf) == e.inf
     assert law(e.arg_sup) == e.sup
     lo, hi = law.domain
@@ -80,15 +227,15 @@ def test_extrema_witnessed_and_bracketing(family):
 @given(num=st.integers(1, 10**6))
 @settings(max_examples=80)
 def test_limit_between_extrema_everywhere(num):
-    family = OnePlusX(5)
+    rec = recursion_1px(5)
     lo, hi = F(1, 5), F(1)
     x = lo + (hi - lo) * F(num, 10**6)
-    e = extrema(family)
-    assert e.inf <= limit_function(family)(x) <= e.sup
+    e = extrema(rec)
+    assert e.inf <= limit_function(rec)(x) <= e.sup
 
 
 def test_limit_rejects_points_outside_domain():
-    law = limit_function(OnePlusX(3))
+    law = limit_function(recursion_1px(3))
     with pytest.raises(ValueError):
         law(F(1, 4))
     with pytest.raises(ValueError):
@@ -105,10 +252,11 @@ def test_piecewise_constructor_rejects_gaps_and_jumps():
         PiecewiseQuadratic(())
 
 
-@pytest.mark.parametrize("family", [OnePlusX(3), ONE_PLUS_X_PLUS_X2_MOD2], ids=str)
-def test_empirical_ratio_approaches_limit(family):
-    law = limit_function(family)
-    rec = recursion_for(family)
+@pytest.mark.parametrize(
+    "rec", [recursion_1px(3), recursion_1xx2_mod2()], ids=["OnePlusX(p=3)", "OnePlusXPlusX2Mod2()"]
+)
+def test_empirical_ratio_approaches_limit(rec):
+    law = limit_function(rec)
     lo, hi = law.domain
     for i in range(9):
         x = lo + (hi - lo) * F(i, 8)
@@ -127,7 +275,7 @@ def test_oscillation_table_shape_and_csv():
     rec = recursion_1px(3)
     rows = oscillation_table(rec, 4, 5)
     assert rows == sorted(rows)
-    e = extrema(OnePlusX(3))
+    e = extrema(rec)
     # every sampled ratio of a genuine value sits near the limiting band
     for logn, ratio in rows[8:]:
         assert float(e.inf) - 0.35 <= ratio <= float(e.sup) + 0.35
@@ -137,3 +285,18 @@ def test_oscillation_table_shape_and_csv():
     assert len(lines) == len(rows) + 1
     with pytest.raises(ValueError):
         oscillation_table(rec, 0, 3)
+
+
+def test_oscillation_work_cap():
+    rec = recursion_1px(3)
+    # 723 octaves descend 723*724/2 = 261726 digits, 724 would descend 262450
+    assert 723 * 724 // 2 <= asympt.MAX_SAMPLE_DIGITS < 724 * 725 // 2
+    with pytest.raises(ValueError, match="over MAX_SAMPLE_DIGITS = 262144"):
+        oscillation_table(rec, 1, 724)
+    with pytest.raises(ValueError, match="MAX_SAMPLE_DIGITS"):
+        oscillation_table(rec, 4, 400)
+    # one octave: the roots of 3^(s+j), j < s, sum s(3s-1)/2 digits
+    rows = oscillation_table(rec, 418, 1)
+    assert rows[0] == oscillation_table(rec, 1, 1)[0] and len(rows) == 6  # n = 3..8
+    with pytest.raises(ValueError, match="over MAX_SAMPLE_DIGITS"):
+        oscillation_table(rec, 419, 1)

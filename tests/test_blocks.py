@@ -417,10 +417,12 @@ def test_recursion_1px_matches_counts():
         )
 
 
-@given(st.integers(0, 3000))
+@given(st.integers(1, 3000), st.integers(0, 40))
 @settings(max_examples=80)
-def test_recursion_1px_equals_descent_oracle(n):
-    assert a_from_recursion(recursion_1px(2), n) == a_1px(2, n)
+def test_recursion_1px_equals_descent_oracle(n, m):
+    # closed form mod 2, the closure itself mod 3
+    assert a_from_recursion(recursion_1px(2), n) == n * n - n + 2
+    assert a_from_recursion(recursion_1px(3), m) == line_complexity(ONE_PLUS_X_3, m)
 
 
 # --------------------------------------------------------------- inference --

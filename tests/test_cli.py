@@ -1,5 +1,6 @@
 """End-to-end command tests: output formats, file writing, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -14,14 +15,18 @@ import pytest
 import polypow
 from polypow import (
     FpPoly,
+    RecursionSpec,
+    empirical_ratio,
     extrema,
+    infer_recursion,
     line_complexity_range,
+    parse_poly,
+    recursion_1px,
     render_fractal,
     series_1px,
     to_pbm,
 )
 from polypow import _zzpoly, cli
-from polypow.asympt import OnePlusX
 from polypow.cli import main
 from polypow.fpoly import BitmapSizeError
 
@@ -156,7 +161,7 @@ def test_cli_limits_json_extrema(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    ex = extrema(OnePlusX(3))
+    ex = extrema(recursion_1px(3))
     assert Fraction(doc["inf"]) == ex.inf
     assert Fraction(doc["sup"]) == ex.sup
     assert Fraction(doc["arg_inf"]) == ex.arg_inf
@@ -169,6 +174,93 @@ def test_cli_limits_oscillation(capsys):
     )
     assert code == 0
     assert out.startswith("logn,ratio\n")
+    # n = floor(3^(k + j/2)) exactly: 3, 5, 9, 15, 27, 46, 81, 140
+    assert out == (
+        "logn,ratio\n1,2.77777777778\n1.46497352072,2.84\n2,3.1975308642\n"
+        "2.46497352072,3.25777777778\n3,3.39231824417\n3.48497958377,3.43147448015\n"
+        "4,3.46334400244\n4.49807677702,3.49525510204\n"
+    )
+
+
+def law_pieces(capsys, poly, p):
+    code, out, err = run(capsys, "limits", "--poly", poly, "--prime", str(p))
+    assert (code, err) == (0, "")
+    return [
+        {k: Fraction(v) for k, v in piece.items()} for piece in json.loads(out)["pieces"]
+    ]
+
+
+def law_value(pieces, x):
+    piece = next(pc for pc in pieces if pc["lo"] <= x <= pc["hi"])
+    return (piece["a"] * x + piece["b"]) * x + piece["c"]
+
+
+@pytest.mark.parametrize(
+    "poly,p",
+    [("1+x+x^3", 2), ("3+x", 5), ("1+x^2", 3)] + [
+        (f"{c}+x+x^2", p) for p, c in [(2, 1), (3, 1), (3, 2), (5, 1), (5, 2), (5, 3), (5, 4)]],
+)
+def test_cli_limits_derives_the_law_of_an_inferred_recursion(capsys, poly, p):
+    pieces = law_pieces(capsys, poly, p)
+    lo = Fraction(1, p)
+    assert (pieces[0]["lo"], pieces[-1]["hi"]) == (lo, 1)
+    for left, right in zip(pieces, pieces[1:]):
+        assert left["hi"] == right["lo"]
+    rec = infer_recursion(parse_poly(poly, p))
+    for i in range(16):
+        x = lo + (1 - lo) * Fraction(i, 15)
+        assert abs(empirical_ratio(rec, x, 12) - float(law_value(pieces, x))) <= 0.02
+
+
+def test_cli_limits_refuses_a_recursion_without_a_law(monkeypatch, capsys):
+    # each row sums to 5, past p^2 = 4: a(n) grows faster than n^2
+    rec = RecursionSpec(p=2, rows=((3, 2), (2, 3)), constant=0, initials=(1, 2, 3), threshold=3)
+    family = cli._Family(lambda p: rec, lambda p, terms: [])
+    monkeypatch.setattr(cli, "_FAMILIES", {((1, 1, 0, 1), 2): family})
+    code, out, err = run(capsys, "limits", "--poly", "1+x+x^3")
+    assert (code, out) == (3, "")
+    assert err.startswith("diagnostic: p^2 = 4 is not a simple dominant root")
+
+
+def test_cli_limits_refuses_a_law_past_the_grid_cap(capsys):
+    # 1+x mod p is checked on level 2 in the cells [1, 2], [2, 3] and [3, 4]
+    # of [1, p], and on level 1 elsewhere: 3p^2 + (p - 4)p + 1 points, 40805
+    # at p = 101 and 145161 at p = 191, over MAX_LAW_POINTS
+    pieces = law_pieces(capsys, "1+x", 101)
+    assert [(pc["lo"], pc["hi"]) for pc in pieces] == [
+        (Fraction(1, 101), Fraction(1, 3)), (Fraction(1, 3), Fraction(1, 2)),
+        (Fraction(1, 2), 1)]
+    code, out, err = run(capsys, "limits", "--poly", "1+x", "--prime", "191")
+    assert (code, out) == (3, "")
+    assert err == "diagnostic: no piece structure confirmed on grids within MAX_LAW_POINTS = 131072\n"
+
+
+# SHA-256 of the output of the closed-form tables the laws are now derived
+# from; it must not move.
+LIMITS_SHA256 = {
+    ("1+x", "2", "json"): "5a839d28651c4f9f61c776b5dac4200869598c6c3ca88e4156bd430e905f775e",
+    ("1+x", "2", "csv"): "c4e868356a88f71afa46427c740a5ee803adaa83491cad1686581bd62838af2d",
+    ("1+x", "3", "json"): "18a3cd3f3c9c87ceca0ee5a87e2ded2a5c8416fb0814aee99548501ba3d03fd4",
+    ("1+x", "3", "csv"): "6f291d19040cfb471c3f98c36298321920ff2bb0ca897a0e999c8162c3c6678d",
+    ("1+x", "5", "json"): "d457bfb461f3a49c6cd8927184b4336e6a9d4f2b72e3a20c115538c71fe4da7c",
+    ("1+x", "5", "csv"): "0c4b2656df302bdfe48e8fa83b6c9d18de1c5857621b1a5032526aa7f4dc1845",
+    ("1+x", "7", "json"): "18486cbf223d091df030182211bd0fe2f5083cd0bf510e5e4355c3d921c0d97b",
+    ("1+x", "7", "csv"): "55af72fbfe231143b119dc0ed4f7aa91abba4f97c2f818787ab0faefb30b67c5",
+    ("1+x", "11", "json"): "557cc23cad158190741fd1f13deaf81f84e4f19bc9bd4814eb7fc5a5b40ddffe",
+    ("1+x", "11", "csv"): "c42c978ce685ec5ddbc49e493bc19e7f60c85e178050f13094111c7a2650d134",
+    ("1+x", "13", "json"): "6f4a4a9436f1c233e250db6d1bbbffcf6e9daa7840e984d9683a6a3ded9c05c5",
+    ("1+x", "13", "csv"): "fcf5e03bf134b3058f3f1e4ab82add352a08ad9037b6e2eaf3886c4a60f05078",
+    ("1+x+x^2", "2", "json"): "d0040ac6f7213453fd0e9ffe9b6030869d56f9c9b15800179cde3d5994a85025",
+    ("1+x+x^2", "2", "csv"): "de0e528c9008fbdb5dea886a7c1726f9c9876375d8cb323f86b1d22a31af93e3",
+}
+
+
+@pytest.mark.parametrize("key", LIMITS_SHA256, ids=lambda k: "-".join(k))
+def test_cli_limits_output_is_unchanged(capsys, key):
+    poly, p, fmt = key
+    code, out, _ = run(capsys, "limits", "--poly", poly, "--prime", p, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LIMITS_SHA256[key]
 
 
 # ----------------------------------------------------------------- willson --
@@ -249,9 +341,6 @@ def test_exit_code_2_for_usage_and_value_errors(capsys):
     assert run(capsys, "blocks", "--poly", "1+y")[0] == 2  # parse failure
     assert run(capsys, "blocks", "--poly", "1+x", "--prime", "4")[0] == 2
     assert run(capsys, "nonsense")[0] == 2  # argparse usage error
-    code, out, err = run(capsys, "limits", "--poly", "1+x+x^3")
-    assert (code, out) == (2, "")
-    assert err == "error: no limit law available for 1+x+x^3 mod 2\n"
 
 
 @pytest.mark.parametrize(
@@ -296,7 +385,7 @@ def test_short_inputs_past_a_cap_exit_2(capsys, argv, cap):
         (["limits", "--poly", "1+x", "--oscillation", "-3", "--samples", "2"],
          "k_max must be >= 1"),
         (["limits", "--poly", "1+x", "--oscillation", "2", "--samples", "100000000"],
-         "--oscillation 2 times --samples 100000000 exceeds MAX_TERMS = 262144"),
+         "over MAX_SAMPLE_DIGITS = 262144"),
     ],
     ids=["n", "n-scan", "n-recursion", "terms", "window", "willson-depth", "survey-depth",
          "kmax", "negative-kmax", "samples"],
@@ -319,6 +408,37 @@ def test_cli_limits_oscillation_past_the_recursion_limit(capsys):
     assert code == 0
     lines = out.split()
     assert len(lines) == 601 and lines[-1].startswith("600,")
+    # SHA-256 of the table: exact floors of p^(k + j/s) move n past 2^53
+    # against float products, but no printed digit
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "97a71583f5f1d35a5fdceaaa645c3385e865e762560c25a79e5b142f8a287177")
+
+
+def test_cli_limits_oscillation_past_the_float_range(capsys):
+    # 3^700 is past the largest double; the samples are exact integer roots
+    code, out, err = run(
+        capsys, "limits", "--poly", "1+x", "--prime", "3",
+        "--oscillation", "700", "--samples", "1",
+    )
+    assert (code, err) == (0, "")
+    lines = out.split()
+    assert len(lines) == 701 and lines[-1] == "700,3.5"
+
+
+@pytest.mark.parametrize(
+    "kmax,samples",
+    # one octave of 262144 samples takes roots of powers of 3^262144 and up
+    [("100000", "1"), ("724", "1"), ("400", "4"), ("1", "262144"), ("1", "419")],
+)
+def test_cli_limits_oscillation_work_cap_exits_2(capsys, kmax, samples):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "limits", "--poly", "1+x", "--prime", "3",
+        "--oscillation", kmax, "--samples", samples,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "over MAX_SAMPLE_DIGITS = 262144" in err
 
 
 def test_length_cap_is_inclusive(monkeypatch, capsys):
