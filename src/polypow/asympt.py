@@ -35,8 +35,8 @@ F = Fraction
 MAX_LAW_POINTS = 2**17
 # Largest sum of the exponents ks+j of the powers p^(ks+j) whose s-th roots
 # are the samples of oscillation_table, s^2 K(K+1)/2 + K s(s-1)/2 for s
-# samples per octave up to p^K.  It bounds the roots and the descents, k
-# base-p digits a sample: K = 723 at s = 1 (about 3 s), s = 418 at K = 1.
+# samples per octave up to p^K.  It bounds the roots, and with them the memo
+# of the shared descents: K = 723 at s = 1 (about 0.02 s), s = 418 at K = 1.
 MAX_SAMPLE_DIGITS = 2**18
 
 
@@ -260,7 +260,10 @@ def oscillation_table(rec: RecursionSpec, samples_per_octave: int,
     p, logp = rec.p, math.log(rec.p)
     ns = sorted({integer_nthroot(p ** (k * s + j), s)[0]
                  for k in range(1, k_max + 1) for j in range(s)})
-    return [(math.log(n) / logp, a_from_recursion(rec, n) / (n * n)) for n in ns]
+    # floor(n/p) of a sample is the sample an octave lower: ascending
+    # samples share their descents through one memo
+    known: dict[int, int] = {}
+    return [(math.log(n) / logp, a_from_recursion(rec, n, known) / (n * n)) for n in ns]
 
 
 def oscillation_csv(rows: list[tuple[float, float]]) -> str:

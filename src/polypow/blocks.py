@@ -18,9 +18,9 @@ At a length that is its own source, window_maps also gives, per map, the
 image of every block by index: the transfer maps of the nonzero counts.
 
 Memory: each level is one packed matrix, the sorted distinct blocks as uint8
-rows.  Only the short fixpoint levels stay, built on the first count; a
-longer level is built from its source chain when a count needs it and
-dropped once nothing left to build sources from it, while its count is kept.
+rows.  Only the fixpoint level stays, built on the first count; a count
+builds one level up its source chain, and that sorted level counts every
+shorter length too, so only the counts are kept.
 A step that would hold more than MAX_CELLS digits raises ClosureSizeError
 before allocating.  Closures are cached per (p, coeffs) in a bounded LRU,
 emptied by _closure.cache_clear().  Digits are bytes, so p > 255 is refused.
@@ -95,16 +95,26 @@ def scan_accessible(f: FpPoly, n: int, max_row: int = SCAN_CAP) -> BlockSet:
 
 # ------------------------------------------------------------- closure ----
 
+ROW_CHUNK = 2**14  # adjacent row pairs _first_diffs compares at once
+
+
+def _first_diffs(level: np.ndarray) -> np.ndarray:
+    """The first differing column of each adjacent row pair of a sorted, distinct matrix."""
+    out = np.empty(len(level) - 1, np.intp)
+    for lo in range(0, len(out), ROW_CHUNK):
+        pairs = level[lo:lo + ROW_CHUNK + 1]
+        out[lo:lo + ROW_CHUNK] = np.argmax(pairs[1:] != pairs[:-1], axis=1)
+    return out
+
+
 class _Closure:
     """Accessible-block sets of one polynomial, level by level.
 
     Level m is the sorted, duplicate-free uint8 matrix of the accessible
-    m-blocks, one block per matrix row.  Levels at or below the
-    self-referencing length lc come from the least fixpoint, built on first
-    use and kept.  Each larger level m is one application of the maps to its
-    source level _source_len(m) < m, so a(n) needs only the chain n ->
-    _source_len(n) -> ... down to lc.  A larger level's count is kept, but
-    its matrix lives only while a level still to be built sources from it.
+    m-blocks, one per row.  Level lc, the least fixpoint of the maps, is kept;
+    a shorter level is cut from its prefixes, and a longer level m is the
+    maps applied to level _source_len(m) < m, so level n needs only the chain
+    n -> _source_len(n) -> ... -> lc, each link dropped once the next is cut.
     """
 
     def __init__(self, f: FpPoly):
@@ -118,7 +128,7 @@ class _Closure:
         self.dtype = np.min_scalar_type((self.p - 1) ** 2 * terms)
         # _source_len(m) >= m exactly when m <= d + 2, with equality at d + 2
         self.lc = self.d + 2
-        self.sizes = {0: 1}  # a(m) of every level built so far
+        self.sizes = [1]  # a(0), ..., a(N) for the longest level N counted
 
     def _source_len(self, m: int) -> int:
         # longest row-m' patch a length-m window of row p*m'+r can touch
@@ -148,18 +158,21 @@ class _Closure:
         return full
 
     @cached_property
-    def levels(self) -> dict[int, np.ndarray]:
-        """The fixpoint levels 1..lc, built on first use.
-
-        The maps take the lc-blocks of rows 0..R to the larger set of rows
-        0..pR+p-1; from row 0 they grow it until its count stops.
-        """
-        fix = _row0_blocks(self.lc)
-        while len(grown := self._apply_maps(self._expand(fix), self.lc)) > len(fix):
-            fix = grown
-        levels = {m: _unique_rows(fix[:, :m]) for m in range(1, self.lc)} | {self.lc: fix}
-        self.sizes |= {m: len(level) for m, level in levels.items()}
-        return levels
+    def fixpoint(self) -> np.ndarray:
+        """The accessible lc-blocks: the maps take those of rows 0..R to the
+        larger set of rows 0..pR+p-1, grown from row 0 until it stops.  The
+        image of a set is the union of its blocks' images and contains the
+        set, so each round expands only the blocks the last one added."""
+        fix = new = _row0_blocks(self.lc)
+        while len(new):
+            grown = self._apply_maps(self._expand(new), self.lc)
+            keys, found = _packed(fix), _packed(grown)
+            at = np.searchsorted(keys, found)
+            fresh = keys[np.minimum(at, len(keys) - 1)] != found
+            new = grown[fresh]
+            _check_cells((len(fix) + len(new)) * self.lc, "the fixpoint")
+            fix = np.insert(fix, at[fresh], new, axis=0)
+        return fix
 
     def _expand(self, src: np.ndarray) -> list[np.ndarray]:
         """Per row r, each source block dilated by p and convolved with row r."""
@@ -195,40 +208,22 @@ class _Closure:
         _check_cells(self.p * n * sum(len(e) for e in expanded), f"the candidate {n}-blocks")
         return _unique_rows(np.concatenate(self._cuts(expanded, n)))
 
-    def _walk(self, targets):
-        """Build the target levels and their source chains in ascending order.
-
-        Returns the last level built, if any.  Each source level is expanded
-        once for all the targets that share it, and a built level is held only
-        until its last target is built.
-        """
-        todo: set[int] = set()
-        stack = list(targets)
-        while stack:
-            m = stack.pop()
-            if m not in todo and m not in self.levels:
-                todo.add(m)
-                stack.append(self._source_len(m))
-        sources = {self._source_len(m) for m in todo}
-        held: dict[int, np.ndarray] = {}
-        w = expanded = level = None
-        for m in sorted(todo):
-            if self._source_len(m) != w:
-                w = self._source_len(m)
-                expanded = self._expand(self.levels[w] if w in self.levels else held.pop(w))
-            level = self._apply_maps(expanded, m)
-            self.sizes[m] = len(level)
-            if m in sources:
-                held[m] = level
-        return level
-
     def level(self, n: int) -> np.ndarray:
         """The accessible n-blocks (n >= 1), one per matrix row."""
-        return self.levels[n] if n in self.levels else self._walk([n])
+        if n > self.lc:
+            return self._apply_maps(self._expand(self.level(self._source_len(n))), n)
+        fix = self.fixpoint
+        return fix[np.r_[True, _first_diffs(fix) < n], :n]
 
     def counts(self, ns) -> list[int]:
-        """[a(n) for n in ns], building only the levels their chains need."""
-        self._walk([n for n in ns if n not in self.sizes])
+        """[a(n) for n in ns].  A length past all counted builds level max(ns),
+        whose sorted rows count every shorter length: a window extends one
+        digit right inside its row, so the m-blocks are its distinct m-prefixes
+        and a(m) is 1 plus the adjacent rows that first differ before column m."""
+        top = max(ns, default=0)
+        if top >= len(self.sizes):
+            firsts = np.bincount(_first_diffs(self.level(top)), minlength=top)
+            self.sizes = [1, *(1 + np.cumsum(firsts)).tolist()]
         return [self.sizes[n] for n in ns]
 
 
@@ -343,20 +338,24 @@ class RecursionSpec:
         return total
 
 
-def a_from_recursion(rec: RecursionSpec, n: int) -> int:
+def a_from_recursion(rec: RecursionSpec, n: int, known: dict[int, int] | None = None) -> int:
     """a(n), one base-p digit at a time: a(m) reads a(m//p + j), so each digit
-    level needs one short run of indices, listed down to the initials."""
+    level needs one short run of indices, listed down to the initials or to
+    the first run that `known`, a memo of a shared between calls, holds in
+    full.  Every value computed is added to `known`."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    init, runs = len(rec.initials), [(n, n)]
-    while runs[-1][1] >= init:
-        lo, hi = runs[-1]
-        runs.append((lo // rec.p, max(m // rec.p + len(rec.rows[m % rec.p]) - 1
-                                      for m in range(max(lo, init), hi + 1))))
-    known: dict[int, int] = {}
+    known = {} if known is None else known
+    init, lo, hi = len(rec.initials), n, n
+    runs = [(lo, hi)]
+    while hi >= init and any(m not in known for m in range(lo, hi + 1)):
+        lo, hi = lo // rec.p, max(m // rec.p + len(rec.rows[m % rec.p]) - 1
+                                  for m in range(max(lo, init), hi + 1))
+        runs.append((lo, hi))
     for lo, hi in reversed(runs):
         for m in range(lo, hi + 1):
-            known[m] = rec.initials[m] if m < init else rec._rule(m, known.__getitem__)
+            if m not in known:
+                known[m] = rec.initials[m] if m < init else rec._rule(m, known.__getitem__)
     return known[n]
 
 

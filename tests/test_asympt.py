@@ -1,16 +1,19 @@
 """Piecewise-quadratic limits of a(n)/n^2 and their empirical cross-checks."""
 
+import math
 import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import integer_nthroot
 
 from polypow import (
     Piece,
     PiecewiseQuadratic,
     RecursionSpec,
+    a_from_recursion,
     a_from_recursion_range,
     empirical_ratio,
     extrema,
@@ -287,9 +290,29 @@ def test_oscillation_table_shape_and_csv():
         oscillation_table(rec, 0, 3)
 
 
+def test_oscillation_table_shares_its_descents(monkeypatch):
+    rec = recursion_1xx2_mod2()
+    ns = sorted({integer_nthroot(2 ** (3 * k + j), 3)[0] for k in range(1, 61) for j in range(3)})
+    # each sample on its own descent, before the rule is counted
+    expected = [(math.log(n) / math.log(2), a_from_recursion(rec, n) / (n * n)) for n in ns]
+    calls = []
+    rule = RecursionSpec._rule
+
+    def counting(self, m, a):
+        calls.append(m)
+        return rule(self, m, a)
+
+    monkeypatch.setattr(RecursionSpec, "_rule", counting)
+    assert oscillation_table(rec, 3, 60) == expected
+    # floor(n/2) of a sample is the sample an octave lower, so each a(m) is
+    # computed once and each sample adds a few: 180 separate descents of up
+    # to 60 digits would apply the rule over 10^4 times
+    assert len(calls) == len(set(calls)) <= 4 * len(ns)
+
+
 def test_oscillation_work_cap():
     rec = recursion_1px(3)
-    # 723 octaves descend 723*724/2 = 261726 digits, 724 would descend 262450
+    # 723 octaves take roots of 723*724/2 = 261726 digits in all, 724 of 262450
     assert 723 * 724 // 2 <= asympt.MAX_SAMPLE_DIGITS < 724 * 725 // 2
     with pytest.raises(ValueError, match="over MAX_SAMPLE_DIGITS = 262144"):
         oscillation_table(rec, 1, 724)

@@ -5,6 +5,9 @@ string slicing, nothing shared with the window engine that runs both the scan
 and the closure.
 """
 
+from math import isqrt
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,14 +110,7 @@ def test_scan_cuts_only_the_blocks_it_returns(monkeypatch, f, n, max_row):
     while q:
         steps, q = steps + 1, q // f.p
     blocks._closure.cache_clear()
-    built = []
-    apply_maps = blocks._Closure._apply_maps
-
-    def recording(self, expanded, m):
-        built.append(m)
-        return apply_maps(self, expanded, m)
-
-    monkeypatch.setattr(blocks._Closure, "_apply_maps", recording)
+    built = recording_maps(monkeypatch)
     got = scan_accessible(f, n, max_row=max_row)
     assert got.members == frozenset(windows_oracle(f, n, max_row + 1))
     assert len(built) == 2 * steps - 1
@@ -157,7 +153,7 @@ def test_scan_builds_no_fixpoint():
     blocks._closure.cache_clear()
     got = scan_accessible(f, 4, max_row=300)
     assert got.members == frozenset(windows_oracle(f, 4, 301))
-    assert "levels" not in vars(blocks._closure(f.p, f.coeffs))
+    assert "fixpoint" not in vars(blocks._closure(f.p, f.coeffs))
 
 
 # --------------------------------------------------------------- closure ----
@@ -187,10 +183,35 @@ def test_line_complexity_base_cases():
 
 
 def test_line_complexity_closed_form_mod2():
-    values = line_complexity_range(ONE_PLUS_X_2, 40)
-    assert values[0] == 1
-    for n in range(1, 41):
-        assert values[n] == n * n - n + 2
+    blocks._closure.cache_clear()
+    values = line_complexity_range(ONE_PLUS_X_2, 400)
+    assert values == [1] + [n * n - n + 2 for n in range(1, 401)]
+
+
+@pytest.mark.parametrize("p,n_max", [(3, 150), (5, 80)])
+def test_range_equals_the_closed_recursion(p, n_max):
+    blocks._closure.cache_clear()
+    f = FpPoly.make(p, [1, 1])
+    assert line_complexity_range(f, n_max) == a_from_recursion_range(recursion_1px(p), n_max)
+
+
+@pytest.mark.parametrize(
+    "f,n_max,rows",
+    [
+        (ONE_PLUS_X_2, 16, 64),
+        (ONE_PLUS_X_5, 6, 126),
+        (CXX2_12, 14, 64),
+        (FpPoly.make(3, [1, 1, 1]), 8, 82),
+        (CXX2_23, 8, 244),
+        (FpPoly.make(7, [1, 3, 3, 1]), 4, 344),
+    ],
+    ids=lambda v: f"{v.coeffs} mod {v.p}" if isinstance(v, FpPoly) else str(v),
+)
+def test_range_equals_string_oracle_at_every_length(f, n_max, rows):
+    # every row that holds a block of length <= n_max is below the horizon
+    blocks._closure.cache_clear()
+    oracle = [1] + [len(windows_oracle(f, m, rows)) for m in range(1, n_max + 1)]
+    assert line_complexity_range(f, n_max) == oracle
 
 
 def test_line_complexity_monotone_and_bounded():
@@ -242,11 +263,8 @@ def source_chain(f, n):
     return chain
 
 
-def test_single_count_builds_only_the_source_chain(monkeypatch):
-    blocks._closure.cache_clear()
-    closure = blocks._closure(2, (1, 1))
-    # the fixpoint is built on first use; build it before recording
-    assert sorted(closure.levels) == [1, 2, 3]
+def recording_maps(monkeypatch):
+    """The lengths of the levels cut by _apply_maps from now on, in order."""
     built = []
     apply_maps = blocks._Closure._apply_maps
 
@@ -255,14 +273,112 @@ def test_single_count_builds_only_the_source_chain(monkeypatch):
         return apply_maps(self, expanded, n)
 
     monkeypatch.setattr(blocks._Closure, "_apply_maps", recording)
+    return built
+
+
+def held_matrices(closure):
+    return [name for name, value in vars(closure).items() if isinstance(value, np.ndarray)]
+
+
+def test_single_count_builds_only_the_source_chain(monkeypatch):
+    blocks._closure.cache_clear()
+    closure = blocks._closure(2, (1, 1))
+    # the fixpoint is built on first use; build it before recording
+    assert closure.fixpoint.shape == (8, 3)
+    built = recording_maps(monkeypatch)
     assert line_complexity(ONE_PLUS_X_2, 300) == 300 * 300 - 300 + 2
     chain = source_chain(ONE_PLUS_X_2, 300)  # 300, 151, 77, ..., 4, 3
     assert built == sorted(chain[:-1])  # the fixpoint length 3 is never rebuilt
-    # only the fixpoint levels keep their blocks
-    assert sorted(closure.levels) == [1, 2, 3]
+    # only the fixpoint level keeps its blocks
+    assert held_matrices(closure) == ["fixpoint"]
     # a further count along the known chain builds nothing
     assert line_complexity(ONE_PLUS_X_2, 151) == 151 * 151 - 151 + 2
     assert built == sorted(chain[:-1])
+
+
+def test_range_query_builds_only_the_source_chain_of_its_end(monkeypatch):
+    f = ONE_PLUS_X_3
+    blocks._closure.cache_clear()
+    closure = blocks._closure(f.p, f.coeffs)
+    assert closure.fixpoint.shape[1] == 3
+    built = recording_maps(monkeypatch)
+    expected = a_from_recursion_range(recursion_1px(3), 150)
+    assert line_complexity_range(f, 150) == expected
+    assert source_chain(f, 150) == [150, 52, 19, 8, 4, 3]
+    assert built == [4, 8, 19, 52, 150]
+    assert held_matrices(closure) == ["fixpoint"]
+    # every shorter count is known from level 150 alone
+    assert [line_complexity(f, m) for m in range(151)] == expected
+    assert line_complexity_range(f, 97) == expected[:98]
+    assert built == [4, 8, 19, 52, 150]
+    # a longer count builds its own chain
+    assert line_complexity(f, 160) == a_from_recursion(recursion_1px(3), 160)
+    assert built == [4, 8, 19, 52, 150] + sorted(source_chain(f, 160)[:-1])
+
+
+def distinct_prefixes(level, m):
+    return len(blocks._unique_rows(level[:, :m]))
+
+
+@pytest.mark.parametrize("chunk", [blocks.ROW_CHUNK, 1, 3, 4])
+def test_prefix_pass_counts_the_distinct_prefixes(monkeypatch, chunk):
+    # chunks of 1, 3 and 4 pairs split 4, 5, 6 and 7 rows at and off a boundary
+    monkeypatch.setattr(blocks, "ROW_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    levels = [np.array([[1, 0, 2]], np.uint8)]
+    for rows in (2, 4, 5, 6, 7, 40):
+        digits = rng.integers(0, 3, size=(rows * 3, 6), dtype=np.uint8)
+        levels.append(blocks._unique_rows(digits)[:rows])
+    levels.append(blocks._closure(3, (2, 1, 1)).level(9))
+    for level in levels:
+        diffs = blocks._first_diffs(level)
+        assert len(diffs) == len(level) - 1
+        for m in range(1, level.shape[1] + 1):
+            assert 1 + int(np.sum(diffs < m)) == distinct_prefixes(level, m)
+
+
+def test_prefix_pass_in_small_chunks_counts_a_range(monkeypatch):
+    blocks._closure.cache_clear()
+    level = blocks._closure(3, (2, 1, 1)).level(12)
+    oracle = [1] + [distinct_prefixes(level, m) for m in range(1, 13)]
+    blocks._closure.cache_clear()
+    monkeypatch.setattr(blocks, "ROW_CHUNK", 7)
+    assert line_complexity_range(CXX2_23, 12) == oracle
+    # a level below the fixpoint length is cut from the fixpoint's prefixes
+    closure = blocks._closure(3, (2, 1, 1))
+    for m in range(1, closure.lc + 1):
+        assert np.array_equal(closure.level(m),
+                              blocks._unique_rows(closure.fixpoint[:, :m]))
+
+
+def naive_fixpoint(closure):
+    """The fixpoint by re-expanding the whole level every round."""
+    fix = blocks._row0_blocks(closure.lc)
+    while len(grown := closure._apply_maps(closure._expand(fix), closure.lc)) > len(fix):
+        fix = grown
+    return fix
+
+
+@pytest.mark.parametrize(
+    "p,coeffs",
+    [(2, (1, 1, 0, 0, 0, 1)), (2, (1, 1, 0, 0, 0, 0, 0, 0, 1)),
+     (2, (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1)), (2, (1, 1) + (0,) * 10 + (1,)),
+     (3, (1, 1)), (5, (1, 1, 1)), (7, (3, 1, 2))],
+    ids=lambda v: str(v),
+)
+def test_fixpoint_expands_each_block_once(monkeypatch, p, coeffs):
+    closure = blocks._Closure(FpPoly.make(p, coeffs))
+    expanded = []
+    expand = blocks._Closure._expand
+
+    def recording(self, src):
+        expanded.append(len(src))
+        return expand(self, src)
+
+    monkeypatch.setattr(blocks._Closure, "_expand", recording)
+    fix = closure.fixpoint
+    assert sum(expanded) == len(fix)
+    assert np.array_equal(fix, naive_fixpoint(closure))
 
 
 @pytest.mark.parametrize("single_first", [True, False])
@@ -391,6 +507,23 @@ def test_a_from_recursion_descends_past_the_recursion_limit():
     # 2^2000 + 12345 has 2001 binary digits; a(n) = n^2 - n + 2 for 1+x mod 2
     n = 2**2000 + 12345
     assert a_from_recursion(recursion_1px(2), n) == n * n - n + 2
+
+
+@pytest.mark.parametrize("rec", [recursion_1px(3), recursion_1xx2_mod2(), recursion_1px(7)],
+                         ids=["1+x mod 3", "1+x+x^2 mod 2", "1+x mod 7"])
+def test_a_from_recursion_shares_descents_through_a_memo(rec):
+    # floor(n/p) of n = floor(p^(k+1/2)) is the sample one octave lower, so
+    # with a shared memo each sample's descent stops after a few digits
+    known = {}
+    for k in range(1, 120):
+        n = isqrt(rec.p ** (2 * k + 1))
+        before = len(known)
+        assert a_from_recursion(rec, n, known) == known[n]
+        assert len(known) - before <= 3 * len(rec.initials)
+    for n in sorted(known)[::7]:
+        assert known[n] == a_from_recursion(rec, n)
+    # a memo holding a wrong value is read, not recomputed
+    assert a_from_recursion(rec, 10**6, {10**6: -1}) == -1
 
 
 def test_a_from_recursion_range_fills_bottom_up():
