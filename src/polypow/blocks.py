@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fpoly import FpPoly, check_prime, digits_to_text, iter_rows
+from .fpoly import FpPoly, check_prime, iter_rows
 
 SCAN_CAP = 2**14
 MAX_CELLS = 2**28
@@ -46,20 +46,6 @@ class InferenceError(RuntimeError):
 
 class ClosureSizeError(RuntimeError):
     """Raised when one step of the maps would hold more than MAX_CELLS digits."""
-
-
-@dataclass(frozen=True)
-class BlockSet:
-    """Distinct accessible n-blocks, each a digit string."""
-
-    n: int
-    members: frozenset[str]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def serialize(self) -> str:
-        return "\n".join(sorted(self.members))
 
 
 def _row0_blocks(n: int) -> np.ndarray:
@@ -83,14 +69,17 @@ def _check_cells(cells: int, what: str) -> None:
         raise ClosureSizeError(f"{what} would hold {cells} digits, over the cap of {MAX_CELLS}")
 
 
-def scan_accessible(f: FpPoly, n: int, max_row: int = SCAN_CAP) -> BlockSet:
-    """All n-blocks seen in rows 0..max_row (a finite-horizon view)."""
+def scan_accessible(f: FpPoly, n: int, max_row: int = SCAN_CAP) -> np.ndarray:
+    """All n-blocks seen in rows 0..max_row (a finite-horizon view).
+
+    The blocks are the rows of one uint8 matrix, sorted and distinct; n = 0
+    gives the empty block, one row of no digits.
+    """
     if n < 0:
         raise ValueError("block length must be >= 0")
     if n == 0:
-        return BlockSet(0, frozenset({""}))
-    found = _closure(f.p, f.coeffs).horizon(n, max_row)
-    return BlockSet(n, frozenset(digits_to_text(b) for b in found))
+        return np.zeros((1, 0), np.uint8)
+    return _closure(f.p, f.coeffs).horizon(n, max_row)
 
 
 # ------------------------------------------------------------- closure ----

@@ -1,11 +1,11 @@
 """Command-line front end: subcommand dispatch, CSV/JSON/TSV/PBM emission.
 
 Exit codes: 0 success, 2 parse or usage error, 3 computation diagnostic
-(inference without a consistent recursion, an inconclusive residual check, a
-failed spectral certificate, a limit law that cannot be derived, or an
-oversized bitmap or closure step).  Inputs outside a documented range are
-usage errors: a negative --n, --terms, --window or --depth; --n, --terms and
---window above MAX_TERMS; an --oscillation KMAX below 1, or samples past
+(inference without a consistent recursion, a failed count check or spectral
+certificate, a limit law that cannot be derived, or an oversized bitmap or
+closure step).  Inputs outside a documented range are usage errors: a
+negative --n, --terms, --window or --depth; --n, --terms and --window above
+MAX_TERMS; an --oscillation KMAX below 1, or samples past
 asympt.MAX_SAMPLE_DIGITS; a term of degree above fpoly.MAX_POLY_DEGREE; a
 willson polynomial of degree d mod p or a survey --max-deg d (p = 2) with
 p^(d+3) above willson.MAX_TRANSFER_EDGES; and a willson or survey --depth
@@ -333,7 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
 _DIAGNOSTICS = (
     blocks.ClosureSizeError,
     blocks.InferenceError,
-    genfun.InconclusiveError,
     ArithmeticError,
     BitmapSizeError,
 )

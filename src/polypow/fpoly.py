@@ -2,9 +2,9 @@
 
 Coefficients are stored low degree first; the zero polynomial is the empty
 tuple.  Row k is the digit string of f(x)^k reduced mod p, again low degree
-first.  Counting helpers tally how often each nonzero residue occurs in a row
-and cumulatively over rows 0..n-1, and the nonzero pattern of the rows renders
-as a bitmap.
+first.  iter_rows yields the rows as uint8 arrays; count_coeff counts one
+residue, or every nonzero digit, in a row, cumulative_count sums that over
+rows 0..n-1, and the nonzero pattern of the rows renders as a bitmap.
 """
 
 from __future__ import annotations
@@ -311,35 +311,6 @@ def format_poly(f: FpPoly) -> str:
             head = "" if c == 1 else str(c)
             terms.append(f"{head}x" if e == 1 else f"{head}x^{e}")
     return "+".join(terms)
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Per-row and cumulative nonzero-digit counts for rows 0..n-1.
-
-    q[(k, alpha)] counts residue alpha in row k, q_total[k] counts all nonzero
-    digits, and r_cumulative[k] = sum of q_total over rows 0..k-1.
-    """
-
-    f: FpPoly
-    n: int
-    q: dict
-    q_total: dict
-    r_cumulative: dict
-
-    @staticmethod
-    def from_rows(f: FpPoly, n: int) -> "CountTable":
-        q, q_total, r_cum = {}, {}, {}
-        running = 0
-        for k, row in enumerate(iter_rows(f, n)):
-            r_cum[k] = running
-            counts = np.bincount(row, minlength=f.p)
-            for alpha in range(1, f.p):
-                q[(k, alpha)] = int(counts[alpha])
-            q_total[k] = int(len(row) - counts[0])
-            running += q_total[k]
-        r_cum[n] = running
-        return CountTable(f, n, q, q_total, r_cum)
 
 
 # Bitmaps above this cell count would be several hundred MB of PBM text.

@@ -27,7 +27,8 @@ rows that verify_counts expands.
 
 Polynomials mod 2 that differ by the similarity moves (shifts by x^c,
 reversal, substitution x -> x^c, c-th powers) share lambda, so the survey
-runs over canonical representatives only; eigen_bound is a bound mod 2.
+runs over canonical representatives only, which enumerate_classes lists by
+a filter on each polynomial; eigen_bound is a bound mod 2.
 """
 
 from __future__ import annotations
@@ -40,10 +41,12 @@ from functools import cached_property
 from itertools import islice
 
 import numpy as np
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_sqf_list
 
 from ._zzpoly import factor_int_poly, may_vanish, minimal_recurrence
 from .blocks import window_maps
-from .fpoly import CountTable, FpPoly, format_poly
+from .fpoly import FpPoly, format_poly, iter_rows, poly_pow
 
 # Degree 12 at p = 2 (5660 states, built in under a second); 1+x mod 13
 # (28561) takes about a second, while 1+x+x^2 mod 11 (161051) takes minutes.
@@ -59,19 +62,6 @@ _MAX_DOUBLINGS = 4
 
 class SpectralMismatchError(ArithmeticError):
     """The transfer maps disagree with the brute-force counts."""
-
-
-@dataclass(frozen=True)
-class CountMismatch:
-    """Falsy record of the first count identity that failed."""
-
-    kind: str  # "cumulative" (power index k) or "row" (row index m)
-    index: int
-    got: int
-    want: int
-
-    def __bool__(self) -> bool:
-        return False
 
 
 def _over(p: int, e: int, cap: int) -> bool:
@@ -170,21 +160,27 @@ def count_sequence(sys: TransferSystem, terms: int) -> list[int]:
     return [int(w[sys.u].sum()) for w in islice(_krylov(sys), terms)]
 
 
-def verify_counts(sys: TransferSystem, depth: int):
+def _mismatch(f: FpPoly, kind: str, index, got, want) -> SpectralMismatchError:
+    return SpectralMismatchError(
+        f"count identity failed for {format_poly(f)}: {kind} {index} is {got}, want {want}")
+
+
+def verify_counts(sys: TransferSystem, depth: int) -> None:
     """Check the count identities against brute-force row expansion.
 
-    Returns True when u.B^k.v matches the cumulative nonzero count r(p^k) for
-    all k <= depth and the per-row digit products match every row count q(m)
-    for m < p^depth; otherwise returns a falsy CountMismatch for the first
-    failure.  More than MAX_VERIFY_ROWS rows are refused with ValueError.
+    u.B^k.v must equal the cumulative nonzero count r(p^k) for all k <= depth,
+    and the per-row digit products every row count q(m) for m < p^depth.  The
+    first failure raises SpectralMismatchError naming the polynomial, the
+    kind ("cumulative" or "row"), the index and both counts.  More than
+    MAX_VERIFY_ROWS rows are refused with ValueError.
     """
-    p = sys.f.p
+    f, p = sys.f, sys.f.p
     _check_depth(p, depth)
-    table = CountTable.from_rows(sys.f, p**depth)
+    q = np.fromiter(map(np.count_nonzero, iter_rows(f, p**depth)), np.int64, p**depth)
+    cum = np.cumsum(q)  # cum[m] = r(m + 1), the nonzero digits of rows 0..m
     for k, got in enumerate(count_sequence(sys, depth + 1)):
-        want = table.r_cumulative[p**k]
-        if got != want:
-            return CountMismatch("cumulative", k, got, want)
+        if got != cum[p**k - 1]:
+            raise _mismatch(f, "cumulative", k, got, cum[p**k - 1])
 
     # row pm+r has vector B_r times that of row m, so the rows p^l..p^(l+1)-1
     # come from the previous block in one batch; row 0 carries v itself
@@ -194,13 +190,10 @@ def verify_counts(sys: TransferSystem, depth: int):
         block = vecs[len(vecs) // p :]
         children = np.stack([sys.apply(block, r) for r in range(p)], axis=1)
         vecs = np.concatenate([vecs, children.reshape(-1, vecs.shape[1])])
-    rows = vecs[:, sys.u].sum(axis=1)
-    for m in range(p**depth):
-        got = int(rows[m])
-        want = table.q_total[m]
-        if got != want:
-            return CountMismatch("row", m, got, want)
-    return True
+    rows = vecs[: p**depth, sys.u].sum(axis=1)
+    bad = np.flatnonzero(rows != q)
+    if len(bad):
+        raise _mismatch(f, "row", bad[0], rows[bad[0]], q[bad[0]])
 
 
 @dataclass(frozen=True)
@@ -287,9 +280,7 @@ def spectrum(f: FpPoly, depth: int = 0) -> tuple[TransferSystem, SpectralResult]
     _check_depth(f.p, depth)
     system = build_transfer(f)
     if depth > 0:
-        ok = verify_counts(system, depth)
-        if ok is not True:
-            raise SpectralMismatchError(f"count identity failed for {format_poly(f)}: {ok}")
+        verify_counts(system, depth)
     return system, perron(system)
 
 
@@ -297,148 +288,85 @@ def spectrum(f: FpPoly, depth: int = 0) -> tuple[TransferSystem, SpectralResult]
 # Similarity classes over F2
 
 
-def _f2_divmod(a: int, b: int) -> tuple[int, int]:
-    db = b.bit_length() - 1
-    q = 0
-    while a and a.bit_length() - 1 >= db:
-        shift = a.bit_length() - 1 - db
-        q |= 1 << shift
-        a ^= b << shift
-    return q, a
+def _exponents(f: FpPoly) -> tuple[int, ...]:
+    return tuple(e for e, c in enumerate(f.coeffs) if c)
 
 
-def _f2_mul(a: int, b: int) -> int:
-    out = 0
-    while b:
-        low = b & -b
-        out ^= a << (low.bit_length() - 1)
-        b ^= low
+def _strip(f: FpPoly) -> FpPoly:
+    """f divided by the largest power of x dividing it."""
+    return FpPoly(f.p, f.coeffs[_exponents(f)[0]:])
+
+
+def _root(f: FpPoly) -> FpPoly:
+    """The c-th root of f for the largest c making f a c-th power."""
+    # the square-free parts of f with their multiplicities, high degree first
+    _, parts = gf_sqf_list(list(f.coeffs[::-1]), 2, ZZ)
+    c = math.gcd(*(k for _, k in parts))
+    if c <= 1:
+        return f
+    out = FpPoly.one(2)
+    for part, k in parts:
+        out = out * poly_pow(FpPoly.make(2, part[::-1]), k // c)
     return out
 
 
-def _f2_factor(mask: int) -> dict[int, int]:
-    """Irreducible factorization of a nonzero F2 polynomial by trial division."""
-    factors: dict[int, int] = {}
-    cand = 2
-    while cand.bit_length() <= (mask.bit_length() + 1) // 2:
-        q, r = _f2_divmod(mask, cand)
-        while r == 0 and mask.bit_length() > 1:
-            factors[cand] = factors.get(cand, 0) + 1
-            mask = q
-            q, r = _f2_divmod(mask, cand)
-        cand += 1
-    if mask.bit_length() > 1:
-        factors[mask] = factors.get(mask, 0) + 1
-    return factors
+def _desubstitute(f: FpPoly) -> FpPoly:
+    """g with f = g(x^c) for the largest such c."""
+    c = math.gcd(*_exponents(f))
+    if c <= 1:
+        return f
+    return FpPoly(f.p, f.coeffs[::c])
 
 
-def _exponents(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _strip(mask: int) -> int:
-    while mask and not mask & 1:
-        mask >>= 1
-    return mask
-
-
-def _root(mask: int) -> int:
-    factors = _f2_factor(mask)
-    if not factors:
-        return mask
-    g = math.gcd(*factors.values()) if len(factors) > 1 else next(iter(factors.values()))
-    if g <= 1:
-        return mask
-    out = 1
-    for f, mult in factors.items():
-        for _ in range(mult // g):
-            out = _f2_mul(out, f)
-    return out
-
-
-def _desubstitute(mask: int) -> int:
-    exps = [e for e in _exponents(mask) if e]
-    if not exps:
-        return mask
-    g = math.gcd(*exps) if len(exps) > 1 else exps[0]
-    if g <= 1:
-        return mask
-    out = 0
-    for e in _exponents(mask):
-        out |= 1 << (e // g)
-    return out
-
-
-def _reverse(mask: int) -> int:
-    out = 0
-    top = mask.bit_length() - 1
-    for e in _exponents(mask):
-        out |= 1 << (top - e)
-    return out
-
-
-_REDUCTIONS = (
-    ("strip", _strip),
-    ("root", _root),
-    ("desubstitute", _desubstitute),
-    ("reverse", _reverse),
-)
-
-
-@dataclass(frozen=True)
-class SimilarityClass:
-    canonical: FpPoly
-    witnesses: tuple[str, ...]
-
-
-def canonicalize(f: FpPoly) -> SimilarityClass:
+def canonicalize(f: FpPoly) -> FpPoly:
     """Reduce f to the least fixpoint of the degree-nonincreasing moves.
 
-    The whole reduction closure is searched; among the polynomials no move
-    can shrink, the one whose sorted exponent tuple is smallest wins.  The
-    witnesses name the moves along one path from f to it.
+    The moves are strip (divide by x^c), root (c-th root), desubstitute
+    (x^c -> x) and reversal.  The whole closure of f under them is searched;
+    among the reduced polynomials in it, those no move but reversal changes,
+    the one whose sorted exponent tuple is smallest wins.
     """
     if f.p != 2:
         raise ValueError(f"canonicalization is defined for p=2, got p={f.p}")
     if f.is_zero():
         raise ValueError("cannot canonicalize the zero polynomial")
-    start = 0
-    for e, c in enumerate(f.coeffs):
-        if c:
-            start |= 1 << e
-    seen = {start: ()}
-    queue = [start]
-    while queue:
-        mask = queue.pop(0)
-        for label, move in _REDUCTIONS:
-            nxt = move(mask)
-            if nxt != mask and nxt not in seen:
-                seen[nxt] = seen[mask] + (label,)
-                queue.append(nxt)
-    fixpoints = [
-        m for m in seen if all(move(m) == m for _, move in _REDUCTIONS[:3])
-    ]
-    best = min(fixpoints, key=_exponents)
-    coeffs = [1 if best >> i & 1 else 0 for i in range(best.bit_length())]
-    return SimilarityClass(FpPoly.make(2, coeffs), seen[best])
+    seen, todo, reduced = {f}, [f], []
+    while todo:
+        g = todo.pop()
+        shrunk = {_strip(g), _root(g), _desubstitute(g)}
+        if shrunk == {g}:
+            reduced.append(g)
+        for h in shrunk | {g.reverse()}:
+            if h not in seen:
+                seen.add(h)
+                todo.append(h)
+    return min(reduced, key=_exponents)
 
 
-def enumerate_classes(max_deg: int) -> list[SimilarityClass]:
-    """All canonical representatives of degree 1..max_deg, deduplicated."""
+def enumerate_classes(max_deg: int) -> list[FpPoly]:
+    """The canonical polynomials of degree 1..max_deg, by (degree, exponents).
+
+    These are the f with f(0) = 1 that are reduced (strip, root and
+    desubstitute leave f unchanged) and whose exponent tuple is at most that
+    of f.reverse().  Reversal keeps a polynomial reduced,
+    since rev(g^c) = rev(g)^c and rev(g(x^c)) = rev(g)(x^c) when g(0) != 0;
+    so from a reduced h the only move that changes it is reversal, to another
+    reduced polynomial, and h is canonical exactly when it is the smaller of
+    the two.  Every f in range reduces to a reduced polynomial of degree at
+    most deg f with constant term 1, so this filter lists exactly the
+    canonical forms canonicalize finds.
+    """
     if max_deg < 1:
         raise ValueError("max_deg must be >= 1")
     _check_edges(2, max_deg)
-    found: dict[tuple[int, ...], SimilarityClass] = {}
+    found = []
     for deg in range(1, max_deg + 1):
-        base = (1 << deg) | 1
-        for middle in range(1 << max(deg - 1, 0)):
-            mask = base | (middle << 1)
-            cls = canonicalize(FpPoly.make(2, [mask >> i & 1 for i in range(deg + 1)]))
-            found.setdefault(cls.canonical.coeffs, SimilarityClass(cls.canonical, ()))
-    return sorted(
-        found.values(),
-        key=lambda c: (c.canonical.degree, _exponents(sum(1 << e for e, x in enumerate(c.canonical.coeffs) if x))),
-    )
+        for middle in range(1 << (deg - 1)):
+            f = FpPoly(2, (1, *(middle >> i & 1 for i in range(deg - 1)), 1))
+            # f(0) = 1, so strip leaves f alone
+            if _exponents(f) <= _exponents(f.reverse()) and _desubstitute(f) == f == _root(f):
+                found.append(f)
+    return sorted(found, key=lambda f: (f.degree, _exponents(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +410,7 @@ def survey(max_deg: int, depth: int = 10) -> SurveyResult:
     depth > 0 re-verifies the count identities per class (see spectrum).
     """
     _check_depth(2, depth)
-    rows = [survey_row(cls.canonical, spectrum(cls.canonical, depth)[1])
-            for cls in enumerate_classes(max_deg)]
+    rows = [survey_row(f, spectrum(f, depth)[1]) for f in enumerate_classes(max_deg)]
     lambda_max = tuple(
         (k, max((row.result.lam for row in rows if row.poly.degree <= k), default=0.0))
         for k in range(1, max_deg + 1))

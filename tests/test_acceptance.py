@@ -39,6 +39,7 @@ from polypow import (
     verify_ab_equivalence,
     verify_counts,
 )
+from polypow.fpoly import digits_to_text
 
 LAMBDA_TOL = 5e-6
 RATIO_TOL = 0.02
@@ -152,7 +153,7 @@ def test_criterion_02_missing_four_blocks():
     got = scan_accessible(FpPoly.make(2, [1, 1]), 4)
     assert len(got) == 14
     universe = {format(i, "04b") for i in range(16)}
-    assert universe - got.members == {"1101", "1011"}
+    assert universe - {digits_to_text(row) for row in got} == {"1101", "1011"}
     print("CRITERION 02: PASS (exactly 1101 and 1011 are inaccessible)")
 
 
@@ -233,8 +234,8 @@ def test_criterion_08_count_identity_all_classes():
     t0 = time.perf_counter()
     classes = enumerate_classes(6)
     assert len(classes) == 30
-    for cls in classes:
-        assert verify_counts(build_transfer(cls.canonical), 10) is True, cls
+    for f in classes:
+        verify_counts(build_transfer(f), 10)  # raises on the first mismatch
     assert time.perf_counter() - t0 < 120.0
     print("CRITERION 08: PASS (u.B^k.v count identity, depth 10, 30 classes)")
 
@@ -243,7 +244,7 @@ def test_criterion_09_spectra(survey6):
     rows = spectra_by_class(survey6)
     for text, lam_ref, deg_ref in EXPECTED_SPECTRA:
         f = parse_poly(text, 2)
-        row = rows[canonicalize(f).canonical.coeffs]
+        row = rows[canonicalize(f).coeffs]
         assert abs(row.result.lam - lam_ref) <= LAMBDA_TOL, text
         if text == "1+x":
             assert row.result.lam == 3.0
@@ -254,14 +255,14 @@ def test_criterion_09_spectra(survey6):
 def test_criterion_10_similarity_classes():
     classes = enumerate_classes(6)
     assert len(classes) == 30
-    canon_set = {cls.canonical.coeffs for cls in classes}
+    canon_set = {f.coeffs for f in classes}
     mapped = set()
     for text, _, _ in EXPECTED_SPECTRA:
-        c = canonicalize(parse_poly(text, 2)).canonical.coeffs
+        c = canonicalize(parse_poly(text, 2)).coeffs
         assert c in canon_set, text
         mapped.add(c)
     assert mapped == canon_set  # a bijection up to reversal
-    got2 = {cls.canonical.coeffs for cls in enumerate_classes(2)}
+    got2 = {f.coeffs for f in enumerate_classes(2)}
     assert got2 == {(1, 1), (1, 1, 1)}
     print("CRITERION 10: PASS (30 classes, 1-1 with the reference list)")
 

@@ -51,6 +51,11 @@ def windows_oracle(f, n, rows):
     return seen
 
 
+def texts(rows):
+    """The rows of a block matrix as a set of digit strings."""
+    return {digits_to_text(row) for row in rows}
+
+
 # ------------------------------------------------------------------ scan ----
 
 
@@ -72,9 +77,9 @@ def windows_oracle(f, n, rows):
 )
 def test_scan_matches_string_oracle(f, n, rows):
     got = scan_accessible(f, n, max_row=rows)
-    assert got.n == n
+    assert got.shape[1] == n
     # the scan horizon is inclusive: rows 0..max_row
-    assert got.members == frozenset(windows_oracle(f, n, rows + 1))
+    assert texts(got) == windows_oracle(f, n, rows + 1)
 
 
 def test_scan_example_missing_blocks():
@@ -82,21 +87,23 @@ def test_scan_example_missing_blocks():
     got = scan_accessible(ONE_PLUS_X_2, 4)
     assert len(got) == 14
     universe = {format(i, "04b") for i in range(16)}
-    assert universe - got.members == {"1101", "1011"}
+    assert universe - texts(got) == {"1101", "1011"}
 
 
 def test_scan_monotone_in_rows():
     for r in (8, 16, 32, 64):
-        small = scan_accessible(CXX2_12, 5, max_row=r).members
-        large = scan_accessible(CXX2_12, 5, max_row=2 * r).members
+        small = texts(scan_accessible(CXX2_12, 5, max_row=r))
+        large = texts(scan_accessible(CXX2_12, 5, max_row=2 * r))
         assert small <= large
 
 
-def test_scan_serialize_sorted():
-    bs = scan_accessible(ONE_PLUS_X_2, 2, max_row=8)
-    lines = bs.serialize().split("\n")
-    assert lines == sorted(lines)
-    assert len(lines) == len(bs)
+def test_scan_rows_sorted_and_distinct():
+    got = scan_accessible(ONE_PLUS_X_2, 2, max_row=8)
+    lines = [digits_to_text(row) for row in got]
+    assert lines == sorted(set(lines))
+    assert got.dtype == np.uint8
+    # the empty block is the one 0-block
+    assert scan_accessible(ONE_PLUS_X_2, 0).shape == (1, 0)
 
 
 @pytest.mark.parametrize(
@@ -112,7 +119,7 @@ def test_scan_cuts_only_the_blocks_it_returns(monkeypatch, f, n, max_row):
     blocks._closure.cache_clear()
     built = recording_maps(monkeypatch)
     got = scan_accessible(f, n, max_row=max_row)
-    assert got.members == frozenset(windows_oracle(f, n, max_row + 1))
+    assert texts(got) == windows_oracle(f, n, max_row + 1)
     assert len(built) == 2 * steps - 1
     assert built[-1] == n
 
@@ -121,7 +128,7 @@ def test_scan_wide_alphabet_path():
     # long blocks over a wide alphabet: 13^18 > 2^64, from a horizon below p
     f = FpPoly.make(13, [1, 1])
     got = scan_accessible(f, 18, max_row=6)
-    assert got.members == frozenset(windows_oracle(f, 18, 7))
+    assert texts(got) == windows_oracle(f, 18, 7)
 
 
 def test_scan_of_a_far_horizon_reads_few_rows(monkeypatch):
@@ -152,7 +159,7 @@ def test_scan_builds_no_fixpoint():
     f = FpPoly.make(17, [3, 5, 0, 16])
     blocks._closure.cache_clear()
     got = scan_accessible(f, 4, max_row=300)
-    assert got.members == frozenset(windows_oracle(f, 4, 301))
+    assert texts(got) == windows_oracle(f, 4, 301)
     assert "fixpoint" not in vars(blocks._closure(f.p, f.coeffs))
 
 

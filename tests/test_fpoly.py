@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from polypow import (
     TOTAL,
-    CountTable,
     FpPoly,
     count_coeff,
     cumulative_count,
@@ -188,8 +187,6 @@ def test_row_consumers_refuse_primes_above_a_byte():
     with pytest.raises(ValueError):
         iter_rows(f, 300)
     with pytest.raises(ValueError):
-        CountTable.from_rows(f, 300)
-    with pytest.raises(ValueError):
         cumulative_count(f, 300, TOTAL)
 
 
@@ -231,17 +228,6 @@ def test_count_rejects_bad_residue():
     for alpha in (0, 3, -1, "x"):
         with pytest.raises(ValueError):
             count_coeff(f, 1, alpha)
-
-
-def test_count_table_matches_scalar_counters():
-    f = FpPoly.make(3, [1, 1, 2])
-    t = CountTable.from_rows(f, 12)
-    for k in range(12):
-        for alpha in (1, 2):
-            assert t.q[(k, alpha)] == count_coeff(f, k, alpha)
-        assert t.q_total[k] == count_coeff(f, k, TOTAL)
-        assert t.r_cumulative[k] == cumulative_count(f, k, TOTAL)
-    assert t.r_cumulative[12] == cumulative_count(f, 12, TOTAL)
 
 
 # ---------------------------------------------------------- text format -----

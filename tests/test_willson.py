@@ -3,7 +3,8 @@ exact spectra, similarity classes, and the eigenvalue bound.
 
 The count oracle is always brute force: expand rows of f^k and tally digits.
 At p = 2 the window maps are also checked against an independent bitmask
-construction that shares no code with the closure.
+construction that shares no code with the closure, and the canonical forms
+against a bitmask search that factors by trial division.
 """
 
 import math
@@ -17,9 +18,8 @@ import sympy
 
 from polypow import (
     TOTAL,
-    CountMismatch,
     FpPoly,
-    SimilarityClass,
+    SpectralMismatchError,
     TransferSystem,
     build_transfer,
     canonicalize,
@@ -266,7 +266,7 @@ def test_scatter_adds_match_dense_matrices(f):
 
 
 @pytest.mark.parametrize(
-    "f", [c.canonical for c in enumerate_classes(6)], ids=lambda f: f"{f.coeffs}"
+    "f", enumerate_classes(6), ids=lambda f: f"{f.coeffs}"
 )
 def test_window_maps_agree_with_bitmask_oracle(f):
     sys = build_transfer(f)
@@ -291,7 +291,7 @@ def test_counts_1px_are_powers_of_three():
 
 @pytest.mark.parametrize("f", [P1X, P1XX2, P1XX3], ids=["1+x", "1+x+x^2", "1+x+x^3"])
 def test_verify_counts_against_brute_force(f):
-    assert verify_counts(build_transfer(f), 8) is True
+    assert verify_counts(build_transfer(f), 8) is None
 
 
 @pytest.mark.parametrize(
@@ -300,8 +300,8 @@ def test_verify_counts_against_brute_force(f):
     ids=["1+x+x^2 mod 3", "2+x+x^2 mod 3", "1+x+x^2 mod 5"],
 )
 def test_verify_counts_against_brute_force_odd_primes(f, depth):
-    # 3^8 and 5^5 rows expanded and tallied by CountTable
-    assert verify_counts(build_transfer(f), depth) is True
+    # 3^8 and 5^5 rows expanded and tallied digit by digit
+    assert verify_counts(build_transfer(f), depth) is None
 
 
 def test_verify_counts_refuses_deep_checks_before_expanding_rows():
@@ -317,28 +317,39 @@ def test_verify_counts_refuses_deep_checks_before_expanding_rows():
 def test_verify_counts_detects_tampering():
     sys = build_transfer(P1X)
     bad = replace(sys, v=2 * sys.v)
-    got = verify_counts(bad, 3)
-    assert got is not True
-    assert not got  # falsy mismatch record
-    assert got.kind == "cumulative" and got.index == 0
-    assert bool(CountMismatch("row", 1, 2, 3)) is False
+    with pytest.raises(SpectralMismatchError, match="for 1\\+x: cumulative 0 is 2, want 1$"):
+        verify_counts(bad, 3)
 
 
 def test_verify_counts_detects_swapped_parities():
     # B0 + B1 and so every cumulative count is unchanged; only rows see it
     sys = build_transfer(P1XX2)
     swapped = replace(sys, maps=sys.maps[::-1])
-    got = verify_counts(swapped, 4)
-    assert not got
-    assert got.kind == "row"
+    with pytest.raises(SpectralMismatchError, match=": row 1 is 1, want 3$"):
+        verify_counts(swapped, 4)
 
 
 def test_verify_counts_detects_swapped_residues_mod3():
     # rows 1 and 2 of 1+x+x^2 mod 3 have 3 and 4 nonzero digits
     sys = build_transfer(P3_QUAD)
-    got = verify_counts(replace(sys, maps=sys.maps[[0, 2, 1]]), 3)
-    assert not got
-    assert (got.kind, got.index, got.got, got.want) == ("row", 1, 4, 3)
+    with pytest.raises(SpectralMismatchError, match=": row 1 is 4, want 3$"):
+        verify_counts(replace(sys, maps=sys.maps[[0, 2, 1]]), 3)
+
+
+def test_tampered_transfer_exits_3_naming_the_polynomial(monkeypatch, capsys):
+    # spectrum checks the counts before perron, so willson --depth refuses
+    # the doubled v with the identity that failed
+    build = willson.build_transfer
+
+    def doubled(f):
+        system = build(f)
+        return replace(system, v=2 * system.v)
+
+    monkeypatch.setattr(willson, "build_transfer", doubled)
+    assert main(["willson", "--poly", "1+x", "--depth", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "diagnostic: count identity failed for 1+x: cumulative 0 is 2, want 1\n"
 
 
 # --------------------------------------------------------------- spectra ----
@@ -397,7 +408,7 @@ def test_minpoly_certificates(f):
 
 
 @pytest.mark.parametrize(
-    "f", [c.canonical for c in enumerate_classes(6)], ids=lambda f: f"{f.coeffs}"
+    "f", enumerate_classes(6), ids=lambda f: f"{f.coeffs}"
 )
 def test_recurrence_against_sympy_charpoly(f):
     sys = build_transfer(f)
@@ -504,21 +515,118 @@ def test_lambda_invariant_under_similarity():
 # ----------------------------------------------------------- similarity -----
 
 
+def mask_exponents(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def mask_divmod(a, b):
+    q, db = 0, b.bit_length() - 1
+    while a and a.bit_length() - 1 >= db:
+        shift = a.bit_length() - 1 - db
+        q |= 1 << shift
+        a ^= b << shift
+    return q, a
+
+
+def mask_mul(a, b):
+    out = 0
+    for e in mask_exponents(b):
+        out ^= a << e
+    return out
+
+
+def mask_factor(mask):
+    """Irreducible factors of a nonzero F2 polynomial, by trial division."""
+    factors, cand = {}, 2
+    while cand.bit_length() <= (mask.bit_length() + 1) // 2:
+        q, r = mask_divmod(mask, cand)
+        while r == 0 and mask.bit_length() > 1:
+            factors[cand] = factors.get(cand, 0) + 1
+            mask = q
+            q, r = mask_divmod(mask, cand)
+        cand += 1
+    if mask.bit_length() > 1:
+        factors[mask] = factors.get(mask, 0) + 1
+    return factors
+
+
+def mask_root(mask):
+    factors = mask_factor(mask)
+    g = math.gcd(*factors.values())
+    if g <= 1:
+        return mask
+    out = 1
+    for f, mult in factors.items():
+        for _ in range(mult // g):
+            out = mask_mul(out, f)
+    return out
+
+
+def mask_desubstitute(mask):
+    g = math.gcd(*mask_exponents(mask))
+    if g <= 1:
+        return mask
+    return sum(1 << (e // g) for e in mask_exponents(mask))
+
+
+def mask_reverse(mask):
+    top = mask.bit_length() - 1
+    return sum(1 << (top - e) for e in mask_exponents(mask))
+
+
+def mask_strip(mask):
+    return mask >> mask_exponents(mask)[0]
+
+
+def bitmask_canonical(f):
+    """canonicalize on bitmasks: breadth-first over the moves, then the least
+    exponent tuple among the masks strip, root and desubstitute leave alone."""
+    shrink = (mask_strip, mask_root, mask_desubstitute)
+    start = sum(1 << e for e, c in enumerate(f.coeffs) if c)
+    seen, queue = {start}, [start]
+    while queue:
+        mask = queue.pop(0)
+        for move in (*shrink, mask_reverse):
+            nxt = move(mask)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    best = min((m for m in seen if all(move(m) == m for move in shrink)), key=mask_exponents)
+    return FpPoly.make(2, [best >> i & 1 for i in range(best.bit_length())])
+
+
+def all_f2_polys(max_deg):
+    return [FpPoly.make(2, [m >> i & 1 for i in range(m.bit_length())])
+            for m in range(1, 2 << max_deg)]
+
+
+def test_canonicalize_equals_bitmask_oracle():
+    for f in all_f2_polys(10):
+        assert canonicalize(f) == bitmask_canonical(f), f
+
+
+def test_enumerate_classes_lists_every_canonical_form():
+    forms = {canonicalize(f) for f in all_f2_polys(10)}
+    for max_deg in range(1, 11):
+        want = sorted((g for g in forms if 1 <= g.degree <= max_deg),
+                      key=lambda g: (g.degree, [e for e, c in enumerate(g.coeffs) if c]))
+        assert enumerate_classes(max_deg) == want, max_deg
+
+
 def test_canonicalize_reduction_moves():
-    assert canonicalize(FpPoly.make(2, [0, 1, 1])).canonical == P1X  # strip x
-    assert canonicalize(FpPoly.make(2, [1, 0, 1])).canonical == P1X  # square root
-    got = canonicalize(FpPoly.make(2, [1, 0, 1, 1]))  # reversal is smaller
-    assert got.canonical == P1XX3
-    assert canonicalize(P1XX3).canonical == P1XX3  # already reduced
+    assert canonicalize(FpPoly.make(2, [0, 1, 1])) == P1X  # strip x
+    assert canonicalize(FpPoly.make(2, [1, 0, 1])) == P1X  # square root
+    assert canonicalize(FpPoly.make(2, [1, 0, 1, 1])) == P1XX3  # reversal is smaller
+    assert canonicalize(P1XX3) == P1XX3  # already reduced
     # substitution x -> x^2 undone
-    assert canonicalize(FpPoly.make(2, [1, 0, 1, 0, 0, 0, 1])).canonical == P1XX3
+    assert canonicalize(FpPoly.make(2, [1, 0, 1, 0, 0, 0, 1])) == P1XX3
 
 
 def test_canonicalize_identifies_squares_of_shifts():
     # x^2 + x^3 = x^2 (1 + x): strip then nothing else to do
-    assert canonicalize(FpPoly.make(2, [0, 0, 1, 1])).canonical == P1X
+    assert canonicalize(FpPoly.make(2, [0, 0, 1, 1])) == P1X
     # (1+x)^3 is a power of 1+x
-    assert canonicalize(poly_pow(P1X, 3)).canonical == P1X
+    assert canonicalize(poly_pow(P1X, 3)) == P1X
 
 
 def test_canonicalize_rejects_bad_inputs():
@@ -529,17 +637,17 @@ def test_canonicalize_rejects_bad_inputs():
 
 
 def test_enumerate_classes_small_degrees():
-    assert [c.canonical for c in enumerate_classes(1)] == [P1X]
-    got2 = {c.canonical for c in enumerate_classes(2)}
+    assert enumerate_classes(1) == [P1X]
+    got2 = set(enumerate_classes(2))
     assert got2 == {P1X, P1XX2}
     assert len(enumerate_classes(3)) == 3
     assert len(enumerate_classes(4)) == 7
 
 
 def test_enumerate_classes_members_are_fixed_points():
-    for cls in enumerate_classes(4):
-        assert cls.canonical.coeffs[0] == 1
-        assert canonicalize(cls.canonical).canonical == cls.canonical
+    for f in enumerate_classes(4):
+        assert f.coeffs[0] == 1
+        assert canonicalize(f) == f
 
 
 # ----------------------------------------------------------------- bound ----
@@ -608,7 +716,7 @@ def test_survey_deg3_has_no_lambda_collisions():
 
 def test_survey_pairs_collisions_by_minpoly(monkeypatch):
     # a class and its reversal share lambda exactly, so their minpolys agree
-    pair = [SimilarityClass(P1XX3, ()), SimilarityClass(P1XX3.reverse(), ())]
+    pair = [P1XX3, P1XX3.reverse()]
     monkeypatch.setattr(willson, "enumerate_classes", lambda max_deg: pair)
     result = survey(3, depth=0)
     assert result.rows[0].result.minpoly == result.rows[1].result.minpoly
