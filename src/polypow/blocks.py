@@ -389,22 +389,28 @@ def recursion_1xx2_mod2() -> RecursionSpec:
 
 # ------------------------------------------------------------- inference ----
 
-def _solve_exact(aug: list[list[Fraction]], n_unknowns: int):
-    """Gauss-Jordan over Fraction.  Returns (kind, solution-or-None)."""
+def _solve_exact(aug: list[list[int]], n_unknowns: int):
+    """Solve an integer system [A | b] exactly.  Returns (kind, solution-or-None).
+
+    Bareiss elimination keeps every entry an integer: after each pivot the
+    rows below are cross-multiplied and divided exactly by the previous
+    pivot, since each entry is then a minor of the input.  Fractions appear
+    only in the back substitution of a unique solution.
+    """
     rows = [r[:] for r in aug]
+    prev, r = 1, 0
     pivots = []
-    r = 0
     for c in range(n_unknowns):
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        for i in range(r + 1, len(rows)):
+            row, f = rows[i], rows[i][c]
+            # columns left of c are zero below the pivot row already
+            rows[i] = row[:c] + [(top[c] * a - f * b) // prev for a, b in zip(row[c:], top[c:])]
+        prev = top[c]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -415,8 +421,10 @@ def _solve_exact(aug: list[list[Fraction]], n_unknowns: int):
     if len(pivots) < n_unknowns:
         return "underdetermined", None
     sol = [Fraction(0)] * n_unknowns
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][n_unknowns]
+    for c in reversed(range(n_unknowns)):
+        row = rows[c]
+        rest = sum((row[j] * sol[j] for j in range(c + 1, n_unknowns)), Fraction(0))
+        sol[c] = (row[n_unknowns] - rest) / row[c]
     return "unique", sol
 
 
@@ -428,10 +436,10 @@ def _try_template(data: list[int], p: int, t0: int, shifts: int):
         if n + shifts - 1 >= len(data):
             break
         k = m % p
-        row = [Fraction(0)] * n_unknowns + [Fraction(data[m])]
+        row = [0] * n_unknowns + [data[m]]
         for j in range(shifts):
-            row[k * shifts + j] = Fraction(data[n + j])
-        row[n_unknowns - 1] = Fraction(-1)  # shared subtracted constant
+            row[k * shifts + j] = data[n + j]
+        row[n_unknowns - 1] = -1  # shared subtracted constant
         aug.append(row)
     if len(aug) < n_unknowns + 2:
         return "short", None

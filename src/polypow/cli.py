@@ -9,7 +9,8 @@ MAX_TERMS; an --oscillation KMAX below 1, or samples past
 asympt.MAX_SAMPLE_DIGITS; a term of degree above fpoly.MAX_POLY_DEGREE; a
 willson polynomial of degree d mod p or a survey --max-deg d (p = 2) with
 p^(d+3) above willson.MAX_TRANSFER_EDGES; and a willson or survey --depth
-with p^depth above willson.MAX_VERIFY_ROWS.
+with p^depth above willson.MAX_VERIFY_ROWS, or with p^depth times the
+number of states above willson.MAX_VERIFY_CELLS.
 Output goes to stdout unless --out is given, in which case it is written to a
 temp file and renamed into place.
 """

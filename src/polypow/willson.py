@@ -23,7 +23,8 @@ factor.
 
 There are at most p^(d+1) states and p*p maps, so MAX_TRANSFER_EDGES bounds
 p^(d+3) before anything is allocated; MAX_VERIFY_ROWS bounds the p^depth
-rows that verify_counts expands.
+rows that verify_counts expands, and MAX_VERIFY_CELLS their p^depth
+vectors over the states.
 
 Polynomials mod 2 that differ by the similarity moves (shifts by x^c,
 reversal, substitution x -> x^c, c-th powers) share lambda, so the survey
@@ -51,8 +52,12 @@ from .fpoly import FpPoly, format_poly, iter_rows, poly_pow
 # Degree 12 at p = 2 (5660 states, built in under a second); 1+x mod 13
 # (28561) takes about a second, while 1+x+x^2 mod 11 (161051) takes minutes.
 MAX_TRANSFER_EDGES = 2**15
-# 2^14 brute-force rows take about 7 s at p = 2.
+# 2^14 rows at p = 2 take 0.2 to 0.7 s up to degree 6, 1.4 s for 1+x+x^9.
 MAX_VERIFY_ROWS = 2**14
+# p^depth per-row vectors of one int64 per state: 2^24 entries are 128 MB.
+# 1+x+x^12 (5660 states) fits at depth 10; at depth 14 its last level of
+# vectors alone would take 742 MB.
+MAX_VERIFY_CELLS = 2**24
 # perron's bracket: endpoints on multiples of 1/_GRID, width at most _WIDTH,
 # walked at most 2n * 2^_MAX_DOUBLINGS steps for n states
 _GRID = 2**64
@@ -172,10 +177,16 @@ def verify_counts(sys: TransferSystem, depth: int) -> None:
     and the per-row digit products every row count q(m) for m < p^depth.  The
     first failure raises SpectralMismatchError naming the polynomial, the
     kind ("cumulative" or "row"), the index and both counts.  More than
-    MAX_VERIFY_ROWS rows are refused with ValueError.
+    MAX_VERIFY_ROWS rows, or per-row vectors of more than MAX_VERIFY_CELLS
+    entries in all, are refused with ValueError before anything is expanded.
     """
     f, p = sys.f, sys.f.p
     _check_depth(p, depth)
+    n = len(sys.states)
+    if p**depth * n > MAX_VERIFY_CELLS:
+        raise ValueError(
+            f"depth {depth} mod {p} needs {p}^{depth} vectors of {n} states, "
+            f"over MAX_VERIFY_CELLS = {MAX_VERIFY_CELLS}")
     q = np.fromiter(map(np.count_nonzero, iter_rows(f, p**depth)), np.int64, p**depth)
     cum = np.cumsum(q)  # cum[m] = r(m + 1), the nonzero digits of rows 0..m
     for k, got in enumerate(count_sequence(sys, depth + 1)):
@@ -183,14 +194,15 @@ def verify_counts(sys: TransferSystem, depth: int) -> None:
             raise _mismatch(f, "cumulative", k, got, cum[p**k - 1])
 
     # row pm+r has vector B_r times that of row m, so the rows p^l..p^(l+1)-1
-    # come from the previous block in one batch; row 0 carries v itself
-    vecs = sys.v[np.newaxis]
-    vecs = np.concatenate([vecs] + [sys.apply(vecs, r) for r in range(1, p)])
-    while len(vecs) < p**depth:
-        block = vecs[len(vecs) // p :]
-        children = np.stack([sys.apply(block, r) for r in range(p)], axis=1)
-        vecs = np.concatenate([vecs, children.reshape(-1, vecs.shape[1])])
-    rows = vecs[: p**depth, sys.u].sum(axis=1)
+    # come from the rows p^(l-1)..p^l-1 in one batch (rows 1..p-1 from row 0,
+    # which carries v itself); only the last batch is kept
+    block = sys.v[np.newaxis]
+    rows = [block[:, sys.u].sum(axis=1)]
+    for level in range(depth):
+        children = np.stack([sys.apply(block, r) for r in range(p)], axis=1).reshape(-1, n)
+        block = children[1:] if level == 0 else children
+        rows.append(block[:, sys.u].sum(axis=1))
+    rows = np.concatenate(rows)
     bad = np.flatnonzero(rows != q)
     if len(bad):
         raise _mismatch(f, "row", bad[0], rows[bad[0]], q[bad[0]])

@@ -591,3 +591,24 @@ def test_inferred_rule_extends_the_data():
 def test_infer_short_window_fails_loudly():
     with pytest.raises(InferenceError):
         infer_recursion(CXX2_12, window=7)
+
+
+@given(st.integers(1, 5), st.integers(1, 7), st.data())
+@settings(max_examples=120, deadline=None)
+def test_solve_exact_agrees_with_sympy_ranks(n, m, data):
+    # Rouche-Capelli on sympy's rational ranks decides the outcome, and a
+    # unique solution must satisfy every equation exactly
+    import sympy
+
+    entries = st.integers(-4, 4)
+    aug = [data.draw(st.lists(entries, min_size=n + 1, max_size=n + 1)) for _ in range(m)]
+    kind, sol = blocks._solve_exact(aug, n)
+    a = sympy.Matrix([row[:n] for row in aug])
+    rank_a, rank_ab = a.rank(), sympy.Matrix(aug).rank()
+    want = "inconsistent" if rank_ab > rank_a else "unique" if rank_a == n else "underdetermined"
+    assert kind == want
+    if kind == "unique":
+        for row in aug:
+            assert sum(c * x for c, x in zip(row, sol)) == row[n]
+    else:
+        assert sol is None

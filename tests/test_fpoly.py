@@ -1,7 +1,8 @@
 """Field arithmetic, row generation, digit counting, and the text format.
 
-Oracles here are deliberately naive: schoolbook convolution, brute-force digit
-tallies over poly_pow rows, and binomial coefficients for 1+x.
+Oracles here are deliberately naive: schoolbook convolution (one full
+convolution per row for the row blocks), brute-force digit tallies over
+poly_pow rows, binomial coefficients for 1+x, and a string join for PBM text.
 """
 
 import math
@@ -23,10 +24,14 @@ from polypow import (
     iter_rows,
     parse_poly,
     poly_pow,
+    render_fractal,
+    row_blocks,
     row_digits,
+    to_pbm,
 )
+from polypow import fpoly
 from polypow.cli import main
-from polypow.fpoly import MAX_POLY_DEGREE
+from polypow.fpoly import MAX_POLY_DEGREE, Bitmap
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -188,6 +193,119 @@ def test_row_consumers_refuse_primes_above_a_byte():
         iter_rows(f, 300)
     with pytest.raises(ValueError):
         cumulative_count(f, 300, TOTAL)
+
+
+def schoolbook_rows(f, n):
+    """Rows 0..n-1 of f, each one full convolution of the row before, mod p."""
+    base = np.asarray(f.coeffs, dtype=np.int64)
+    row = np.asarray([1], dtype=np.int64)
+    for _ in range(n):
+        yield row.tolist()
+        row = np.convolve(row, base) % f.p
+
+
+def _row_counts(p):
+    """n in {1, p-1, p, p^k-1, p^k, p^k+1}, kept to a few hundred rows."""
+    ns = {1, p - 1, p, p + 1}
+    q = p * p
+    while q <= 300:
+        ns |= {q - 1, q, q + 1}
+        q *= p
+    return sorted(ns)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_row_blocks_match_schoolbook_rows(monkeypatch, p, d):
+    # a small cap makes many blocks, each built from the base by Frobenius
+    monkeypatch.setattr(fpoly, "ROW_BLOCK_CELLS", 2**10)
+    rng = np.random.default_rng(1000 * p + d)
+    coeffs = [int(c) for c in rng.integers(0, p, d)] + [int(rng.integers(1, p))]
+    f = FpPoly.make(p, coeffs)
+    for n in _row_counts(p):
+        want = list(schoolbook_rows(f, n))
+        blocks = list(row_blocks(f, n))
+        assert [start for start, _ in blocks] == list(
+            np.cumsum([0] + [len(b) for _, b in blocks[:-1]]))
+        for start, block in blocks:
+            last = start + len(block) - 1
+            assert block.dtype == np.uint8 and block.shape[1] == last * d + 1
+            # C rows of the widest width fit the cap, unless even p rows do not
+            assert block.size <= max(fpoly.ROW_BLOCK_CELLS, p * ((n - 1) * d + 1))
+            for i, row in enumerate(block.tolist()):
+                k = start + i
+                assert row == want[k] + [0] * (last - k) * d
+        got = list(iter_rows(f, n))
+        assert [r.tolist() for r in got] == want
+        assert all(r.dtype == np.uint8 for r in got)
+    for k in (0, 1, p - 1, p, _row_counts(p)[-1] - 1):
+        assert want[k] == list(poly_pow(f, k).coeffs)
+    assert len(blocks) > 1  # n = p^k + 1 rows never fit in one block
+
+
+def test_row_blocks_make_many_blocks_under_the_cap(monkeypatch):
+    f = FpPoly.make(3, [1, 2, 0, 1])
+    monkeypatch.setattr(fpoly, "ROW_BLOCK_CELLS", 3 * 3 * (3 * 100 + 1))
+    blocks = list(row_blocks(f, 101))
+    # C = 9 rows per block: the base (rows 0..8), ten more blocks of 9, one of 2
+    assert [len(b) for _, b in blocks] == [9] * 11 + [2]
+    assert all(b.size <= fpoly.ROW_BLOCK_CELLS for _, b in blocks)
+    assert [r.tolist() for _, b in blocks for r in b][-1] == list(schoolbook_rows(f, 101))[-1]
+
+
+def test_row_blocks_digits_never_wrap_at_251(monkeypatch):
+    # every coefficient 250 = -1 mod 251 makes each uint16 sum as large as it gets
+    monkeypatch.setattr(fpoly, "ROW_BLOCK_CELLS", 251 * (6 * 299 + 1))
+    f = FpPoly.make(251, [250] * 7)
+    want = list(schoolbook_rows(f, 300))
+    got = [r.tolist() for r in iter_rows(f, 300)]
+    assert got == want
+    assert max(max(r) for r in got) == 250
+
+
+def test_row_blocks_refusals_come_before_any_row():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        row_blocks(FpPoly.make(3, [0]), 4)
+    with pytest.raises(ValueError, match="p must be <= 255"):
+        row_blocks(FpPoly.make(257, [1, 1]), 4)
+    assert list(row_blocks(FpPoly.make(3, [1, 1]), 0)) == []
+
+
+def test_row_blocks_stay_under_the_cap_at_depth_14():
+    f = FpPoly.make(2, [1, 1, 0, 1])
+    rows = 0
+    for start, block in row_blocks(f, 2**14):
+        assert start == rows and block.size <= fpoly.ROW_BLOCK_CELLS
+        rows += len(block)
+    assert rows == 2**14
+    # Sierpinski: rows below 2^14 of 1+x hold 3^14 ones
+    assert cumulative_count(FpPoly.make(2, [1, 1]), 2**14, TOTAL) == 3**14
+
+
+def join_pbm(bitmap):
+    lines = [f"P1\n{bitmap.width} {bitmap.height}"]
+    for row in bitmap.bits:
+        lines.append(" ".join("1" if b else "0" for b in row))
+    return "\n".join(lines) + "\n"
+
+
+@given(st.integers(1, 9), st.integers(1, 9), st.data())
+@settings(max_examples=40)
+def test_to_pbm_matches_the_joined_text(width, height, data):
+    bits = tuple(bytes(data.draw(st.lists(st.integers(0, 1), min_size=width, max_size=width)))
+                 for _ in range(height))
+    bitmap = Bitmap(width, height, bits)
+    assert to_pbm(bitmap) == join_pbm(bitmap)
+
+
+@pytest.mark.parametrize("p,coeffs,rows", [(2, (1, 1), 64), (3, (1, 1, 1), 81), (5, (2, 0, 3), 30)])
+def test_render_fractal_marks_the_schoolbook_nonzeros(p, coeffs, rows):
+    f = FpPoly.make(p, coeffs)
+    bitmap = render_fractal(f, rows)
+    for line, want in zip(bitmap.bits, schoolbook_rows(f, rows)):
+        mark = [1 if c else 0 for c in want]
+        assert list(line) == mark + [0] * (bitmap.width - len(mark))
+    assert to_pbm(bitmap) == join_pbm(bitmap)
 
 
 def test_row_of_zero_constant_power():

@@ -9,6 +9,7 @@ against a bitmask search that factors by trial division.
 
 import math
 import signal
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -38,7 +39,12 @@ from polypow import willson
 from polypow._zzpoly import factor_int_poly, may_vanish
 from polypow.cli import main
 from polypow.fpoly import digits_to_text
-from polypow.willson import MAX_TRANSFER_EDGES, MAX_VERIFY_ROWS, count_sequence
+from polypow.willson import (
+    MAX_TRANSFER_EDGES,
+    MAX_VERIFY_CELLS,
+    MAX_VERIFY_ROWS,
+    count_sequence,
+)
 
 P1X = FpPoly.make(2, [1, 1])
 P1XX2 = FpPoly.make(2, [1, 1, 1])
@@ -312,6 +318,37 @@ def test_verify_counts_refuses_deep_checks_before_expanding_rows():
         spectrum(FpPoly.make(5, [1, 1]), 7)
     with pytest.raises(ValueError, match="MAX_VERIFY_ROWS"):
         survey(2, depth=10**12)
+
+
+def test_verify_counts_refuses_large_vector_stacks_before_expanding_rows(monkeypatch, capsys):
+    # 1+x+x^12 has 5660 states: 2^10 vectors fit, 2^14 would be 742 MB of int64
+    big = build_transfer(parse_poly("1+x+x^12", 2))
+    assert len(big.states) == 5660
+    assert 2**10 * 5660 <= MAX_VERIFY_CELLS < 2**14 * 5660
+
+    def no_rows(*args):
+        raise AssertionError("rows expanded before the refusal")
+
+    monkeypatch.setattr(willson, "iter_rows", no_rows)
+    with pytest.raises(ValueError, match="MAX_VERIFY_CELLS"):
+        verify_counts(big, 14)
+    t0 = time.perf_counter()
+    code = main(["willson", "--poly", "1+x+x^12", "--depth", "14"])
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and "MAX_VERIFY_CELLS" in capsys.readouterr().err
+    assert elapsed < 1.0
+
+
+def test_verify_counts_row_vectors_match_per_row_tallies():
+    # the per-row vectors, summed over u, against digit tallies of poly_pow rows
+    sys = build_transfer(P1XX3)
+    B = [dense_b(sys, [r]) for r in range(2)]
+    vecs = {0: list(sys.v)}
+    for m in range(1, 64):
+        vecs[m] = mat_vec(B[m % 2], vecs[m // 2])
+        want = sum(1 for c in poly_pow(P1XX3, m).coeffs if c)
+        assert sum(x for x, keep in zip(vecs[m], sys.u) if keep) == want
+    assert verify_counts(sys, 6) is None
 
 
 def test_verify_counts_detects_tampering():
