@@ -34,10 +34,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fpoly import FpPoly, check_prime, iter_rows
+from .fpoly import FpPoly, check_prime, format_poly, iter_rows
 
 SCAN_CAP = 2**14
 MAX_CELLS = 2**28
+MAX_RECURSION_PRIME = 2**20  # recursion_1px builds p rows: about 2 s and 255 MB at the cap
 
 
 class InferenceError(RuntimeError):
@@ -363,9 +364,13 @@ def recursion_1px(p: int) -> RecursionSpec:
     """The closed 1+x recursion mod p (cached per p).
 
     a(pn+k) = A_k a(n) + B_k a(n+1) + C_k a(n+2) - (2p-1)(2p-2), trailing
-    zero coefficients dropped.
+    zero coefficients dropped.  It has p rows, so p above MAX_RECURSION_PRIME
+    is refused before any is built.
     """
     check_prime(p)
+    if p > MAX_RECURSION_PRIME:
+        raise ValueError(f"the 1+x recursion mod {p} would build {p} rows, "
+                         f"over MAX_RECURSION_PRIME = {MAX_RECURSION_PRIME}")
     rows = []
     for k in range(p):
         a = (p - k) * (p - k + 1) // 2
@@ -379,12 +384,6 @@ def recursion_1px(p: int) -> RecursionSpec:
         initials=(1, p, p * p, (p**3 + 4 * p * p - 5 * p + 2) // 2),
         threshold=3,
     )
-
-
-@lru_cache(maxsize=None)
-def recursion_1xx2_mod2() -> RecursionSpec:
-    """Inferred recursion for 1+x+x^2 mod 2 (cached; source data is a scan)."""
-    return infer_recursion(FpPoly.make(2, [1, 1, 1]))
 
 
 # ------------------------------------------------------------- inference ----
@@ -485,5 +484,5 @@ def infer_recursion(f: FpPoly, window: int | None = None) -> RecursionSpec:
                     break  # smaller templates are subsets; try next threshold
         if window is not None or n_data >= 60:
             raise InferenceError(
-                f"no consistent recursion within template for {f.coeffs} mod {p}")
+                f"no consistent recursion within template for {format_poly(f)} mod {p}")
         n_data += 8

@@ -1,16 +1,18 @@
 """Command-line front end: subcommand dispatch, CSV/JSON/TSV/PBM emission.
 
 Exit codes: 0 success, 2 parse or usage error, 3 computation diagnostic
-(inference without a consistent recursion, a failed count check or spectral
+(inference without a consistent recursion, a recursion without r(z) in
+r(z)G(z) = r(z^p)G(z^p) + b(z), a failed count check or spectral
 certificate, a limit law that cannot be derived, or an oversized bitmap or
 closure step).  Inputs outside a documented range are usage errors: a
 negative --n, --terms, --window or --depth; --n, --terms and --window above
-MAX_TERMS; an --oscillation KMAX below 1, or samples past
-asympt.MAX_SAMPLE_DIGITS; a term of degree above fpoly.MAX_POLY_DEGREE; a
-willson polynomial of degree d mod p or a survey --max-deg d (p = 2) with
-p^(d+3) above willson.MAX_TRANSFER_EDGES; and a willson or survey --depth
-with p^depth above willson.MAX_VERIFY_ROWS, or with p^depth times the
-number of states above willson.MAX_VERIFY_CELLS.
+MAX_TERMS; the 1+x recursion at a prime above blocks.MAX_RECURSION_PRIME; an
+--oscillation KMAX below 1, or samples past asympt.MAX_SAMPLE_DIGITS; a term
+of degree above fpoly.MAX_POLY_DEGREE; a willson polynomial of degree d mod
+p or a survey --max-deg d (p = 2) with p^(d+3) above
+willson.MAX_TRANSFER_EDGES; and a willson or survey --depth with p^depth
+above willson.MAX_VERIFY_ROWS, or with p^depth times the number of states
+above willson.MAX_VERIFY_CELLS.
 Output goes to stdout unless --out is given, in which case it is written to a
 temp file and renamed into place.
 """
@@ -22,7 +24,6 @@ import json
 import os
 import sys
 import tempfile
-from typing import Callable, NamedTuple
 
 from . import asympt, blocks, genfun, willson
 from .fpoly import (
@@ -64,18 +65,11 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _table(values) -> str:
-    return genfun.series_to_csv(list(values))
-
-
-def _values_json(f: FpPoly, values) -> str:
-    return _json(
-        {
-            "poly": format_poly(f),
-            "prime": str(f.p),
-            "a": [str(v) for v in values],
-        }
-    )
+def _values(f: FpPoly, values: list[int], fmt: str) -> str:
+    """a(0..n) of blocks and series, as CSV or JSON."""
+    if fmt == "csv":
+        return genfun.series_to_csv(values)
+    return _json({"poly": format_poly(f), "prime": str(f.p), "a": [str(v) for v in values]})
 
 
 def _length(option: str, n: int) -> int:
@@ -94,56 +88,37 @@ def _poly_arg(args) -> FpPoly:
 # Subcommands
 
 
-class _Family(NamedTuple):
-    """Closed forms known for one polynomial, each a function of the prime."""
-
-    recursion: Callable[[int], blocks.RecursionSpec]
-    series: Callable[[int, int], list[int]]  # (p, terms) -> a(0..terms)
-
-
-# (coefficients, prime) -> family; prime None means any p.
-_FAMILIES = {
-    ((1, 1), None): _Family(blocks.recursion_1px, genfun.series_1px),
-    ((1, 1, 1), 2): _Family(
-        lambda p: blocks.recursion_1xx2_mod2(),
-        lambda p, terms: genfun.series_1xx2(terms),
-    ),
-}
-
-
-def _family(f: FpPoly) -> _Family | None:
-    return _FAMILIES.get((f.coeffs, None)) or _FAMILIES.get((f.coeffs, f.p))
+def _is_1px(f: FpPoly) -> bool:
+    """1+x has a proven recursion and a hand-made closed series."""
+    return f.coeffs == (1, 1)
 
 
 def _recursion(f: FpPoly) -> blocks.RecursionSpec:
-    """The family's closed recursion, else one inferred from the closure."""
-    family = _family(f)
-    return family.recursion(f.p) if family else blocks.infer_recursion(f)
+    """The closed 1+x recursion, else one inferred from the closure."""
+    return blocks.recursion_1px(f.p) if _is_1px(f) else blocks.infer_recursion(f)
 
 
 def _cmd_blocks(args) -> str:
     f = _poly_arg(args)
     n = _length("--n", args.n)
-    if args.engine == "scan" or (args.engine == "auto" and _family(f) is None):
+    if args.engine == "scan" or (args.engine == "auto" and not _is_1px(f)):
         values = blocks.line_complexity_range(f, n)
     else:
         values = blocks.a_from_recursion_range(_recursion(f), n)
-    if args.format == "json":
-        return _values_json(f, values)
-    return _table(values)
+    return _values(f, values, args.format)
 
 
 def _cmd_series(args) -> str:
     f = _poly_arg(args)
-    family = _family(f)
-    if family is None:
-        raise ValueError(
-            f"no closed generating function for {format_poly(f)} mod {f.p}"
-        )
-    values = family.series(f.p, _length("--terms", args.terms))
-    if args.format == "json":
-        return _values_json(f, values)
-    return _table(values)
+    terms = _length("--terms", args.terms)
+    if _is_1px(f):
+        values = genfun.series_1px(f.p, terms)
+    else:
+        try:
+            values = genfun.series(_recursion(f), terms)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"{format_poly(f)} mod {f.p}: {exc}") from exc
+    return _values(f, values, args.format)
 
 
 def _cmd_limits(args) -> str:
@@ -282,12 +257,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("auto", "scan", "recursion"),
         default="auto",
-        help="scan: the exact closure for every n (no row scan); recursion: a "
-        "known or inferred recursion; auto: a known recursion, else the closure",
+        help="scan: the exact closure for every n (no row scan); recursion: the "
+        "1+x recursion or an inferred one; auto: the 1+x recursion, else the closure",
     )
     p.set_defaults(func=_cmd_blocks)
 
-    p = sub.add_parser("series", help="generating-function prefix of a(n)")
+    p = sub.add_parser(
+        "series",
+        help="generating-function prefix of a(n): the closed form of 1+x, else one "
+        "derived from the inferred recursion",
+    )
     common(p, ("csv", "json"), "csv")
     p.add_argument("--terms", type=int, default=64)
     p.set_defaults(func=_cmd_series)

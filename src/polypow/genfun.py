@@ -1,29 +1,31 @@
-"""Exact power-series prefixes of the closed generating functions.
+"""Exact power-series prefixes of a(n), from closed generating functions.
 
-Both closed forms share one shape: a polynomial head plus lacunary sums of
-z^(c*p^i), all over a product of cyclotomic-style factors.  Division by
-(1-z) is a prefix sum and by (1-z^s) a stride-s prefix sum, so a degree-N
-prefix costs O(N) exact integer additions.
-
-The residual checker measures how far a series is from satisfying the
-self-similarity equation r(z) g(z) = r(z^p) g(z^p) + b(z) with polynomial b.
+A base-p recursion a(pn+k) = sum_j c_kj a(n+j) - K gives
+G(z) = C(z) G(z^p) + P(z) - K/(1-z), where C(z) = sum c_kj z^(k-pj) and the
+Laurent polynomial P corrects the terms below the threshold.  A Laurent
+polynomial r with r(z^p) = C(z) r(z) turns this into the self-similarity
+equation r(z) G(z) = r(z^p) G(z^p) + b(z), b = r (P - K/(1-z)), so h = rG
+has the lacunary coefficients h_m = sum over p^i | m of b_(m/p^i), and
+G = h/r by exact division.  series_1px, the hand-made closed form of 1+x
+mod p, runs at primes far past those whose p-row recursion can be built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
+from itertools import accumulate
+from math import gcd, lcm
+from typing import NamedTuple
 
+from .blocks import RecursionSpec, _solve_exact, a_from_recursion_range
 from .fpoly import check_prime
 
 
-class InconclusiveError(RuntimeError):
-    """Raised when a series prefix is too short to certify any residual bound."""
+class Laurent(NamedTuple):
+    """The Laurent polynomial sum_i coeffs[i] z^(lo+i)."""
 
-
-def _divide_one_minus_z_power(coeffs: list[int], stride: int) -> None:
-    """In place: multiply the series by 1/(1 - z^stride)."""
-    for n in range(stride, len(coeffs)):
-        coeffs[n] += coeffs[n - stride]
+    lo: int
+    coeffs: tuple[int, ...]
 
 
 def series_1px(p: int, n_terms: int) -> list[int]:
@@ -50,77 +52,100 @@ def series_1px(p: int, n_terms: int) -> list[int]:
             num[2 + mult * q] += w
             q *= p
     for _ in range(3):
-        _divide_one_minus_z_power(num, 1)
+        num = list(accumulate(num))  # division by 1 - z
     return num
 
 
-def series_1xx2(n_terms: int) -> list[int]:
-    """First n_terms+1 line-complexity values of 1+x+x^2 mod 2.
+def _multiplier(rec: RecursionSpec) -> Laurent:
+    """The r(z) with r(z^p) = C(z) r(z), primitive with a positive top coefficient."""
+    p = rec.p  # k - pj with 0 <= k < p names each (k, j) once
+    c_poly = {k - p * j: c for k, row in enumerate(rec.rows) for j, c in enumerate(row) if c}
+    # both sides have the same lowest and highest terms: p*lo = min C + lo;
+    # C = 0 leaves the one equation r_0 = 0, which the pin makes inconsistent
+    c_lo, c_hi = min(c_poly, default=0), max(c_poly, default=0)
+    (lo, lo_rem), (hi, hi_rem) = divmod(c_lo, p - 1), divmod(c_hi, p - 1)
+    if lo_rem or hi_rem:
+        raise ArithmeticError(f"the support [{c_lo}/{p - 1}, {c_hi}/{p - 1}] of r is not integral")
+    # per exponent e: sum_s C_s r_(e-s) - r_(e/p) = 0; r_hi is pinned to 1,
+    # so its column moves to the right-hand side with its sign flipped
+    width, equations = hi - lo, {}
+    for at in range(lo, hi + 1):
+        col, sign = (at - lo, 1) if at < hi else (width, -1)
+        for e, c in [(s + at, c) for s, c in c_poly.items()] + [(p * at, -1)]:
+            equations.setdefault(e, [0] * (width + 1))[col] += sign * c
+    # the kernel has dimension at most 1: the ratio f of two solutions has
+    # f(z^p) = f(z), so its zeros and poles lie at 0 and infinity and f is
+    # a constant; "underdetermined" therefore never comes back
+    kind, sol = _solve_exact(list(equations.values()), width)
+    if kind != "unique":
+        raise ArithmeticError("no Laurent polynomial r(z) solves r(z^p) = C(z) r(z)")
+    scale = lcm(*(v.denominator for v in sol))
+    ints = [int(v * scale) for v in sol + [1]]
+    g = gcd(*ints)
+    return Laurent(lo, tuple(v // g for v in ints))
 
-    Numerator: 1 + 2z^3 + 2z^5 - z^6 + z^3 * sum_i (z^(2^i) - z^(3*2^i)),
-    over (1-z^2)(1-z)^2.  The z^3 prefactor on the sum is required to
-    reproduce the sequence (cross-checked against the inferred recursion);
-    without it the expansion already fails at the second coefficient.
+
+def closed_form(rec: RecursionSpec) -> tuple[Laurent, Laurent]:
+    """(r, b) of r(z) G(z) = r(z^p) G(z^p) + b(z), exact from the recursion.
+
+    Raises ArithmeticError, naming the failed step, when the support of r is
+    not integral, no r exists, or (1 - z) does not divide r while K != 0.
+    """
+    r = _multiplier(rec)
+    p, reach = rec.p, max(len(row) for row in rec.rows)
+    a = a_from_recursion_range(rec, max(rec.threshold + reach, -r.lo))
+    # P(z) = G(z) - C(z) G(z^p) + K/(1-z) vanishes from the threshold on
+    b = defaultdict(int)
+    for m in range(-p * reach, rec.threshold):
+        q, k = divmod(m, p)
+        rule = sum(c * a[q + j] for j, c in enumerate(rec.rows[k]) if q + j >= 0)
+        forcing = (a[m] + rec.constant if m >= 0 else 0) - rule
+        for i, ri in enumerate(r.coeffs):
+            b[r.lo + i + m] += ri * forcing
+    # -K r/(1-z) has the prefix sums of r as coefficients, finite iff r(1) = 0
+    run = 0
+    for i, ri in enumerate(r.coeffs):
+        run += ri
+        b[r.lo + i] -= rec.constant * run
+    if run and rec.constant:
+        raise ArithmeticError("(1 - z) does not divide r(z), so b(z) = "
+                              "r(z)(P(z) - K/(1 - z)) is not a Laurent polynomial")
+    support = [e for e, c in b.items() if c] or [0]
+    return r, Laurent(min(support), tuple(b[e] for e in range(min(support), max(support) + 1)))
+
+
+def series(rec: RecursionSpec, n_terms: int) -> list[int]:
+    """[a(0), ..., a(n_terms)] expanded from closed_form(rec).
+
+    h = rG is summed from the b-terms inside the window, its z^0 coefficient
+    from the initials, and G = z^(-lo) h / (z^(-lo) r) is one exact integer
+    division; an inexact step raises ArithmeticError.
     """
     if n_terms < 0:
         raise ValueError("series length must be >= 0")
-    num = [0] * (n_terms + 1)
-    for e, c in ((0, 1), (3, 2), (5, 2), (6, -1)):
-        if e <= n_terms:
-            num[e] += c
-    for mult, w in ((1, 1), (3, -1)):
-        q = 1
-        while 3 + mult * q <= n_terms:
-            num[3 + mult * q] += w
-            q *= 2
-    _divide_one_minus_z_power(num, 1)
-    _divide_one_minus_z_power(num, 1)
-    _divide_one_minus_z_power(num, 2)
-    return num
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Residual polynomial prefix of r(z)g(z) - r(z^p)g(z^p) and its certification.
-
-    residual holds coefficients up to the last nonzero one; degree_bound is
-    that degree when it is small enough to certify (at most the top of the
-    prefix's self-similar half), else None.
-    """
-
-    residual: tuple[int, ...]
-    degree_bound: int | None
-    checked_to: int
-
-
-def functional_residual(series: list[int], r_poly: list[int], p: int) -> ResidualReport:
-    """Exact residual of the base-p self-similarity equation on a series prefix.
-
-    A degree bound D is certified only when every computed coefficient above D
-    vanishes and D <= N//p, i.e. the vanishing has been observed across a full
-    p-fold window.  A prefix shorter than p*(deg r + 1) cannot certify
-    anything and raises InconclusiveError.
-    """
-    check_prime(p)
-    if not r_poly or r_poly[-1] == 0:
-        raise ValueError("r(z) must have a nonzero leading coefficient")
-    n = len(series) - 1
-    if n < p * len(r_poly):
-        raise InconclusiveError(
-            f"series prefix of degree {n} cannot certify a residual for deg r = {len(r_poly) - 1}")
-    rs = [0] * (n + 1)
-    for i, ri in enumerate(r_poly):
-        if ri:
-            for j in range(0, n + 1 - i):
-                rs[i + j] += ri * series[j]
-    b = list(rs)
-    for m in range(0, n // p + 1):
-        b[p * m] -= rs[m]
-    last = max((i for i, v in enumerate(b) if v), default=None)
-    if last is None:
-        return ResidualReport((0,), 0, n)
-    bound = last if last <= n // p else None
-    return ResidualReport(tuple(b[:last + 1]), bound, n)
+    r, b = closed_form(rec)
+    lo, top = r.lo, r.lo + n_terms
+    h = [0] * (n_terms + 1)  # h[i] is the coefficient of z^(lo+i)
+    for i, c in enumerate(b.coeffs):
+        e = b.lo + i
+        while c and (lo <= e < 0 or 0 < e <= top):  # e*p^i moves away from 0
+            if lo <= e <= top:
+                h[e - lo] += c
+            e *= rec.p
+    if lo <= 0 <= top:
+        a = a_from_recursion_range(rec, -lo)
+        h[-lo] = sum(ri * a[-(lo + i)] for i, ri in enumerate(r.coeffs[:1 - lo]))
+    lead, width = r.coeffs[0], len(r.coeffs) - 1
+    tail = [(width - i, c) for i, c in enumerate(r.coeffs) if i and c]
+    g = [0] * width  # zeros below z^0, so g[n + width] is a(n)
+    for n, acc in enumerate(h):
+        for back, c in tail:
+            acc -= c * g[n + back]
+        q, rem = divmod(acc, lead)
+        if rem:
+            raise ArithmeticError(f"r(z) does not divide r(z)G(z) exactly at z^{n}")
+        g.append(q)
+    return g[width:]
 
 
 def series_to_csv(series: list[int]) -> str:

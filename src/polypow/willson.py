@@ -397,13 +397,13 @@ def eigen_bound(deg_f: int) -> float:
 class SurveyRow:
     poly: FpPoly
     result: SpectralResult
-    bound: float | None  # eigen_bound, for p = 2 only
+    bound: float | None  # eigen_bound, for p = 2 and degree >= 1 only
     bound_ok: bool | None
 
 
 def survey_row(f: FpPoly, result: SpectralResult) -> SurveyRow:
-    """The report row of f, checked against eigen_bound when p = 2."""
-    if f.p != 2:
+    """The report row of f, checked against eigen_bound when p = 2 and deg f >= 1."""
+    if f.p != 2 or f.degree < 1:
         return SurveyRow(f, result, None, None)
     bound = eigen_bound(f.degree)
     return SurveyRow(f, result, bound, result.lam <= bound + 1e-9)

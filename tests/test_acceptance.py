@@ -22,24 +22,22 @@ from polypow import (
     empirical_ratio,
     enumerate_classes,
     extrema,
-    functional_residual,
     infer_recursion,
     limit_function,
     line_complexity,
     line_complexity_range,
     parse_poly,
     recursion_1px,
-    recursion_1xx2_mod2,
     render_fractal,
     scan_accessible,
     series_1px,
-    series_1xx2,
     survey,
     to_pbm,
     verify_ab_equivalence,
     verify_counts,
 )
 from polypow.fpoly import digits_to_text
+from test_genfun import functional_residual, series_1xx2
 
 LAMBDA_TOL = 5e-6
 RATIO_TOL = 0.02
@@ -195,10 +193,11 @@ def test_criterion_06_limit_laws():
     assert (e3.inf, e3.sup) == (F(17, 5), F(11, 3))
     e5 = extrema(recursion_1px(5))
     assert (e5.inf, e5.sup) == (F(59, 5), F(421, 27))
-    em = extrema(recursion_1xx2_mod2())
+    rec_1xx2 = infer_recursion(FpPoly.make(2, [1, 1, 1]))
+    em = extrema(rec_1xx2)
     assert (em.inf, em.sup) == (F(39, 28), F(7, 5))
 
-    recs = [recursion_1px(3), recursion_1px(5), recursion_1px(7), recursion_1xx2_mod2()]
+    recs = [recursion_1px(3), recursion_1px(5), recursion_1px(7), rec_1xx2]
     t0 = time.perf_counter()
     for rec in recs:
         law = limit_function(rec)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sympy import integer_nthroot
 
 from polypow import (
+    FpPoly,
     Piece,
     PiecewiseQuadratic,
     RecursionSpec,
@@ -17,20 +18,22 @@ from polypow import (
     a_from_recursion_range,
     empirical_ratio,
     extrema,
+    infer_recursion,
     limit_function,
     oscillation_csv,
     oscillation_table,
     recursion_1px,
-    recursion_1xx2_mod2,
 )
 from polypow import asympt
+
+REC_1XX2_MOD2 = infer_recursion(FpPoly.make(2, [1, 1, 1]))
 
 # the recursions whose laws the suite checks, under their family labels
 FAMILIES = {
     "OnePlusX(p=3)": recursion_1px(3),
     "OnePlusX(p=5)": recursion_1px(5),
     "OnePlusX(p=7)": recursion_1px(7),
-    "OnePlusXPlusX2Mod2()": recursion_1xx2_mod2(),
+    "OnePlusXPlusX2Mod2()": REC_1XX2_MOD2,
 }
 families = pytest.mark.parametrize("rec", FAMILIES.values(), ids=FAMILIES.keys())
 
@@ -101,7 +104,7 @@ def test_derived_law_equals_the_closed_form_1px(p):
 def test_derived_law_equals_the_closed_form_1xx2_mod2():
     limit_function.cache_clear()
     start = time.perf_counter()
-    law = limit_function(recursion_1xx2_mod2())
+    law = limit_function(REC_1XX2_MOD2)
     assert time.perf_counter() - start < 1.0
     assert as_table(law) == CLOSED_FORM_1XX2_MOD2
 
@@ -211,7 +214,7 @@ def test_extrema_exact_values():
     assert (e3.inf, e3.sup) == (F(17, 5), F(11, 3))
     e5 = extrema(recursion_1px(5))
     assert (e5.inf, e5.sup) == (F(59, 5), F(421, 27))
-    em = extrema(recursion_1xx2_mod2())
+    em = extrema(REC_1XX2_MOD2)
     assert (em.inf, em.sup) == (F(39, 28), F(7, 5))
 
 
@@ -256,7 +259,7 @@ def test_piecewise_constructor_rejects_gaps_and_jumps():
 
 
 @pytest.mark.parametrize(
-    "rec", [recursion_1px(3), recursion_1xx2_mod2()], ids=["OnePlusX(p=3)", "OnePlusXPlusX2Mod2()"]
+    "rec", [recursion_1px(3), REC_1XX2_MOD2], ids=["OnePlusX(p=3)", "OnePlusXPlusX2Mod2()"]
 )
 def test_empirical_ratio_approaches_limit(rec):
     law = limit_function(rec)
@@ -291,7 +294,7 @@ def test_oscillation_table_shape_and_csv():
 
 
 def test_oscillation_table_shares_its_descents(monkeypatch):
-    rec = recursion_1xx2_mod2()
+    rec = REC_1XX2_MOD2
     ns = sorted({integer_nthroot(2 ** (3 * k + j), 3)[0] for k in range(1, 61) for j in range(3)})
     # each sample on its own descent, before the rule is counted
     expected = [(math.log(n) / math.log(2), a_from_recursion(rec, n) / (n * n)) for n in ns]

@@ -25,7 +25,6 @@ from polypow import (
     line_complexity_range,
     poly_pow,
     recursion_1px,
-    recursion_1xx2_mod2,
     scan_accessible,
     series_1px,
     verify_ab_equivalence,
@@ -502,7 +501,7 @@ def test_recursion_spec_rejects_malformed():
 
 def test_a_from_recursion_known_values():
     assert a_from_recursion(recursion_1px(2), 100) == 9902
-    rec = recursion_1xx2_mod2()
+    rec = infer_recursion(CXX2_12)
     assert a_from_recursion(rec, 8) == 70
     # a(12) = 2 a(6) + 2 a(7) - 8 with a(6) = 36, a(7) = 53
     assert a_from_recursion(rec, 12) == 170
@@ -516,7 +515,7 @@ def test_a_from_recursion_descends_past_the_recursion_limit():
     assert a_from_recursion(recursion_1px(2), n) == n * n - n + 2
 
 
-@pytest.mark.parametrize("rec", [recursion_1px(3), recursion_1xx2_mod2(), recursion_1px(7)],
+@pytest.mark.parametrize("rec", [recursion_1px(3), infer_recursion(CXX2_12), recursion_1px(7)],
                          ids=["1+x mod 3", "1+x+x^2 mod 2", "1+x mod 7"])
 def test_a_from_recursion_shares_descents_through_a_memo(rec):
     # floor(n/p) of n = floor(p^(k+1/2)) is the sample one octave lower, so
@@ -534,7 +533,7 @@ def test_a_from_recursion_shares_descents_through_a_memo(rec):
 
 
 def test_a_from_recursion_range_fills_bottom_up():
-    for rec in (recursion_1px(2), recursion_1px(5), recursion_1xx2_mod2(),
+    for rec in (recursion_1px(2), recursion_1px(5), infer_recursion(CXX2_12),
                 infer_recursion(CXX2_23)):
         assert a_from_recursion_range(rec, 300) == [a_from_recursion(rec, n) for n in range(301)]
     assert a_from_recursion_range(recursion_1px(3), 1) == [1, 3]
@@ -577,7 +576,6 @@ def test_infer_recovers_known_rules():
     rec = infer_recursion(CXX2_12)
     assert rec.rows == ((2, 2), (1, 2, 1))
     assert rec.constant == 8
-    assert rec == recursion_1xx2_mod2()
 
 
 def test_inferred_rule_extends_the_data():

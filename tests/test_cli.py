@@ -26,7 +26,7 @@ from polypow import (
     series_1px,
     to_pbm,
 )
-from polypow import _zzpoly, cli
+from polypow import _zzpoly, blocks, cli
 from polypow.cli import main
 from polypow.fpoly import BitmapSizeError
 
@@ -119,23 +119,52 @@ def test_cli_series_matches_closed_form(capsys):
     assert [int(v) for v in doc["a"]] == series_1px(5, 40)
 
 
-def test_cli_series_rejects_unknown_family(capsys):
-    code, _, err = run(capsys, "series", "--poly", "1+x+x^3", "--prime", "2")
-    assert code == 2
-    assert "error" in err
-    # 1+x+x^2 has a closed form only mod 2
-    code, out, err = run(capsys, "series", "--poly", "1+x+x^2", "--prime", "3")
-    assert (code, out) == (2, "")
-    assert err == "error: no closed generating function for 1+x+x^2 mod 3\n"
+def test_cli_series_1px_past_the_recursion_cap(capsys):
+    # the closed form of 1+x builds no recursion rows, so it runs at any prime
+    code, out, _ = run(capsys, "series", "--poly", "1+x", "--prime", "1000000007", "--terms", "3")
+    assert code == 0
+    assert [int(line.split(",")[1]) for line in out.split()[1:]] == series_1px(1000000007, 3)
 
 
-def test_cli_family_table_covers_both_families(capsys):
+@pytest.mark.parametrize("poly,p,n", [("1+x+x^3", 2, 200), ("1+x+x^2", 3, 100)])
+def test_cli_series_derives_the_series_of_an_inferred_recursion(capsys, poly, p, n):
+    code, out, _ = run(capsys, "series", "--poly", poly, "--prime", str(p), "--terms", str(n))
+    assert code == 0
+    assert [int(line.split(",")[1]) for line in out.split()[1:]] == line_complexity_range(
+        parse_poly(poly, p), n)
+
+
+def test_cli_series_refuses_a_recursion_without_r(capsys):
+    # 1+x^2 mod 2 has a recursion but no r(z) with r(z^p) = C(z) r(z)
+    code, out, err = run(capsys, "series", "--poly", "1+x^2")
+    assert (code, out) == (3, "")
+    assert err == ("diagnostic: 1+x^2 mod 2: no Laurent polynomial r(z) solves "
+                   "r(z^p) = C(z) r(z)\n")
+    # 1+x+x^4 mod 2 has no recursion within the template
+    code, out, err = run(capsys, "series", "--poly", "1+x+x^4")
+    assert (code, out) == (3, "")
+    assert err.startswith("diagnostic: ") and "1+x+x^4 mod 2" in err
+
+
+def test_cli_answers_for_1xx2_mod2(capsys):
     code, out, _ = run(capsys, "series", "--poly", "1+x+x^2", "--terms", "6")
     assert code == 0
     assert out.split()[1:] == [f"{n},{v}" for n, v in enumerate([1, 2, 4, 8, 14, 25, 36])]
     code, out, _ = run(capsys, "limits", "--poly", "1+x+x^2", "--format", "json")
     assert code == 0
     assert (json.loads(out)["inf"], json.loads(out)["sup"]) == ("39/28", "7/5")
+
+
+def test_cli_blocks_auto_prints_only_proven_values(capsys):
+    # auto runs the exact closure for every f but 1+x; past the closure cap
+    # it refuses, while the inferred recursion still answers when asked for
+    argv = ("blocks", "--poly", "1+x+x^2", "--n", "600")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("diagnostic: the candidate 600-blocks would hold ")
+    code, out, _ = run(capsys, *argv, "--engine", "recursion")
+    assert code == 0
+    assert out == run(capsys, "series", "--poly", "1+x+x^2", "--terms", "600")[1]
 
 
 # ------------------------------------------------------------------ limits --
@@ -215,8 +244,7 @@ def test_cli_limits_derives_the_law_of_an_inferred_recursion(capsys, poly, p):
 def test_cli_limits_refuses_a_recursion_without_a_law(monkeypatch, capsys):
     # each row sums to 5, past p^2 = 4: a(n) grows faster than n^2
     rec = RecursionSpec(p=2, rows=((3, 2), (2, 3)), constant=0, initials=(1, 2, 3), threshold=3)
-    family = cli._Family(lambda p: rec, lambda p, terms: [])
-    monkeypatch.setattr(cli, "_FAMILIES", {((1, 1, 0, 1), 2): family})
+    monkeypatch.setattr(blocks, "infer_recursion", lambda f: rec)
     code, out, err = run(capsys, "limits", "--poly", "1+x+x^3")
     assert (code, out) == (3, "")
     assert err.startswith("diagnostic: p^2 = 4 is not a simple dominant root")
@@ -297,6 +325,17 @@ def test_cli_willson_odd_prime(capsys):
     assert code == 0 and json.loads(out)["lambda"] == 91.0
 
 
+def test_cli_willson_constant_mod_2(capsys):
+    # one nonzero digit per row: lambda = p, and eigen_bound needs degree >= 1
+    code, out, _ = run(capsys, "willson", "--poly", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["lambda"], doc["bound"]) == (2.0, None)
+    code, out, _ = run(capsys, "willson", "--poly", "1", "--format", "tsv")
+    assert code == 0
+    assert out.split("\n")[1] == "1\t2.000000\t1\t1.000000\tn/a"
+
+
 def test_cli_willson_depth_check(capsys):
     code, out, _ = run(
         capsys, "willson", "--poly", "1+x+x^2", "--depth", "6", "--format", "tsv"
@@ -358,9 +397,13 @@ def test_exit_code_2_for_usage_and_value_errors(capsys):
         (["willson", "--poly", "1+x", "--prime", "5", "--depth", "7"], "MAX_VERIFY_ROWS = 16384"),
         (["infer", "--poly", "1+x+x^2", "--prime", "3", "--window", "1000000000"],
          "MAX_TERMS = 262144"),
+        (["blocks", "--poly", "1+x", "--prime", "1000000007", "--n", "3"],
+         "MAX_RECURSION_PRIME = 1048576"),
+        (["limits", "--poly", "1+x", "--prime", "1000000007"], "MAX_RECURSION_PRIME = 1048576"),
     ],
     ids=["willson", "survey", "parse", "terms", "n", "edges-mod-11", "edges-mod-17",
-         "willson-depth", "survey-depth", "depth-mod-5", "window"],
+         "willson-depth", "survey-depth", "depth-mod-5", "window", "recursion-prime",
+         "limits-prime"],
 )
 def test_short_inputs_past_a_cap_exit_2(capsys, argv, cap):
     start = time.perf_counter()

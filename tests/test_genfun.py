@@ -1,22 +1,109 @@
-"""Series expansions of the two closed forms and the self-similarity residual."""
+"""Series expansions: the closed form of 1+x, the series derived from any
+recursion, and the self-similarity residual as an independent check."""
+
+from dataclasses import dataclass
 
 import pytest
 
 from polypow import (
     FpPoly,
-    InconclusiveError,
+    RecursionSpec,
     a_1px,
     a_from_recursion,
-    functional_residual,
+    closed_form,
+    infer_recursion,
     line_complexity_range,
-    recursion_1xx2_mod2,
+    parse_poly,
+    recursion_1px,
+    series,
     series_1px,
-    series_1xx2,
     series_to_csv,
 )
+from polypow.genfun import Laurent
 
 R_CUBE = [1, -3, 3, -1]  # (1-z)^3
 R_MIXED = [1, -2, 0, 2, -1]  # (1-z^2)(1-z)^2
+
+
+# ------------------------------------------------- closed forms as oracles --
+# The hand-made closed form of 1+x+x^2 mod 2 and the residual of the
+# self-similarity equation on a series prefix: oracles that share nothing
+# with the derivation in genfun.
+
+
+def series_1xx2(n_terms: int) -> list[int]:
+    """First n_terms+1 line-complexity values of 1+x+x^2 mod 2.
+
+    Numerator: 1 + 2z^3 + 2z^5 - z^6 + z^3 * sum_i (z^(2^i) - z^(3*2^i)),
+    over (1-z^2)(1-z)^2.  The z^3 prefactor on the sum is required to
+    reproduce the sequence (cross-checked against the inferred recursion);
+    without it the expansion already fails at the second coefficient.
+    """
+    if n_terms < 0:
+        raise ValueError("series length must be >= 0")
+    num = [0] * (n_terms + 1)
+    for e, c in ((0, 1), (3, 2), (5, 2), (6, -1)):
+        if e <= n_terms:
+            num[e] += c
+    for mult, w in ((1, 1), (3, -1)):
+        q = 1
+        while 3 + mult * q <= n_terms:
+            num[3 + mult * q] += w
+            q *= 2
+    for stride in (1, 1, 2):  # division by 1 - z^stride
+        for n in range(stride, len(num)):
+            num[n] += num[n - stride]
+    return num
+
+
+class InconclusiveError(RuntimeError):
+    """Raised when a series prefix is too short to certify any residual bound."""
+
+
+@dataclass(frozen=True)
+class ResidualReport:
+    """Residual polynomial prefix of r(z)g(z) - r(z^p)g(z^p) and its certification.
+
+    residual holds coefficients up to the last nonzero one; degree_bound is
+    that degree when it is small enough to certify (at most the top of the
+    prefix's self-similar half), else None.
+    """
+
+    residual: tuple[int, ...]
+    degree_bound: int | None
+    checked_to: int
+
+
+def functional_residual(series: list[int], r_poly: list[int], p: int) -> ResidualReport:
+    """Exact residual of the base-p self-similarity equation on a series prefix.
+
+    A degree bound D is certified only when every computed coefficient above D
+    vanishes and D <= N//p, i.e. the vanishing has been observed across a full
+    p-fold window.  A prefix shorter than p*(deg r + 1) cannot certify
+    anything and raises InconclusiveError.
+    """
+    if not r_poly or r_poly[-1] == 0:
+        raise ValueError("r(z) must have a nonzero leading coefficient")
+    n = len(series) - 1
+    if n < p * len(r_poly):
+        raise InconclusiveError(
+            f"series prefix of degree {n} cannot certify a residual for deg r = {len(r_poly) - 1}")
+    rs = [0] * (n + 1)
+    for i, ri in enumerate(r_poly):
+        if ri:
+            for j in range(0, n + 1 - i):
+                rs[i + j] += ri * series[j]
+    b = list(rs)
+    for m in range(0, n // p + 1):
+        b[p * m] -= rs[m]
+    last = max((i for i, v in enumerate(b) if v), default=None)
+    if last is None:
+        return ResidualReport((0,), 0, n)
+    bound = last if last <= n // p else None
+    return ResidualReport(tuple(b[:last + 1]), bound, n)
+
+
+# --------------------------------------------------------------- 1+x form --
 
 
 def test_series_1px_mod2_is_quadratic():
@@ -44,7 +131,7 @@ def test_series_1xx2_prefix():
 
 
 def test_series_1xx2_matches_recursion_far_out():
-    rec = recursion_1xx2_mod2()
+    rec = infer_recursion(FpPoly.make(2, [1, 1, 1]))
     assert series_1xx2(600) == [a_from_recursion(rec, n) for n in range(601)]
 
 
@@ -55,6 +142,92 @@ def test_series_input_validation():
         series_1px(3, -1)
     with pytest.raises(ValueError):
         series_1xx2(-2)
+    with pytest.raises(ValueError):
+        series(recursion_1px(3), -1)
+
+
+# ---------------------------------------------------------- derived forms --
+
+# Every polynomial whose recursion the tests infer, with a length its
+# closure reaches in well under a second.
+INFERRED = [
+    ("1+x+x^2", 2, 300), ("1+x+x^2", 3, 150), ("2+x+x^2", 3, 150),
+    ("1+x+x^2", 5, 60), ("2+x+x^2", 5, 60), ("3+x+x^2", 5, 60), ("4+x+x^2", 5, 60),
+    ("1+x+x^2", 7, 40), ("1+x+x^3", 2, 200), ("1+x^2+x^3", 2, 200),
+    ("1+x+x^2+x^3", 2, 200), ("3+x", 5, 60), ("1+x^2", 3, 100), ("x+x^2", 2, 200),
+]
+
+
+def _recursion(poly, p):
+    return recursion_1px(p) if poly == "1+x" else infer_recursion(parse_poly(poly, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_derived_series_equals_the_closed_form_1px(p):
+    assert series(recursion_1px(p), 2000) == series_1px(p, 2000)
+
+
+def test_derived_series_equals_the_closed_form_1xx2_mod2():
+    assert series(infer_recursion(FpPoly.make(2, [1, 1, 1])), 600) == series_1xx2(600)
+
+
+@pytest.mark.parametrize("poly,p,n", INFERRED + [("1+x", 3, 200)],
+                         ids=lambda v: str(v) if isinstance(v, str) else None)
+def test_derived_series_equals_the_closure(poly, p, n):
+    rec, want = _recursion(poly, p), line_complexity_range(parse_poly(poly, p), n)
+    assert series(rec, n) == want
+    # a window shorter than -lo holds only negative exponents of h = rG
+    assert all(series(rec, m) == want[:m + 1] for m in range(8))
+
+
+@pytest.mark.parametrize(
+    "poly,p,r",
+    [
+        ("1+x", 2, Laurent(-2, (-1, 3, -3, 1))),  # (z-1)^3/z^2
+        ("1+x", 7, Laurent(-2, (-1, 3, -3, 1))),
+        ("1+x+x^2", 2, Laurent(-3, (-1, 2, 0, -2, 1))),  # (z-1)^3(z+1)/z^3
+        ("1+x+x^3", 2, Laurent(-4, (-1, 2, -1, 1, -2, 1))),  # (z-1)^3(z^2+z+1)/z^4
+    ],
+)
+def test_closed_form_multiplier(poly, p, r):
+    assert closed_form(_recursion(poly, p))[0] == r
+
+
+@pytest.mark.parametrize("poly,p", [("1+x", q) for q in (2, 3, 5, 7)]
+                         + [(poly, p) for poly, p, _ in INFERRED])
+def test_residual_reproduces_the_derived_b(poly, p):
+    # functional_residual reads the tail s = z^lo (G - head), head the
+    # first -lo terms, with r~ = z^-lo r, so its residual is
+    # b(z) - (r head)(z) + (r head)(z^p)
+    rec = _recursion(poly, p)
+    r, b = closed_form(rec)
+    values = series(rec, 64 * p + 64)
+    want = dict(zip(range(b.lo, b.lo + len(b.coeffs)), b.coeffs))
+    for i, ri in enumerate(r.coeffs):
+        for n, a in enumerate(values[:-r.lo]):
+            e = r.lo + i + n
+            want[e] = want.get(e, 0) - ri * a
+            want[p * e] = want.get(p * e, 0) + ri * a
+    assert all(c == 0 for e, c in want.items() if e < 0)
+    rep = functional_residual(values[-r.lo:], list(r.coeffs), p)
+    top = max((e for e, c in want.items() if c), default=0)
+    assert rep.degree_bound == top
+    assert rep.residual == tuple(want.get(e, 0) for e in range(top + 1))
+
+
+def test_closed_form_refuses_a_recursion_without_r():
+    # a(n) of 1+x^2 mod 2 is a quasi-polynomial, differences 1, 1, 2, 2, 4,
+    # 4, 6, 6, ..., whose generating function has the pole z = -1 that no
+    # r(z^p)/r(z) can supply
+    f = FpPoly.make(2, [1, 0, 1])
+    values = line_complexity_range(f, 200)
+    assert [b - a for a, b in zip(values, values[1:])] == [max(1, n - n % 2) for n in range(200)]
+    rec = infer_recursion(f)
+    assert (rec.rows, rec.constant) == (((1, 3, 1, -1), (0, 3, 2, -1)), 7)
+    with pytest.raises(ArithmeticError, match="no Laurent polynomial r"):
+        closed_form(rec)
+    with pytest.raises(ArithmeticError, match="no Laurent polynomial r"):
+        series(rec, 10)
 
 
 # ------------------------------------------------------------- residuals ----
@@ -117,3 +290,22 @@ def test_residual_rejects_short_prefix_and_bad_r():
 
 def test_series_to_csv_layout():
     assert series_to_csv([1, 2, 4]) == "n,a_n\n0,1\n1,2\n2,4\n"
+
+
+def test_closed_form_refusals_and_edge_cases():
+    # C(z) = 1 + z at p = 3 would need r supported on [0, 1/2]
+    rec = RecursionSpec(p=3, rows=((1,), (1,), ()), constant=0, initials=(1,), threshold=1)
+    with pytest.raises(ArithmeticError, match="not integral"):
+        closed_form(rec)
+    # every row empty: C(z) = 0
+    rec = RecursionSpec(p=2, rows=((), ()), constant=-5, initials=(5,), threshold=1)
+    with pytest.raises(ArithmeticError, match="no Laurent polynomial r"):
+        closed_form(rec)
+    # a(2n) = a(n), a(2n+1) = -K: C(z) = 1 gives r = 1, which (1 - z)
+    # divides only when K = 0
+    rec = RecursionSpec(p=2, rows=((1,), ()), constant=0, initials=(5,), threshold=1)
+    assert closed_form(rec) == (Laurent(0, (1,)), Laurent(0, (0,)))
+    assert series(rec, 6) == [5, 0, 0, 0, 0, 0, 0]
+    rec = RecursionSpec(p=2, rows=((1,), ()), constant=1, initials=(5,), threshold=1)
+    with pytest.raises(ArithmeticError, match="does not divide r"):
+        closed_form(rec)
