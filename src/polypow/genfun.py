@@ -4,10 +4,10 @@ A base-p recursion a(pn+k) = sum_j c_kj a(n+j) - K gives
 G(z) = C(z) G(z^p) + P(z) - K/(1-z), where C(z) = sum c_kj z^(k-pj) and the
 Laurent polynomial P corrects the terms below the threshold.  A Laurent
 polynomial r with r(z^p) = C(z) r(z) turns this into the self-similarity
-equation r(z) G(z) = r(z^p) G(z^p) + b(z), b = r (P - K/(1-z)), so h = rG
-has the lacunary coefficients h_m = sum over p^i | m of b_(m/p^i), and
-G = h/r by exact division.  series_1px, the hand-made closed form of 1+x
-mod p, runs at primes far past those whose p-row recursion can be built.
+equation r(z) G(z) = r(z^p) G(z^p) + b(z), b = r (P - K/(1-z)).  series
+gives a(0..N) only for a recursion with this shape.  series_1px, the
+hand-made closed form of 1+x mod p, runs at primes far past those whose
+p-row recursion can be built.
 """
 
 from __future__ import annotations
@@ -115,37 +115,15 @@ def closed_form(rec: RecursionSpec) -> tuple[Laurent, Laurent]:
 
 
 def series(rec: RecursionSpec, n_terms: int) -> list[int]:
-    """[a(0), ..., a(n_terms)] expanded from closed_form(rec).
+    """[a(0), ..., a(n_terms)] of rec, once closed_form(rec) exists.
 
-    h = rG is summed from the b-terms inside the window, its z^0 coefficient
-    from the initials, and G = z^(-lo) h / (z^(-lo) r) is one exact integer
-    division; an inexact step raises ArithmeticError.
+    The values are rec's own; closed_form raises ArithmeticError when the
+    generating function lacks the shape r(z) G(z) = r(z^p) G(z^p) + b(z).
     """
     if n_terms < 0:
         raise ValueError("series length must be >= 0")
-    r, b = closed_form(rec)
-    lo, top = r.lo, r.lo + n_terms
-    h = [0] * (n_terms + 1)  # h[i] is the coefficient of z^(lo+i)
-    for i, c in enumerate(b.coeffs):
-        e = b.lo + i
-        while c and (lo <= e < 0 or 0 < e <= top):  # e*p^i moves away from 0
-            if lo <= e <= top:
-                h[e - lo] += c
-            e *= rec.p
-    if lo <= 0 <= top:
-        a = a_from_recursion_range(rec, -lo)
-        h[-lo] = sum(ri * a[-(lo + i)] for i, ri in enumerate(r.coeffs[:1 - lo]))
-    lead, width = r.coeffs[0], len(r.coeffs) - 1
-    tail = [(width - i, c) for i, c in enumerate(r.coeffs) if i and c]
-    g = [0] * width  # zeros below z^0, so g[n + width] is a(n)
-    for n, acc in enumerate(h):
-        for back, c in tail:
-            acc -= c * g[n + back]
-        q, rem = divmod(acc, lead)
-        if rem:
-            raise ArithmeticError(f"r(z) does not divide r(z)G(z) exactly at z^{n}")
-        g.append(q)
-    return g[width:]
+    closed_form(rec)
+    return a_from_recursion_range(rec, n_terms)
 
 
 def series_to_csv(series: list[int]) -> str:
