@@ -18,12 +18,11 @@ At a length that is its own source, window_maps also gives, per map, the
 image of every block by index: the transfer maps of the nonzero counts.
 
 Memory: each level is one packed matrix, the sorted distinct blocks as uint8
-rows.  Only the fixpoint level stays, built on the first count; a count
-builds one level up its source chain, and that sorted level counts every
-shorter length too, so only the counts are kept.
+rows.  Only the fixpoint level stays; a count builds one level up its source
+chain, and that sorted level counts every shorter length too.
 A step that would hold more than MAX_CELLS digits raises ClosureSizeError
-before allocating.  Closures are cached per (p, coeffs) in a bounded LRU,
-emptied by _closure.cache_clear().  Digits are bytes, so p > 255 is refused.
+before allocating.  Every call builds its own closure; none is cached.
+Digits are bytes, so p > 255 is refused.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ def scan_accessible(f: FpPoly, n: int, max_row: int = SCAN_CAP) -> np.ndarray:
         raise ValueError("block length must be >= 0")
     if n == 0:
         return np.zeros((1, 0), np.uint8)
-    return _closure(f.p, f.coeffs).horizon(n, max_row)
+    return _Closure(f).horizon(n, max_row)
 
 
 # ------------------------------------------------------------- closure ----
@@ -118,7 +117,6 @@ class _Closure:
         self.dtype = np.min_scalar_type((self.p - 1) ** 2 * terms)
         # _source_len(m) >= m exactly when m <= d + 2, with equality at d + 2
         self.lc = self.d + 2
-        self.sizes = [1]  # a(0), ..., a(N) for the longest level N counted
 
     def _source_len(self, m: int) -> int:
         # longest row-m' patch a length-m window of row p*m'+r can touch
@@ -205,17 +203,6 @@ class _Closure:
         fix = self.fixpoint
         return fix[np.r_[True, _first_diffs(fix) < n], :n]
 
-    def counts(self, ns) -> list[int]:
-        """[a(n) for n in ns].  A length past all counted builds level max(ns),
-        whose sorted rows count every shorter length: a window extends one
-        digit right inside its row, so the m-blocks are its distinct m-prefixes
-        and a(m) is 1 plus the adjacent rows that first differ before column m."""
-        top = max(ns, default=0)
-        if top >= len(self.sizes):
-            firsts = np.bincount(_first_diffs(self.level(top)), minlength=top)
-            self.sizes = [1, *(1 + np.cumsum(firsts)).tolist()]
-        return [self.sizes[n] for n in ns]
-
 
 def window_maps(f: FpPoly, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """The sorted accessible n-blocks and, per cut, the index of each one's image.
@@ -223,7 +210,6 @@ def window_maps(f: FpPoly, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
     n must be its own source length (d+1 or d+2 for f of degree d), so that
     every cut of an accessible n-block is again one.  Array p*r+j holds, for
     each block, the index of its image under cut p*r+j (see _Closure._cuts).
-    The closure is a fresh one, outside the _closure cache.
     """
     closure = _Closure(f)
     if closure._source_len(n) != n:
@@ -234,24 +220,27 @@ def window_maps(f: FpPoly, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
     return level, [np.searchsorted(keys, _packed(cut)) for cut in cuts]
 
 
-@lru_cache(maxsize=32)
-def _closure(p: int, coeffs: tuple[int, ...]) -> _Closure:
-    """The closure of one polynomial, cached by (p, coeffs); cache_clear empties it."""
-    return _Closure(FpPoly.make(p, coeffs))
-
-
 def line_complexity(f: FpPoly, n: int) -> int:
     """a(n): exact count of accessible n-blocks via the self-similar closure."""
     if n < 0:
         raise ValueError("block length must be >= 0")
-    return _closure(f.p, f.coeffs).counts([n])[0]
+    return line_complexity_range(f, n)[n]
 
 
 def line_complexity_range(f: FpPoly, n_max: int) -> list[int]:
-    """[a(0), ..., a(n_max)] computed in one shared closure pass."""
+    """[a(0), ..., a(n_max)] from the one closure level n_max.
+
+    A window extends one digit right inside its row, so the m-blocks are the
+    distinct m-prefixes of the sorted n_max-blocks, and a(m) is 1 plus the
+    adjacent rows that first differ before column m.
+    """
     if n_max < 0:
         raise ValueError("block length must be >= 0")
-    return _closure(f.p, f.coeffs).counts(range(n_max + 1))
+    closure = _Closure(f)
+    if n_max == 0:
+        return [1]
+    firsts = np.bincount(_first_diffs(closure.level(n_max)), minlength=n_max)
+    return [1, *(1 + np.cumsum(firsts)).tolist()]
 
 
 # ---------------------------------------------------------------- 1 + x ----
@@ -388,18 +377,23 @@ def recursion_1px(p: int) -> RecursionSpec:
 
 # ------------------------------------------------------------- inference ----
 
-def _solve_exact(aug: list[list[int]], n_unknowns: int):
-    """Solve an integer system [A | b] exactly.  Returns (kind, solution-or-None).
+def _solve_exact(aug: list[list[int]], n_unknowns: int) -> tuple[list[Fraction] | None, int]:
+    """Solve an integer system [A | b] exactly.  Returns (solution, rank).
 
+    Pivots are taken left to right and every unknown without a pivot is 0,
+    so when the leading columns alone pin a solution, it comes back padded
+    with zeros.  The solution is None when the system is inconsistent.
     Bareiss elimination keeps every entry an integer: after each pivot the
     rows below are cross-multiplied and divided exactly by the previous
     pivot, since each entry is then a minor of the input.  Fractions appear
-    only in the back substitution of a unique solution.
+    only in the back substitution.
     """
     rows = [r[:] for r in aug]
-    prev, r = 1, 0
-    pivots = []
+    prev, pivots = 1, []
     for c in range(n_unknowns):
+        r = len(pivots)
+        if r == len(rows):
+            break
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
@@ -411,78 +405,64 @@ def _solve_exact(aug: list[list[int]], n_unknowns: int):
             rows[i] = row[:c] + [(top[c] * a - f * b) // prev for a, b in zip(row[c:], top[c:])]
         prev = top[c]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][n_unknowns] != 0:
-            return "inconsistent", None
-    if len(pivots) < n_unknowns:
-        return "underdetermined", None
+    rank = len(pivots)
+    if any(row[n_unknowns] for row in rows[rank:]):
+        return None, rank
     sol = [Fraction(0)] * n_unknowns
-    for c in reversed(range(n_unknowns)):
-        row = rows[c]
+    for row, c in reversed(list(zip(rows, pivots))):
         rest = sum((row[j] * sol[j] for j in range(c + 1, n_unknowns)), Fraction(0))
         sol[c] = (row[n_unknowns] - rest) / row[c]
-    return "unique", sol
+    return sol, rank
 
 
-def _try_template(data: list[int], p: int, t0: int, shifts: int):
-    n_unknowns = shifts * p + 1
-    aug = []
-    for m in range(t0, len(data)):
-        n = m // p
-        if n + shifts - 1 >= len(data):
-            break
-        k = m % p
-        row = [0] * n_unknowns + [data[m]]
-        for j in range(shifts):
-            row[k * shifts + j] = data[n + j]
-        row[n_unknowns - 1] = -1  # shared subtracted constant
-        aug.append(row)
-    if len(aug) < n_unknowns + 2:
-        return "short", None
-    return _solve_exact(aug, n_unknowns)
+SHIFTS = 4  # a(pn+k) reads a(n), ..., a(n+SHIFTS-1)
 
 
 def infer_recursion(f: FpPoly, window: int | None = None) -> RecursionSpec:
-    """Fit a(pn+k) = sum_j c_{k,j} a(n+j) - K exactly to scanned data.
+    """Fit a(pn+k) = sum_j c_kj a(n+j) - K, j < SHIFTS, exactly to a(0..window).
 
-    The solve runs over every scanned index at or above a trial threshold and
-    is accepted only when the full overdetermined system pins a unique
-    integral solution; the threshold reported is the smallest that works.
-    `window` fixes how many values are scanned (default grows as needed).
+    Per trial threshold t0 one system holds every equation at or above t0.
+    Its solution with every non-pivot unknown 0 (see _solve_exact) is
+    accepted when it is integral and at least two equations beyond the rank
+    confirm it; the threshold reported is the smallest the recursion's
+    descent allows.  A template of fewer shifts that fits alone comes back
+    padded with zeros, which are trimmed; a linear a(n) leaves free unknowns
+    at every template size and gets the same canonical fit.  `window`
+    defaults to 4p + max(14, 3p).
     """
     p = f.p
     n_data = window if window is not None else 4 * p + max(14, 3 * p)
-    while True:
-        data = line_complexity_range(f, n_data)
-        for t0 in range(3, 2 * p + 6):
-            for shifts in (4, 3, 2):
-                kind, sol = _try_template(data, p, t0, shifts)
-                if kind == "unique":
-                    if any(v.denominator != 1 for v in sol):
-                        continue
-                    rows = []
-                    for k in range(p):
-                        row = [int(v) for v in sol[k * shifts:(k + 1) * shifts]]
-                        while row and row[-1] == 0:
-                            row.pop()
-                        rows.append(tuple(row))
-                    for threshold in range(t0, t0 + 4 * p):
-                        try:
-                            return RecursionSpec(
-                                p=p,
-                                rows=tuple(rows),
-                                constant=int(sol[-1]),
-                                initials=tuple(data[:threshold]),
-                                threshold=threshold,
-                            )
-                        except ValueError:
-                            continue  # descent not yet valid at this threshold
-                if kind == "inconsistent":
-                    break  # smaller templates are subsets; try next threshold
-        if window is not None or n_data >= 60:
-            raise InferenceError(
-                f"no consistent recursion within template for {format_poly(f)} mod {p}")
-        n_data += 8
+    data = line_complexity_range(f, n_data)
+    # one equation per index m = pn+k the data covers, in the columns K, c_00,
+    # ..., c_(p-1)0, c_01, ..., so the columns of fewer shifts are a prefix
+    equations = []
+    for m in range(min(len(data), p * (len(data) - SHIFTS + 1))):
+        n, k = divmod(m, p)
+        row = [-1] + [0] * (SHIFTS * p) + [data[m]]
+        row[1 + k:1 + SHIFTS * p:p] = data[n:n + SHIFTS]
+        equations.append(row)
+    for t0 in range(3, 2 * p + 6):
+        aug = equations[t0:]
+        sol, rank = _solve_exact(aug, SHIFTS * p + 1)
+        if sol is None or len(aug) < rank + 2 or any(v.denominator != 1 for v in sol):
+            continue
+        rows = []
+        for k in range(p):
+            row = [int(v) for v in sol[1 + k::p]]
+            while row and row[-1] == 0:
+                row.pop()
+            rows.append(tuple(row))
+        for threshold in range(t0, t0 + 4 * p):
+            try:
+                return RecursionSpec(
+                    p=p,
+                    rows=tuple(rows),
+                    constant=int(sol[0]),
+                    initials=tuple(data[:threshold]),
+                    threshold=threshold,
+                )
+            except ValueError:
+                continue  # descent not yet valid at this threshold
+    raise InferenceError(
+        f"no recursion a(pn+k) = sum_j c_kj a(n+j) - K with {SHIFTS} shifts fits "
+        f"a(0..{n_data}) of {format_poly(f)} mod {p} from any threshold 3 to {2 * p + 5}")

@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 
 from . import asympt, blocks, genfun, willson
 from .fpoly import (
@@ -72,6 +73,15 @@ def _values(f: FpPoly, values: list[int], fmt: str) -> str:
     return _json({"poly": format_poly(f), "prime": str(f.p), "a": [str(v) for v in values]})
 
 
+@contextmanager
+def _naming(f: FpPoly):
+    """Prefix the diagnostic of a refused derivation with the polynomial."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{format_poly(f)} mod {f.p}: {exc}") from exc
+
+
 def _length(option: str, n: int) -> int:
     if n < 0:
         raise ValueError(f"{option} must be >= 0, got {n}")
@@ -114,20 +124,19 @@ def _cmd_series(args) -> str:
     if _is_1px(f):
         values = genfun.series_1px(f.p, terms)
     else:
-        try:
+        with _naming(f):
             values = genfun.series(_recursion(f), terms)
-        except ArithmeticError as exc:
-            raise ArithmeticError(f"{format_poly(f)} mod {f.p}: {exc}") from exc
     return _values(f, values, args.format)
 
 
 def _cmd_limits(args) -> str:
     f = _poly_arg(args)
-    if args.oscillation is not None:
-        table = asympt.oscillation_table(_recursion(f), args.samples, args.oscillation)
-        return asympt.oscillation_csv(table)
-    rec = _recursion(f)
-    law, ex = asympt.limit_function(rec), asympt.extrema(rec)
+    with _naming(f):
+        if args.oscillation is not None:
+            table = asympt.oscillation_table(_recursion(f), args.samples, args.oscillation)
+            return asympt.oscillation_csv(table)
+        rec = _recursion(f)
+        law, ex = asympt.limit_function(rec), asympt.extrema(rec)
     if args.format == "json":
         return _json(
             {
@@ -297,7 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="fit the base-p recursion of a(n)")
     common(p, ("json", "csv"), "json")
-    p.add_argument("--window", type=int, default=None, help="pin the data window")
+    p.add_argument("--window", type=int, default=None,
+                   help="fit to a(0..WINDOW) (default 4p + max(14, 3p))")
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("fractal", help="PBM bitmap of nonzero coefficients")

@@ -75,9 +75,9 @@ def _multiplier(rec: RecursionSpec) -> Laurent:
             equations.setdefault(e, [0] * (width + 1))[col] += sign * c
     # the kernel has dimension at most 1: the ratio f of two solutions has
     # f(z^p) = f(z), so its zeros and poles lie at 0 and infinity and f is
-    # a constant; "underdetermined" therefore never comes back
-    kind, sol = _solve_exact(list(equations.values()), width)
-    if kind != "unique":
+    # a constant; so with r_hi pinned the rank is width whenever r exists
+    sol, rank = _solve_exact(list(equations.values()), width)
+    if sol is None or rank < width:
         raise ArithmeticError("no Laurent polynomial r(z) solves r(z^p) = C(z) r(z)")
     scale = lcm(*(v.denominator for v in sol))
     ints = [int(v * scale) for v in sol + [1]]

@@ -331,28 +331,21 @@ def _desubstitute(f: FpPoly) -> FpPoly:
 
 
 def canonicalize(f: FpPoly) -> FpPoly:
-    """Reduce f to the least fixpoint of the degree-nonincreasing moves.
+    """Reduce f by the degree-nonincreasing moves, then pick its orientation.
 
-    The moves are strip (divide by x^c), root (c-th root), desubstitute
-    (x^c -> x) and reversal.  The whole closure of f under them is searched;
-    among the reduced polynomials in it, those no move but reversal changes,
-    the one whose sorted exponent tuple is smallest wins.
+    Strip (divide by x^c), root (c-th root) and desubstitute (x^c -> x) are
+    applied until none changes f; the result h is reduced, and so is its
+    reversal (see enumerate_classes), so the canonical form is whichever of
+    h and h.reverse() has the smaller sorted exponent tuple.
     """
     if f.p != 2:
         raise ValueError(f"canonicalization is defined for p=2, got p={f.p}")
     if f.is_zero():
         raise ValueError("cannot canonicalize the zero polynomial")
-    seen, todo, reduced = {f}, [f], []
-    while todo:
-        g = todo.pop()
-        shrunk = {_strip(g), _root(g), _desubstitute(g)}
-        if shrunk == {g}:
-            reduced.append(g)
-        for h in shrunk | {g.reverse()}:
-            if h not in seen:
-                seen.add(h)
-                todo.append(h)
-    return min(reduced, key=_exponents)
+    h = None
+    while h != f:
+        h, f = f, _desubstitute(_root(_strip(f)))
+    return min(h, h.reverse(), key=_exponents)
 
 
 def enumerate_classes(max_deg: int) -> list[FpPoly]:

@@ -1,8 +1,12 @@
-"""Oracles for the series tests: the hand-made closed form of 1+x+x^2 mod 2
-and the residual of the self-similarity equation on a series prefix.  They
-share nothing with the derivation in polypow.genfun."""
+"""Oracles kept out of the package: for the series tests, the hand-made closed
+form of 1+x+x^2 mod 2 and the residual of the self-similarity equation on a
+series prefix, which share nothing with the derivation in polypow.genfun; for
+the similarity classes, the search over every move that canonicalize replaced.
+"""
 
 from dataclasses import dataclass
+
+from polypow.willson import _desubstitute, _exponents, _root, _strip
 
 
 def series_1xx2(n_terms: int) -> list[int]:
@@ -75,3 +79,20 @@ def functional_residual(series: list[int], r_poly: list[int], p: int) -> Residua
         return ResidualReport((0,), 0, n)
     bound = last if last <= n // p else None
     return ResidualReport(tuple(b[:last + 1]), bound, n)
+
+
+def canonical_by_search(f):
+    """The canonical form of f mod 2 by searching the closure of f under strip,
+    root, desubstitute and reversal: among the polynomials in it that no move
+    but reversal changes, the one whose sorted exponent tuple is smallest."""
+    seen, todo, reduced = {f}, [f], []
+    while todo:
+        g = todo.pop()
+        shrunk = {_strip(g), _root(g), _desubstitute(g)}
+        if shrunk == {g}:
+            reduced.append(g)
+        for h in shrunk | {g.reverse()}:
+            if h not in seen:
+                seen.add(h)
+                todo.append(h)
+    return min(reduced, key=_exponents)

@@ -16,6 +16,7 @@ import polypow
 from polypow import (
     FpPoly,
     RecursionSpec,
+    a_from_recursion_range,
     empirical_ratio,
     extrema,
     infer_recursion,
@@ -140,6 +141,10 @@ def test_cli_series_refuses_a_recursion_without_r(capsys):
     assert (code, out) == (3, "")
     assert err == ("diagnostic: 1+x^2 mod 2: no Laurent polynomial r(z) solves "
                    "r(z^p) = C(z) r(z)\n")
+    # a(n) = n + 1 for f = 1, although G = 1/(1-z)^2: the fitted rows admit no r
+    code, out, err = run(capsys, "series", "--poly", "1")
+    assert (code, out) == (3, "")
+    assert err == "diagnostic: 1 mod 2: no Laurent polynomial r(z) solves r(z^p) = C(z) r(z)\n"
     # 1+x+x^4 mod 2 has no recursion within the template
     code, out, err = run(capsys, "series", "--poly", "1+x+x^4")
     assert (code, out) == (3, "")
@@ -247,7 +252,22 @@ def test_cli_limits_refuses_a_recursion_without_a_law(monkeypatch, capsys):
     monkeypatch.setattr(blocks, "infer_recursion", lambda f: rec)
     code, out, err = run(capsys, "limits", "--poly", "1+x+x^3")
     assert (code, out) == (3, "")
-    assert err.startswith("diagnostic: p^2 = 4 is not a simple dominant root")
+    assert err.startswith("diagnostic: 1+x+x^3 mod 2: p^2 = 4 is not a simple dominant root")
+
+
+def test_cli_linear_a_has_a_recursion_but_no_law(capsys):
+    # a(n) = n + 1 for f = 1 mod 2: the fit answers, and a(n) grows too slowly
+    # for p^2 to be the dominant root of M_0
+    code, out, _ = run(capsys, "infer", "--poly", "1", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    rec = RecursionSpec(p=2, rows=tuple(tuple(int(c) for c in row) for row in doc["rows"]),
+                        constant=int(doc["constant"]), threshold=int(doc["threshold"]),
+                        initials=tuple(int(v) for v in doc["initials"]))
+    assert a_from_recursion_range(rec, 100) == list(range(1, 102))
+    code, out, err = run(capsys, "limits", "--poly", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("diagnostic: 1 mod 2: p^2 = 4 is not a simple dominant root")
 
 
 def test_cli_limits_refuses_a_law_past_the_grid_cap(capsys):
@@ -260,7 +280,8 @@ def test_cli_limits_refuses_a_law_past_the_grid_cap(capsys):
         (Fraction(1, 2), 1)]
     code, out, err = run(capsys, "limits", "--poly", "1+x", "--prime", "191")
     assert (code, out) == (3, "")
-    assert err == "diagnostic: no piece structure confirmed on grids within MAX_LAW_POINTS = 131072\n"
+    assert err == ("diagnostic: 1+x mod 191: no piece structure confirmed on grids "
+                   "within MAX_LAW_POINTS = 131072\n")
 
 
 # SHA-256 of the output of the closed-form tables the laws are now derived

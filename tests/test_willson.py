@@ -46,6 +46,8 @@ from polypow.willson import (
     count_sequence,
 )
 
+from oracles import canonical_by_search
+
 P1X = FpPoly.make(2, [1, 1])
 P1XX2 = FpPoly.make(2, [1, 1, 1])
 P1XX3 = FpPoly.make(2, [1, 1, 0, 1])
@@ -640,6 +642,11 @@ def all_f2_polys(max_deg):
 def test_canonicalize_equals_bitmask_oracle():
     for f in all_f2_polys(10):
         assert canonicalize(f) == bitmask_canonical(f), f
+
+
+def test_canonicalize_equals_the_search_over_every_move():
+    for f in all_f2_polys(10):
+        assert canonicalize(f) == canonical_by_search(f), f
 
 
 def test_enumerate_classes_lists_every_canonical_form():
