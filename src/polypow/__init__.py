@@ -23,7 +23,6 @@ from .blocks import (
     a_1px,
     a_from_recursion,
     a_from_recursion_range,
-    ab_first_mismatch,
     infer_recursion,
     line_complexity,
     line_complexity_range,
@@ -35,7 +34,6 @@ from .fpoly import (
     TOTAL,
     Bitmap,
     FpPoly,
-    Row,
     count_coeff,
     cumulative_count,
     format_poly,
@@ -45,7 +43,6 @@ from .fpoly import (
     poly_pow,
     render_fractal,
     row_blocks,
-    row_digits,
     to_pbm,
 )
 from .genfun import (
@@ -76,10 +73,8 @@ __version__ = "0.1.0"
 __all__ = [
     "TOTAL",
     "FpPoly",
-    "Row",
     "is_prime",
     "poly_pow",
-    "row_digits",
     "iter_rows",
     "row_blocks",
     "count_coeff",
@@ -90,7 +85,6 @@ __all__ = [
     "line_complexity",
     "line_complexity_range",
     "a_1px",
-    "ab_first_mismatch",
     "verify_ab_equivalence",
     "RecursionSpec",
     "a_from_recursion",

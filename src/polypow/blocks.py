@@ -250,24 +250,16 @@ def a_1px(p: int, n: int) -> int:
     return a_from_recursion(recursion_1px(p), n)
 
 
-def ab_first_mismatch(p: int, n_max: int) -> int | None:
-    """First index where the difference-form recursion disagrees with a_1px."""
-    check_prime(p)
-    b = [1, p, p * p, (p**3 + 4 * p * p - 5 * p + 2) // 2]
-    for m in range(3, n_max):
-        n, k = divmod(m, p)
-        b.append(b[m] + (p - k) * (b[n + 1] - b[n]) + k * (b[n + 2] - b[n + 1]))
-    for i in range(min(n_max, len(b) - 1) + 1):
-        if b[i] != a_1px(p, i):
-            return i
-    return None
-
-
 def verify_ab_equivalence(p: int, n_max: int) -> bool:
     """True iff the difference form generates the same sequence as a_1px up to n_max."""
     if n_max < 4:
         raise ValueError("comparison window must reach past the starting values (>= 4)")
-    return ab_first_mismatch(p, n_max) is None
+    rec = recursion_1px(p)
+    b = list(rec.initials)
+    for m in range(3, n_max):
+        n, k = divmod(m, p)
+        b.append(b[m] + (p - k) * (b[n + 1] - b[n]) + k * (b[n + 2] - b[n + 1]))
+    return b == a_from_recursion_range(rec, n_max)
 
 
 # ------------------------------------------------- generic recursion spec ----

@@ -10,11 +10,12 @@ MAX_TERMS; the 1+x recursion at a prime above blocks.MAX_RECURSION_PRIME; an
 --oscillation KMAX below 1, or samples past asympt.MAX_SAMPLE_DIGITS; a term
 of degree above fpoly.MAX_POLY_DEGREE; a willson polynomial of degree d mod
 p or a survey --max-deg d (p = 2) with p^(d+3) above
-willson.MAX_TRANSFER_EDGES; and a willson or survey --depth with p^depth
+willson.MAX_TRANSFER_EDGES; a willson or survey --depth with p^depth
 above willson.MAX_VERIFY_ROWS, or with p^depth times the number of states
-above willson.MAX_VERIFY_CELLS.
+above willson.MAX_VERIFY_CELLS; and an --out that cannot be written, such as
+a path in a missing directory or a directory itself.
 Output goes to stdout unless --out is given, in which case it is written to a
-temp file and renamed into place.
+temp file and renamed into place; a failed write removes the temp file.
 """
 
 from __future__ import annotations
@@ -50,16 +51,17 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    target = os.path.abspath(out)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".polypow-")
+    target, tmp = os.path.abspath(out), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".polypow-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _json(obj) -> str:

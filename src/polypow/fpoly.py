@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -90,14 +89,6 @@ class FpPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "FpPoly") -> "FpPoly":
-        self._check_same_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = (a[i] + c) % self.p
-        return FpPoly.make(self.p, a)
-
     def __mul__(self, other: "FpPoly") -> "FpPoly":
         self._check_same_field(other)
         if self.is_zero() or other.is_zero():
@@ -125,16 +116,10 @@ class FpPoly:
 
 
 def _convolve_mod(a, b, p: int) -> list[int]:
-    """Exact convolution mod p; numpy int64 is safe while (p-1)^2*len fits."""
-    if min(len(a), len(b)) * (p - 1) ** 2 < 2**62:
-        out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return (out % p).tolist()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
+    """Exact convolution mod p: in int64 while (p-1)^2*len fits, else in Python ints."""
+    dtype = np.int64 if min(len(a), len(b)) * (p - 1) ** 2 < 2**62 else object
+    out = np.convolve(np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype))
+    return (out % p).tolist()
 
 
 def poly_pow(f: FpPoly, k: int) -> FpPoly:
@@ -167,30 +152,12 @@ def _pow_binary(f: FpPoly, k: int) -> FpPoly:
     return result
 
 
-@dataclass(frozen=True)
-class Row:
-    """Coefficient digit string of f^k, low degree first."""
-
-    k: int
-    digits: tuple[int, ...]
-
-    @property
-    def text(self) -> str:
-        return digits_to_text(self.digits)
-
-
 def digits_to_text(digits) -> str:
     digits = list(digits)
     # single characters are unambiguous for p <= 10; beyond that use commas
     if all(d < 10 for d in digits):
         return "".join(str(d) for d in digits)
     return ",".join(str(d) for d in digits)
-
-
-def row_digits(f: FpPoly, k: int) -> Row:
-    """Digit string of row k.  Row 0 is "1"."""
-    g = poly_pow(f, k)
-    return Row(k, g.coeffs if g.coeffs else (0,))
 
 
 # Rows hold one digit per byte, so larger primes would wrap their digits.

@@ -97,9 +97,9 @@ def closed_form(rec: RecursionSpec) -> tuple[Laurent, Laurent]:
     # P(z) = G(z) - C(z) G(z^p) + K/(1-z) vanishes from the threshold on
     b = defaultdict(int)
     for m in range(-p * reach, rec.threshold):
-        q, k = divmod(m, p)
-        rule = sum(c * a[q + j] for j, c in enumerate(rec.rows[k]) if q + j >= 0)
-        forcing = (a[m] + rec.constant if m >= 0 else 0) - rule
+        # the rule is sum_j c_kj a(q+j) - K, so P_m is a(m) - rule from 0 on, -K - rule below
+        rule = rec._rule(m, lambda i: a[i] if i >= 0 else 0)
+        forcing = (a[m] if m >= 0 else -rec.constant) - rule
         for i, ri in enumerate(r.coeffs):
             b[r.lo + i + m] += ri * forcing
     # -K r/(1-z) has the prefix sums of r as coefficients, finite iff r(1) = 0

@@ -28,8 +28,8 @@ vectors over the states.
 
 Polynomials mod 2 that differ by the similarity moves (shifts by x^c,
 reversal, substitution x -> x^c, c-th powers) share lambda, so the survey
-runs over canonical representatives only, which enumerate_classes lists by
-a filter on each polynomial; eigen_bound is a bound mod 2.
+runs over canonical representatives only, the fixed points of canonicalize
+that enumerate_classes lists; eigen_bound is a bound mod 2.
 """
 
 from __future__ import annotations
@@ -335,8 +335,10 @@ def canonicalize(f: FpPoly) -> FpPoly:
 
     Strip (divide by x^c), root (c-th root) and desubstitute (x^c -> x) are
     applied until none changes f; the result h is reduced, and so is its
-    reversal (see enumerate_classes), so the canonical form is whichever of
-    h and h.reverse() has the smaller sorted exponent tuple.
+    reversal, since rev(g^c) = rev(g)^c and rev(g(x^c)) = rev(g)(x^c) when
+    g(0) != 0.  So from h the only move that changes it is reversal, and the
+    canonical form is whichever of h and h.reverse() has the smaller sorted
+    exponent tuple.
     """
     if f.p != 2:
         raise ValueError(f"canonicalization is defined for p=2, got p={f.p}")
@@ -351,15 +353,8 @@ def canonicalize(f: FpPoly) -> FpPoly:
 def enumerate_classes(max_deg: int) -> list[FpPoly]:
     """The canonical polynomials of degree 1..max_deg, by (degree, exponents).
 
-    These are the f with f(0) = 1 that are reduced (strip, root and
-    desubstitute leave f unchanged) and whose exponent tuple is at most that
-    of f.reverse().  Reversal keeps a polynomial reduced,
-    since rev(g^c) = rev(g)^c and rev(g(x^c)) = rev(g)(x^c) when g(0) != 0;
-    so from a reduced h the only move that changes it is reversal, to another
-    reduced polynomial, and h is canonical exactly when it is the smaller of
-    the two.  Every f in range reduces to a reduced polynomial of degree at
-    most deg f with constant term 1, so this filter lists exactly the
-    canonical forms canonicalize finds.
+    These are the fixed points of canonicalize with f(0) = 1.  A canonical
+    form is never larger than its reversal, so that cheap test runs first.
     """
     if max_deg < 1:
         raise ValueError("max_deg must be >= 1")
@@ -368,8 +363,7 @@ def enumerate_classes(max_deg: int) -> list[FpPoly]:
     for deg in range(1, max_deg + 1):
         for middle in range(1 << (deg - 1)):
             f = FpPoly(2, (1, *(middle >> i & 1 for i in range(deg - 1)), 1))
-            # f(0) = 1, so strip leaves f alone
-            if _exponents(f) <= _exponents(f.reverse()) and _desubstitute(f) == f == _root(f):
+            if _exponents(f) <= _exponents(f.reverse()) and canonicalize(f) == f:
                 found.append(f)
     return sorted(found, key=lambda f: (f.degree, _exponents(f)))
 

@@ -19,7 +19,6 @@ from polypow import (
     a_1px,
     a_from_recursion,
     a_from_recursion_range,
-    ab_first_mismatch,
     infer_recursion,
     line_complexity,
     line_complexity_range,
@@ -402,10 +401,13 @@ def test_a_1px_equals_exact_count_for_small_n():
         assert line_complexity_range(f, 10) == [a_1px(p, n) for n in range(11)]
 
 
-def test_ab_equivalence():
+def test_ab_equivalence(monkeypatch):
     for p in (2, 3, 5, 7):
-        assert ab_first_mismatch(p, 200) is None
         assert verify_ab_equivalence(p, 200)
+    # a wrong last value of a_1px is caught
+    exact = blocks.a_from_recursion_range
+    monkeypatch.setattr(blocks, "a_from_recursion_range", lambda rec, n: exact(rec, n)[:-1] + [0])
+    assert not verify_ab_equivalence(3, 200)
 
 
 def test_ab_equivalence_needs_room():

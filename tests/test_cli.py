@@ -597,3 +597,15 @@ def test_out_overwrites_previous_content(tmp_path, capsys):
     code, _, _ = run(capsys, "blocks", "--poly", "1+x", "--n", "3", "--out", str(target))
     assert code == 0
     assert target.read_text().startswith("n,a_n\n")
+
+
+@pytest.mark.parametrize("where", ["missing/a.csv", "dir"], ids=["missing-parent", "directory"])
+def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, where):
+    (tmp_path / "dir").mkdir()
+    target = tmp_path / where
+    code, out, err = run(capsys, "blocks", "--poly", "1+x", "--n", "3", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write --out {target}: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.rglob(".polypow-*")) == []
+    assert list((tmp_path / "dir").iterdir()) == []

@@ -26,12 +26,11 @@ from polypow import (
     poly_pow,
     render_fractal,
     row_blocks,
-    row_digits,
     to_pbm,
 )
 from polypow import fpoly
 from polypow.cli import main
-from polypow.fpoly import MAX_POLY_DEGREE, Bitmap
+from polypow.fpoly import MAX_POLY_DEGREE, Bitmap, digits_to_text
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -110,18 +109,17 @@ def test_mul_matches_schoolbook(f, g):
     assert (f * g).coeffs == naive_mul(f.coeffs, g.coeffs, f.p)
 
 
-@given(fp_polys(), fp_polys())
-def test_add_is_pointwise(f, g):
-    if f.p != g.p:
-        g = FpPoly.make(f.p, g.coeffs)
-    h = f + g
-    width = max(len(f.coeffs), len(g.coeffs), len(h.coeffs), 1)
-
-    def at(poly, i):
-        return poly.coeffs[i] if i < len(poly.coeffs) else 0
-
-    for i in range(width):
-        assert at(h, i) == (at(f, i) + at(g, i)) % f.p
+@pytest.mark.parametrize("p", [1000000007, 2**61 - 1])
+def test_mul_and_pow_past_the_int64_bound_match_schoolbook(p):
+    # ten products near (p-1)^2 overflow int64 at p = 10^9+7; one does at 2^61-1
+    f = FpPoly.make(p, [p - 1] * 9 + [p - 2])
+    g = FpPoly.make(p, [p - 1, p - 2, p - 1, 3, p - 1, p - 1, p - 4, p - 1, p - 1, p - 1])
+    assert min(len(f.coeffs), len(g.coeffs)) * (p - 1) ** 2 >= 2**62
+    assert (f * g).coeffs == naive_mul(f.coeffs, g.coeffs, p)
+    want = (1,)
+    for k in range(1, 8):
+        want = naive_mul(want, f.coeffs, p)
+        assert poly_pow(f, k).coeffs == want
 
 
 @given(fp_polys(max_deg=4), st.integers(0, 12))
@@ -155,20 +153,20 @@ def test_pow_rejects_negative_exponent():
 # ------------------------------------------------------------------ rows ----
 
 
-def test_row_digits_is_poly_pow():
+def test_poly_pow_rows():
     f = FpPoly.make(2, [1, 1])
-    assert row_digits(f, 0).digits == (1,)
-    assert row_digits(f, 2).digits == (1, 0, 1)
-    assert row_digits(f, 4).text == "10001"
+    assert poly_pow(f, 0).coeffs == (1,)
+    assert poly_pow(f, 2).coeffs == (1, 0, 1)
+    assert digits_to_text(poly_pow(f, 4).coeffs) == "10001"
     # binomials mod 3
-    assert row_digits(FpPoly.make(3, [1, 1]), 3).digits == (1, 0, 0, 1)
+    assert poly_pow(FpPoly.make(3, [1, 1]), 3).coeffs == (1, 0, 0, 1)
 
 
 @given(fp_polys(nonzero=True), st.integers(0, 20))
 @settings(max_examples=60)
-def test_iter_rows_agrees_with_row_digits(f, n):
+def test_iter_rows_agrees_with_poly_pow(f, n):
     for k, row in enumerate(iter_rows(f, n)):
-        assert tuple(int(d) for d in row) == row_digits(f, k).digits
+        assert tuple(int(d) for d in row) == poly_pow(f, k).coeffs
 
 
 def test_iter_rows_rejects_zero_polynomial():
@@ -310,7 +308,7 @@ def test_render_fractal_marks_the_schoolbook_nonzeros(p, coeffs, rows):
 
 def test_row_of_zero_constant_power():
     # f^0 is always the single digit 1, even for constants
-    assert row_digits(FpPoly.make(5, [3]), 0).digits == (1,)
+    assert poly_pow(FpPoly.make(5, [3]), 0).coeffs == (1,)
 
 
 # -------------------------------------------------------------- counting ----
