@@ -24,8 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from sympy import integer_nthroot, zeros
-
 from .blocks import RecursionSpec, a_from_recursion, a_from_recursion_range
 
 F = Fraction
@@ -100,25 +98,43 @@ def _inside_unit_circle(f: list[int]) -> bool:
     return True
 
 
+def _charpoly(m: list[list[int]]) -> list[int]:
+    """det(tI - m) = t^n + c_1 t^(n-1) + ... + c_n of an integer matrix, as
+    [1, c_1, ..., c_n].
+
+    Faddeev-LeVerrier: M_1 = I and M_k = m M_(k-1) + c_(k-1) I give
+    c_k = -tr(m M_k)/k, a division that is exact in the integers.
+    """
+    n = len(m)
+    chi, prod = [1], [[0] * n for _ in range(n)]  # prod = m M_(k-1)
+    for k in range(1, n + 1):
+        for i in range(n):
+            prod[i][i] += chi[-1]
+        cols = list(zip(*prod))
+        prod = [[sum(map(mul, row, col)) for col in cols] for row in m]
+        chi.append(-sum(prod[i][i] for i in range(n)) // k)
+    return chi
+
+
 def _projection_row(rec: RecursionSpec) -> tuple[list[int], int]:
     """(r, D): r/D is the first row of the p^2-eigenprojection of M_0."""
     p, rows = rec.p, rec.rows
     w = max(map(len, rows)) - 1  # V(n) = (a(n), ..., a(n+w), 1)
     while any(j // p + len(rows[j % p]) - 1 > w for j in range(w + 1)):
         w += 1
-    m0 = zeros(w + 2)
+    m0 = [[0] * (w + 2) for _ in range(w + 2)]
     for j in range(w + 1):
         for i, c in enumerate(rows[j % p]):
-            m0[j, j // p + i] = c
-        m0[j, -1] = -rec.constant
-    m0[-1, -1] = 1
-    chi = [int(c) for c in m0.charpoly().all_coeffs()]
+            m0[j][j // p + i] = c
+        m0[j][-1] = -rec.constant
+    m0[-1][-1] = 1
+    chi = _charpoly(m0)
     lam, q = p * p, [1]  # q = chi / (t - lam), descending
     for c in chi[1:]:
         q.append(q[-1] * lam + c)
-    row, denom = zeros(1, w + 2), 0
+    row, denom = [0] * (w + 2), 0
     for c in q[:-1]:  # r = e_0 q(M_0), D = q(lam): q(M_0)/q(lam) projects
-        row = row * m0
+        row = [sum(map(mul, row, col)) for col in zip(*m0)]
         row[0] += c
         denom = denom * lam + c
     deg = len(q) - 2
@@ -127,7 +143,7 @@ def _projection_row(rec: RecursionSpec) -> tuple[list[int], int]:
         raise ArithmeticError(
             f"p^2 = {lam} is not a simple dominant root of {chi}, the "
             f"characteristic polynomial of the recursion's M_0")
-    return [int(v) for v in row], denom
+    return row, denom
 
 
 def _points(rec: RecursionSpec, row: list[int], denom: int,
@@ -244,6 +260,19 @@ def empirical_ratio(rec: RecursionSpec, x, k: int) -> float:
     return a_from_recursion(rec, n) / (n * n)
 
 
+def _iroot(n: int, s: int) -> int:
+    """floor(n^(1/s)) for n >= 0 and s >= 1, exact: Newton's iteration from
+    above decreases strictly until it reaches the floor."""
+    if n < 2 or s == 1:
+        return n
+    x = 1 << -(-n.bit_length() // s)
+    while True:
+        y = ((s - 1) * x + n // x ** (s - 1)) // s
+        if y >= x:
+            return x
+        x = y
+
+
 def oscillation_table(rec: RecursionSpec, samples_per_octave: int,
                       k_max: int) -> list[tuple[float, float]]:
     """(log_p n, a(n)/n^2) at n = floor(p^(k + j/s)), k = 1..k_max, j < s."""
@@ -258,8 +287,7 @@ def oscillation_table(rec: RecursionSpec, samples_per_octave: int,
             f"{s} samples per octave up to p^{k_max} take roots of powers of "
             f"{digits} base-p digits in all, over MAX_SAMPLE_DIGITS = {MAX_SAMPLE_DIGITS}")
     p, logp = rec.p, math.log(rec.p)
-    ns = sorted({integer_nthroot(p ** (k * s + j), s)[0]
-                 for k in range(1, k_max + 1) for j in range(s)})
+    ns = sorted({_iroot(p ** (k * s + j), s) for k in range(1, k_max + 1) for j in range(s)})
     # floor(n/p) of a sample is the sample an octave lower: ascending
     # samples share their descents through one memo
     known: dict[int, int] = {}

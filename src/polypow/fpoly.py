@@ -7,7 +7,9 @@ first.  row_blocks builds the rows in p-adic blocks, by Frobenius
 matrices of consecutive rows; iter_rows yields them one row at a time.
 count_coeff counts one residue, or every nonzero digit, in a row,
 cumulative_count sums that over rows 0..n-1, and the nonzero pattern of the
-rows renders as a bitmap.
+rows renders as a bitmap.  divmod_mod and gcd_mod divide plain coefficient
+lists over Z/p, and squarefree_parts splits a polynomial into square-free
+parts.
 """
 
 from __future__ import annotations
@@ -120,6 +122,66 @@ def _convolve_mod(a, b, p: int) -> list[int]:
     dtype = np.int64 if min(len(a), len(b)) * (p - 1) ** 2 < 2**62 else object
     out = np.convolve(np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype))
     return (out % p).tolist()
+
+
+def divmod_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b over Z/p, ascending lists reduced mod p.
+
+    b must be trimmed and nonzero; the remainder comes back trimmed.
+    """
+    rem, n = list(a), len(b) - 1
+    inv = pow(b[-1], -1, p)
+    quot = [0] * max(len(rem) - n, 0)
+    for i in range(len(rem) - n - 1, -1, -1):
+        c = quot[i] = rem[i + n] * inv % p
+        if c:
+            rem[i : i + n] = [(x - c * y) % p for x, y in zip(rem[i : i + n], b)]
+    del rem[n:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over Z/p of two trimmed ascending lists reduced mod p, not both zero."""
+    while b:
+        a, b = b, divmod_mod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def squarefree_parts(f: FpPoly) -> list[tuple[FpPoly, int]]:
+    """(g, k) pairs with f = lc * prod g^k, each g monic, square-free and coprime
+    to the others; the decomposition is that of Yun (1976) over Z/p.
+
+    gcd(f, f') holds each factor of multiplicity k with multiplicity k - 1,
+    or k when p divides k, so the quotients of one gcd chain give the parts
+    whose multiplicity p does not divide.  What is left is a p-th power
+    g(x^p) = g(x)^p (the Frobenius fixes Z/p), so its p-th root is
+    decomposed the same way with every multiplicity times p.
+    """
+    p = f.p
+    if f.degree < 1:
+        return []
+    inv = pow(f.coeffs[-1], -1, p)
+    cur, scale, parts = [c * inv % p for c in f.coeffs], 1, []
+    while True:
+        deriv = [i * c % p for i, c in enumerate(cur)][1:]
+        while deriv and deriv[-1] == 0:
+            deriv.pop()
+        rest = cur
+        if deriv:
+            rest = gcd_mod(cur, deriv, p)
+            h, k = divmod_mod(cur, rest, p)[0], 1
+            while len(h) > 1:
+                common = gcd_mod(rest, h, p)
+                part = divmod_mod(h, common, p)[0]
+                if len(part) > 1:
+                    parts.append((FpPoly(p, tuple(part)), k * scale))
+                rest, h, k = divmod_mod(rest, common, p)[0], common, k + 1
+        if len(rest) == 1:
+            return parts
+        cur, scale = rest[::p], scale * p
 
 
 def poly_pow(f: FpPoly, k: int) -> FpPoly:

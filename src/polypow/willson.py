@@ -42,12 +42,10 @@ from functools import cached_property
 from itertools import islice
 
 import numpy as np
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_sqf_list
 
 from ._zzpoly import factor_int_poly, may_vanish, minimal_recurrence
 from .blocks import window_maps
-from .fpoly import FpPoly, format_poly, iter_rows, poly_pow
+from .fpoly import FpPoly, format_poly, iter_rows, poly_pow, squarefree_parts
 
 # Degree 12 at p = 2 (5660 states, built in under a second); 1+x mod 13
 # (28561) takes about a second, while 1+x+x^2 mod 11 (161051) takes minutes.
@@ -311,14 +309,13 @@ def _strip(f: FpPoly) -> FpPoly:
 
 def _root(f: FpPoly) -> FpPoly:
     """The c-th root of f for the largest c making f a c-th power."""
-    # the square-free parts of f with their multiplicities, high degree first
-    _, parts = gf_sqf_list(list(f.coeffs[::-1]), 2, ZZ)
+    parts = squarefree_parts(f)
     c = math.gcd(*(k for _, k in parts))
     if c <= 1:
         return f
     out = FpPoly.one(2)
     for part, k in parts:
-        out = out * poly_pow(FpPoly.make(2, part[::-1]), k // c)
+        out = out * poly_pow(part, k // c)
     return out
 
 
@@ -389,11 +386,16 @@ class SurveyRow:
 
 
 def survey_row(f: FpPoly, result: SpectralResult) -> SurveyRow:
-    """The report row of f, checked against eigen_bound when p = 2 and deg f >= 1."""
+    """The report row of f, checked against eigen_bound when p = 2 and deg f >= 1.
+
+    bound_ok is exact: the top of the certified bracket satisfies
+    hi^(k+1) <= 4^(k+1) (1 - 2^-(k+2)), in rationals.
+    """
     if f.p != 2 or f.degree < 1:
         return SurveyRow(f, result, None, None)
-    bound = eigen_bound(f.degree)
-    return SurveyRow(f, result, bound, result.lam <= bound + 1e-9)
+    k = (f.degree - 1).bit_length()
+    ok = result.interval[1] ** (k + 1) <= 4 ** (k + 1) * (1 - Fraction(1, 1 << (k + 2)))
+    return SurveyRow(f, result, eigen_bound(f.degree), ok)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import integer_nthroot
@@ -326,3 +327,24 @@ def test_oscillation_work_cap():
     assert rows[0] == oscillation_table(rec, 1, 1)[0] and len(rows) == 6  # n = 3..8
     with pytest.raises(ValueError, match="over MAX_SAMPLE_DIGITS"):
         oscillation_table(rec, 419, 1)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=80, deadline=None)
+def test_charpoly_against_sympy(m):
+    assert asympt._charpoly(m) == [int(c) for c in sympy.Matrix(m).charpoly().all_coeffs()]
+
+
+@given(st.integers(0, 10**80), st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_iroot_against_sympy(n, s):
+    assert asympt._iroot(n, s) == integer_nthroot(n, s)[0]
+
+
+@pytest.mark.parametrize("s", [2, 3, 7])
+def test_iroot_at_exact_powers(s):
+    for r in (1, 2, 3, 10**9 + 7, 2**100):
+        assert asympt._iroot(r**s, s) == r
+        assert asympt._iroot(r**s - 1, s) == r - 1
+        assert asympt._iroot(r**s + 1, s) == r

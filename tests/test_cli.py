@@ -576,6 +576,27 @@ def test_module_entry_point_and_import_stay_apart():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_commands_run_without_sympy():
+    # sympy is a test oracle only: importing the CLI, a spectral survey with
+    # its factoring and a limit law must all run without loading it
+    env = {**os.environ, "PYTHONPATH": str(Path(polypow.__file__).parents[1])}
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from polypow import cli",
+        "def loaded():",
+        "    return sorted(m for m in sys.modules if m.startswith('sympy'))",
+        "assert not loaded(), loaded()",
+        "for argv in (['survey', '--max-deg', '5', '--depth', '10'],",
+        "             ['limits', '--poly', '1+x+x^2', '--prime', '3']):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert cli.main(argv) == 0, argv",
+        "    assert not loaded(), (argv, loaded())",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------- file out --
 
 

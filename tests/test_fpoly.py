@@ -7,12 +7,15 @@ poly_pow rows, binomial coefficients for 1+x, and a string join for PBM text.
 
 import math
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_sqf_list
 
 from polypow import (
     TOTAL,
@@ -30,7 +33,7 @@ from polypow import (
 )
 from polypow import fpoly
 from polypow.cli import main
-from polypow.fpoly import MAX_POLY_DEGREE, Bitmap, digits_to_text
+from polypow.fpoly import MAX_POLY_DEGREE, Bitmap, digits_to_text, squarefree_parts
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -393,3 +396,16 @@ def test_format_parse_round_trip(f):
 def test_format_poly_layout():
     assert format_poly(FpPoly.make(5, [2, 1, 0, 3])) == "2+x+3x^3"
     assert format_poly(FpPoly.make(2, [0])) == "0"
+
+
+@pytest.mark.parametrize("p, max_deg", [(2, 12), (3, 6)])
+def test_squarefree_parts_against_sympy(p, max_deg):
+    # every polynomial of degree 1..max_deg mod p
+    for deg in range(1, max_deg + 1):
+        for low in product(range(p), repeat=deg):
+            for lead in range(1, p):
+                f = FpPoly(p, (*low, lead))
+                _, want = gf_sqf_list([ZZ(c) for c in reversed(f.coeffs)], p, ZZ)
+                got = [(g.coeffs, k) for g, k in squarefree_parts(f)]
+                assert sorted(got) == sorted(
+                    (tuple(int(c) for c in reversed(g)), k) for g, k in want), f

@@ -707,6 +707,22 @@ def test_eigen_bound_values():
         eigen_bound(0)
 
 
+def test_exact_bound_check_agrees_with_the_float_one_up_to_degree_6():
+    # bound_ok compares the top of the certified bracket with the bound in
+    # rationals; on every class of degree <= 6 it reads as the float test did
+    for row in survey(6, depth=0).rows:
+        assert row.bound_ok == (row.result.lam <= eigen_bound(row.poly.degree) + 1e-9)
+
+
+def test_exact_bound_check_reads_the_top_of_the_bracket():
+    # lam stays far below the bound, but the bracket's top is over it
+    bound = Fraction(eigen_bound(3))
+    res = perron(build_transfer(P1XX3))
+    over = replace(res, interval=(bound - Fraction(1, 2**40), bound + Fraction(1, 2**40)))
+    assert willson.survey_row(P1XX3, res).bound_ok
+    assert not willson.survey_row(P1XX3, over).bound_ok
+
+
 def test_survey_deg3_report():
     result = survey(3, depth=4)
     assert len(result.rows) == 3

@@ -7,8 +7,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polypow import _zzpoly
+from polypow import _zzpoly, build_transfer, enumerate_classes, perron
 from polypow._zzpoly import factor_int_poly, may_vanish, minimal_recurrence
+from polypow.fpoly import format_poly
 
 X = sympy.Symbol("x")
 
@@ -138,3 +139,81 @@ def test_divides_helper_is_strict():
     assert divides([1, 1], [1, 2, 1])  # (x+1) | (x+1)^2
     assert not divides([1, 1], [1, 0, 1])
     assert divides([2, 2], [1, 2, 1])  # rational quotient is fine
+
+
+def sympy_factors(c):
+    """The distinct irreducible factors of c by sympy.factor_list, normalized
+    as factor_int_poly returns them."""
+    if not any(c):
+        return []
+    _, facs = sympy.factor_list(sympy_poly(c))
+    out = [[int(a) for a in reversed(g.all_coeffs())] for g, _ in facs]
+    out = [g if g[-1] > 0 else [-a for a in g] for g in out if len(g) > 1]
+    return sorted(out, key=lambda g: (len(g), g))
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def factored_polys(draw):
+    """c x^k times a product of random monic factors, some repeated and some
+    linear with an integer root."""
+    monic = st.lists(st.integers(-6, 6), min_size=1, max_size=5).map(lambda c: c + [1])
+    linear = st.integers(-5, 5).map(lambda r: [-r, 1])
+    factors = draw(st.lists(st.tuples(st.one_of(monic, linear), st.integers(1, 3)), max_size=4))
+    f = [0] * draw(st.integers(0, 3)) + [draw(st.sampled_from([1, -1, 2, -3, 6]))]
+    for g, mult in factors:
+        for _ in range(mult):
+            f = poly_mul(f, g)
+    return f
+
+
+@given(factored_polys())
+@settings(max_examples=150, deadline=None)
+def test_factor_int_poly_against_sympy_factor_list(c):
+    assert factor_int_poly(c) == sympy_factors(c)
+
+
+@pytest.mark.parametrize("c", [
+    [],
+    [5],
+    [0, 0, 3],
+    [6, 4, 2],  # content 2
+    [4, 0, 0, 0, 1],  # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2)
+    [576, 0, -960, 0, 352, 0, -40, 0, 1],  # Swinnerton-Dyer for 2, 3, 5
+    [-1] + [0] * 29 + [1],  # x^30 - 1, eight cyclotomic factors
+    [-6, 1, 5, -1, -1, 2],  # not monic
+], ids=str)
+def test_factor_int_poly_special_cases(c):
+    assert factor_int_poly(c) == sympy_factors(c)
+
+
+def test_swinnerton_dyer_of_degree_32_is_irreducible():
+    # the minimal polynomial of sqrt2 + sqrt3 + sqrt5 + sqrt7 + sqrt11 splits
+    # into 16 quadratics mod every prime, so every even degree survives the
+    # sieve and recombination must rule out each subset of up to 8 of them
+    sd = sympy.minimal_polynomial(sum(map(sympy.sqrt, (2, 3, 5, 7, 11))), X)
+    c = [int(a) for a in reversed(sympy.Poly(sd, X).all_coeffs())]
+    assert factor_int_poly(c) == [c]
+
+
+def test_x4_minus_10x2_plus_1_needs_recombination():
+    # irreducible over Z, yet mod every prime its factors have degree <= 2,
+    # so only Zassenhaus's recombination can prove it
+    f = [1, 0, -10, 0, 1]
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        parts = _zzpoly._distinct_degree([c % q for c in f], q)
+        assert max(d for d, _ in parts) <= 2
+    assert factor_int_poly(f) == sympy_factors(f) == [f]
+
+
+@pytest.mark.parametrize("f", enumerate_classes(6), ids=format_poly)
+def test_factor_int_poly_on_every_recurrence_up_to_degree_6(f):
+    rec = list(perron(build_transfer(f)).recurrence)
+    assert factor_int_poly(rec) == sympy_factors(rec)
