@@ -82,7 +82,7 @@ def minimal_recurrence(seq: list[int], max_order: int) -> list[int]:
     if order > max_order:
         raise ArithmeticError(f"recurrence order {order} exceeds {max_order}")
     for k in range(len(seq) - order):
-        if sum(c * s for c, s in zip(lift, seq[k:])):
+        if sum(c * s for c, s in zip(lift, seq[k:k + order + 1])):
             raise ArithmeticError(f"recurrence fails at term {k + order}")
     return lift
 

@@ -17,9 +17,13 @@ discovery rows k, which makes any bounded-lookahead stopping rule unsound.
 At a length that is its own source, window_maps also gives, per map, the
 image of every block by index: the transfer maps of the nonzero counts.
 
-Memory: each level is one packed matrix, the sorted distinct blocks as uint8
-rows.  Only the fixpoint level stays; a count builds one level up its source
-chain, and that sorted level counts every shorter length too.
+Memory: each level is one matrix, its sorted distinct blocks as uint8 rows.
+A map step holds one candidate matrix, the p*p cuts of its source level,
+filled one row's expansion at a time and sorted in place; a level keeps the
+first of each run of equal candidates.  Only the fixpoint level stays; a
+count builds one level up its source chain, and the last level of that chain
+is never deduplicated: its sorted candidates count it and every shorter
+length.
 A step that would hold more than MAX_CELLS digits raises ClosureSizeError
 before allocating.  Every call builds its own closure; none is cached.
 Digits are bytes, so p > 255 is refused.
@@ -59,9 +63,23 @@ def _packed(mat: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(mat).view(np.dtype((np.void, mat.shape[1]))).ravel()
 
 
+def _sort_rows(mat: np.ndarray) -> np.ndarray:
+    """Sort the rows of a C-contiguous uint8 matrix in place, as their digits order them."""
+    _packed(mat).sort()
+    return mat
+
+
+def _first_of_runs(mat: np.ndarray) -> np.ndarray:
+    """The distinct rows of a row-sorted matrix: the first of each run of equal rows."""
+    keys = _packed(mat)
+    keep = np.ones(len(keys), bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return mat[keep]
+
+
 def _unique_rows(mat: np.ndarray) -> np.ndarray:
-    """The distinct rows of a uint8 matrix, in lexicographic order."""
-    return np.unique(_packed(mat)).view(np.uint8).reshape(-1, mat.shape[1])
+    """The distinct rows of a uint8 matrix, in lexicographic order; mat is left as it is."""
+    return _first_of_runs(_sort_rows(np.array(mat, np.uint8, order="C")))
 
 
 def _check_cells(cells: int, what: str) -> None:
@@ -87,13 +105,16 @@ def scan_accessible(f: FpPoly, n: int, max_row: int = SCAN_CAP) -> np.ndarray:
 ROW_CHUNK = 2**14  # adjacent row pairs _first_diffs compares at once
 
 
-def _first_diffs(level: np.ndarray) -> np.ndarray:
-    """The first differing column of each adjacent row pair of a sorted, distinct matrix."""
-    out = np.empty(len(level) - 1, np.intp)
-    for lo in range(0, len(out), ROW_CHUNK):
-        pairs = level[lo:lo + ROW_CHUNK + 1]
-        out[lo:lo + ROW_CHUNK] = np.argmax(pairs[1:] != pairs[:-1], axis=1)
-    return out
+def _first_diffs(rows: np.ndarray) -> np.ndarray:
+    """The first differing column of each adjacent pair of unequal rows of a
+    row-sorted matrix; pairs of equal rows are skipped."""
+    out = [np.empty(0, np.intp)]
+    for lo in range(0, len(rows) - 1, ROW_CHUNK):
+        pairs = rows[lo:lo + ROW_CHUNK + 1]
+        differs = pairs[1:] != pairs[:-1]
+        first = np.argmax(differs, axis=1)
+        out.append(first[differs[np.arange(len(first)), first]])
+    return np.concatenate(out)
 
 
 class _Closure:
@@ -162,44 +183,70 @@ class _Closure:
             fix = np.insert(fix, at[fresh], new, axis=0)
         return fix
 
-    def _expand(self, src: np.ndarray) -> list[np.ndarray]:
-        """Per row r, each source block dilated by p and convolved with row r."""
-        digits = src.astype(self.dtype)
+    def _expand(self, src: np.ndarray) -> list[tuple[np.ndarray, int]]:
+        """Per row r, the pair (src, r) that _expand_row turns into the source
+        blocks dilated by p and convolved with row r.  The whole expansion is
+        sized and checked here; _cuts builds one row's at a time."""
         span = self.p * (src.shape[1] - 1) + 1
-        widths = [span + len(rr) - 1 + self.p for rr in self.rows]
-        _check_cells(len(src) * sum(widths), f"the expansion of {len(src)} blocks")
-        out = []
-        for rr, width in zip(self.rows, widths):
-            e = np.zeros((len(src), width), dtype=self.dtype)
-            for y, coef in enumerate(rr.tolist()):
-                if coef:
-                    e[:, y:y + span:self.p] += coef * digits
-            out.append((e % self.p).astype(np.uint8, copy=False))
-        return out
+        cells = len(src) * sum(span + len(rr) + self.p - 1 for rr in self.rows)
+        _check_cells(cells, f"the expansion of {len(src)} blocks")
+        return [(src, r) for r in range(self.p)]
 
-    def _cuts(self, expanded: list[np.ndarray], n: int) -> list[np.ndarray]:
-        """The p*p cuts of the expanded source level: per row r, p n-windows.
+    def _expand_row(self, src: np.ndarray, r: int) -> np.ndarray:
+        """Each source block dilated by p and convolved with row r."""
+        rr = self.rows[r]
+        digits = src.astype(self.dtype, copy=False)
+        span = self.p * (src.shape[1] - 1) + 1
+        e = np.zeros((len(src), span + len(rr) + self.p - 1), dtype=self.dtype)
+        for y, coef in enumerate(rr.tolist()):
+            if coef:
+                e[:, y:y + span:self.p] += coef * digits
+        return np.remainder(e, self.p, out=e).astype(np.uint8, copy=False)
 
-        Cut p*r+j sends the source block at position t of row m to the
-        n-window at p*t+dr+j of row p*m+r, where dr is the degree of row r.
+    def _cuts(self, expanded: list[tuple[np.ndarray, int]], n: int) -> np.ndarray:
+        """The p*p cuts of the expanded source level, one matrix of n-windows.
+
+        Per row r in order, cut p*r+j sends the source block at position t
+        of row m to the n-window at p*t+dr+j of row p*m+r, where dr is the
+        degree of row r; each cut's windows follow the source blocks' order.
+        The matrix is allocated once, and each row's expansion is dropped
+        before the next is built.
         """
-        cuts = []
-        for rr, e in zip(self.rows, expanded):
-            dr = len(rr) - 1
+        rows = self.p * sum(len(src) for src, _ in expanded)
+        _check_cells(rows * n, f"the candidate {n}-blocks")
+        out = np.empty((rows, n), np.uint8)
+        at = 0
+        for src, r in expanded:
+            e = self._expand_row(src, r)
+            dr = len(self.rows[r]) - 1
             # offsets dr..dr+p-1 realize every alignment of a true window
             # while staying inside the patch the source block determines
-            cuts.extend(e[:, o:o + n] for o in range(dr, dr + self.p))
-        return cuts
+            for o in range(dr, dr + self.p):
+                out[at:at + len(e)] = e[:, o:o + n]
+                at += len(e)
+            del e
+        return out
 
-    def _apply_maps(self, expanded: list[np.ndarray], n: int) -> np.ndarray:
+    def _sorted_cuts(self, expanded: list[tuple[np.ndarray, int]], n: int) -> np.ndarray:
+        """The level-n blocks that the expanded source level yields, sorted,
+        each as often as a cut yields it."""
+        return _sort_rows(self._cuts(expanded, n))
+
+    def _apply_maps(self, expanded: list[tuple[np.ndarray, int]], n: int) -> np.ndarray:
         """The level-n blocks that the expanded source level yields."""
-        _check_cells(self.p * n * sum(len(e) for e in expanded), f"the candidate {n}-blocks")
-        return _unique_rows(np.concatenate(self._cuts(expanded, n)))
+        return _first_of_runs(self._sorted_cuts(expanded, n))
+
+    def candidates(self, n: int) -> np.ndarray:
+        """The accessible n-blocks (n >= 1), sorted, one per matrix row; above
+        lc each appears as often as the maps yield it from its source level."""
+        if n > self.lc:
+            return self._sorted_cuts(self._expand(self.level(self._source_len(n))), n)
+        return self.level(n)
 
     def level(self, n: int) -> np.ndarray:
         """The accessible n-blocks (n >= 1), one per matrix row."""
         if n > self.lc:
-            return self._apply_maps(self._expand(self.level(self._source_len(n))), n)
+            return _first_of_runs(self.candidates(n))
         fix = self.fixpoint
         return fix[np.r_[True, _first_diffs(fix) < n], :n]
 
@@ -215,9 +262,9 @@ def window_maps(f: FpPoly, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
     if closure._source_len(n) != n:
         raise ValueError(f"window length {n} is not its own source length")
     level = closure.level(n)
-    keys = _packed(level)
     cuts = closure._cuts(closure._expand(level), n)
-    return level, [np.searchsorted(keys, _packed(cut)) for cut in cuts]
+    images = np.searchsorted(_packed(level), _packed(cuts))
+    return level, list(images.reshape(-1, len(level)))
 
 
 def line_complexity(f: FpPoly, n: int) -> int:
@@ -232,14 +279,16 @@ def line_complexity_range(f: FpPoly, n_max: int) -> list[int]:
 
     A window extends one digit right inside its row, so the m-blocks are the
     distinct m-prefixes of the sorted n_max-blocks, and a(m) is 1 plus the
-    adjacent rows that first differ before column m.
+    adjacent unequal rows that first differ before column m.  Level n_max is
+    only counted, so its sorted candidates are read with their repeats and
+    never deduplicated.
     """
     if n_max < 0:
         raise ValueError("block length must be >= 0")
     closure = _Closure(f)
     if n_max == 0:
         return [1]
-    firsts = np.bincount(_first_diffs(closure.level(n_max)), minlength=n_max)
+    firsts = np.bincount(_first_diffs(closure.candidates(n_max)), minlength=n_max)
     return [1, *(1 + np.cumsum(firsts)).tolist()]
 
 

@@ -5,6 +5,7 @@ string slicing, nothing shared with the window engine that runs both the scan
 and the closure.
 """
 
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -264,15 +265,16 @@ def source_chain(f, n):
 
 
 def recording_maps(monkeypatch):
-    """The lengths of the levels cut by _apply_maps from now on, in order."""
+    """The lengths of the levels cut from now on, in order: every level, kept
+    or only counted, is one call of _sorted_cuts."""
     built = []
-    apply_maps = blocks._Closure._apply_maps
+    sorted_cuts = blocks._Closure._sorted_cuts
 
     def recording(self, expanded, n):
         built.append(n)
-        return apply_maps(self, expanded, n)
+        return sorted_cuts(self, expanded, n)
 
-    monkeypatch.setattr(blocks._Closure, "_apply_maps", recording)
+    monkeypatch.setattr(blocks._Closure, "_sorted_cuts", recording)
     return built
 
 
@@ -340,6 +342,56 @@ def test_prefix_pass_in_small_chunks_counts_a_range(monkeypatch):
     for m in range(1, closure.lc + 1):
         assert np.array_equal(closure.level(m),
                               blocks._unique_rows(closure.fixpoint[:, :m]))
+
+
+# 1+x+x^2 mod 5: the recursion criterion 05 pins, from the pinned a(0..10)
+QUADRATIC_5 = RecursionSpec(
+    p=5,
+    rows=((9, 12, 4), (6, 13, 6), (4, 12, 9), (2, 12, 10, 1), (1, 10, 12, 2)),
+    constant=152,
+    initials=(1, 5, 25, 121, 393, 673, 929, 1257, 1761, 2341, 3097),
+    threshold=6,
+)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_counted_level_counts_exactly_with_its_repeats(monkeypatch, chunk):
+    # the counted level is the sorted candidates, repeats kept, so runs of
+    # equal rows straddle the chunk boundaries of the prefix pass
+    monkeypatch.setattr(blocks, "ROW_CHUNK", chunk)
+    quadratic_5 = FpPoly.make(5, [1, 1, 1])
+    candidates = blocks._Closure(quadratic_5).candidates(30)
+    assert len(blocks._unique_rows(candidates)) < len(candidates)
+    assert line_complexity_range(quadratic_5, 30) == a_from_recursion_range(QUADRATIC_5, 30)
+    assert line_complexity_range(ONE_PLUS_X_3, 60) == [a_1px(3, n) for n in range(61)]
+    level = blocks._Closure(CXX2_23).level(12)
+    oracle = [1] + [distinct_prefixes(level, m) for m in range(1, 13)]
+    assert line_complexity_range(CXX2_23, 12) == oracle
+
+
+def test_counted_level_holds_one_candidate_matrix():
+    # level 150 of 1+x mod 3 is cut from the a(52) blocks of level 52, p*p
+    # cuts each; the count holds that matrix and little beside it
+    assert source_chain(ONE_PLUS_X_3, 150)[1] == 52
+    candidate_bytes = 3 * 3 * a_1px(3, 52) * 150
+    tracemalloc.start()
+    try:
+        counts = line_complexity_range(ONE_PLUS_X_3, 150)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[-1] == a_1px(3, 150)
+    assert peak < 2 * candidate_bytes
+
+
+def test_unique_rows_leaves_its_argument_alone():
+    rng = np.random.default_rng(11)
+    digits = rng.integers(0, 3, size=(60, 5), dtype=np.uint8)
+    for mat in (digits, digits[:, 1:4], digits[::-1]):
+        before = mat.copy()
+        got = blocks._unique_rows(mat)
+        assert np.array_equal(mat, before)
+        assert [tuple(row) for row in got] == sorted(set(map(tuple, mat.tolist())))
 
 
 def naive_fixpoint(closure):

@@ -1,5 +1,6 @@
 """Exact integer polynomial work, cross-checked against sympy's generic paths."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,22 @@ def test_minimal_recurrence_refuses_what_it_cannot_certify():
     with pytest.raises(ArithmeticError):
         # the shortest recurrence of this prefix has order 6 > 3
         minimal_recurrence([0, 0, 0, 0, 0, 1, 0, 0], 3)
+
+
+def test_minimal_recurrence_checks_the_last_term_exactly():
+    # a last term off by a multiple of every prime tried: each prime sees the
+    # Fibonacci recurrence, and only the exact check over the integers finds
+    # that the last term breaks it
+    primes, q = [], 1 << 62
+    while len(primes) < 4:
+        q -= 1
+        if _zzpoly.is_prime(q):
+            primes.append(q)
+    fib = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
+    assert minimal_recurrence(fib, 3) == [-1, -1, 1]
+    fib[-1] += math.prod(primes)
+    with pytest.raises(ArithmeticError, match="fails at term 9"):
+        minimal_recurrence(fib, 3)
 
 
 POLYS = (
