@@ -19,10 +19,12 @@ image of every block by index: the transfer maps of the nonzero counts.
 
 Memory: each level is one matrix, its sorted distinct blocks as uint8 rows.
 A map step holds one candidate matrix, the p*p cuts of its source level,
-filled one row's expansion at a time and sorted in place; a level keeps the
-first of each run of equal candidates.  Only the fixpoint level stays; a
-count builds one level up its source chain, and the last level of that chain
-is never deduplicated: its sorted candidates count it and every shorter
+filled one row's expansion at a time, and the index order that sorts it; the
+cuts of a sorted level come in long sorted runs, which a stable sort merges
+in little more than one pass.  A level keeps the first of each run of equal
+candidates.  Only the fixpoint level stays; a count builds one level up its
+source chain, and the last level of that chain is never deduplicated: its
+candidates, read in order one chunk at a time, count it and every shorter
 length.
 A step that would hold more than MAX_CELLS digits raises ClosureSizeError
 before allocating.  Every call builds its own closure; none is cached.
@@ -31,6 +33,7 @@ Digits are bytes, so p > 255 is refused.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -63,23 +66,53 @@ def _packed(mat: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(mat).view(np.dtype((np.void, mat.shape[1]))).ravel()
 
 
-def _sort_rows(mat: np.ndarray) -> np.ndarray:
-    """Sort the rows of a C-contiguous uint8 matrix in place, as their digits order them."""
-    _packed(mat).sort()
-    return mat
+ROW_CHUNK = 2**14  # adjacent row pairs _first_diffs compares at once
 
 
-def _first_of_runs(mat: np.ndarray) -> np.ndarray:
-    """The distinct rows of a row-sorted matrix: the first of each run of equal rows."""
-    keys = _packed(mat)
-    keep = np.ones(len(keys), bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return mat[keep]
+def _first_diffs(rows: np.ndarray, order: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """The first differing column of each adjacent pair of rows read in
+    `order` (None: as they stand), or the row length for a pair of equal
+    rows; one array per chunk of ROW_CHUNK pairs.
+
+    Through an order, each chunk's rows are gathered into one reused buffer,
+    and every chunk compares into one reused bool buffer, whose last column
+    stays True so that argmax finds it for a pair of equal rows.
+    """
+    n, pairs = rows.shape[1], len(rows) - 1
+    chunk = min(ROW_CHUNK, max(pairs, 0))
+    gathered = None if order is None else np.empty((chunk + 1, n), rows.dtype)
+    differs = np.ones((chunk, n + 1), bool)
+    for lo in range(0, pairs, ROW_CHUNK):
+        k = min(ROW_CHUNK, pairs - lo)
+        if order is None:
+            block = rows[lo:lo + k + 1]
+        else:
+            # the order's indices are all in range; mode "raise" would buffer out
+            block = np.take(rows, order[lo:lo + k + 1], axis=0, out=gathered[:k + 1], mode="clip")
+        np.not_equal(block[1:], block[:-1], out=differs[:k, :n])
+        yield np.argmax(differs[:k], axis=1)
+
+
+def _order(mat: np.ndarray) -> np.ndarray:
+    """The stable order that sorts the rows of a C-contiguous uint8 matrix as
+    their digits order them.  numpy's stable sort is TimSort, which merges
+    the sorted runs it finds, so rows that come in few runs sort in about
+    one pass."""
+    return np.argsort(_packed(mat), kind="stable")
+
+
+def _distinct(rows: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """The distinct rows of a matrix read in `order` (None: as they stand,
+    already sorted): the first of each run of equal rows, in that order."""
+    keep = np.concatenate([np.ones(min(len(rows), 1), bool),
+                           *(first < rows.shape[1] for first in _first_diffs(rows, order))])
+    return rows[keep] if order is None else rows[order[keep]]
 
 
 def _unique_rows(mat: np.ndarray) -> np.ndarray:
     """The distinct rows of a uint8 matrix, in lexicographic order; mat is left as it is."""
-    return _first_of_runs(_sort_rows(np.array(mat, np.uint8, order="C")))
+    mat = np.ascontiguousarray(mat, np.uint8)
+    return _distinct(mat, _order(mat))
 
 
 def _check_cells(cells: int, what: str) -> None:
@@ -102,21 +135,6 @@ def scan_accessible(f: FpPoly, n: int, max_row: int = SCAN_CAP) -> np.ndarray:
 
 # ------------------------------------------------------------- closure ----
 
-ROW_CHUNK = 2**14  # adjacent row pairs _first_diffs compares at once
-
-
-def _first_diffs(rows: np.ndarray) -> np.ndarray:
-    """The first differing column of each adjacent pair of unequal rows of a
-    row-sorted matrix; pairs of equal rows are skipped."""
-    out = [np.empty(0, np.intp)]
-    for lo in range(0, len(rows) - 1, ROW_CHUNK):
-        pairs = rows[lo:lo + ROW_CHUNK + 1]
-        differs = pairs[1:] != pairs[:-1]
-        first = np.argmax(differs, axis=1)
-        out.append(first[differs[np.arange(len(first)), first]])
-    return np.concatenate(out)
-
-
 class _Closure:
     """Accessible-block sets of one polynomial, level by level.
 
@@ -125,6 +143,8 @@ class _Closure:
     a shorter level is cut from its prefixes, and a longer level m is the
     maps applied to level _source_len(m) < m, so level n needs only the chain
     n -> _source_len(n) -> ... -> lc, each link dropped once the next is cut.
+    The cuts of a level are not moved to sort them: one stable index sort
+    orders them, and the level is gathered from the first of each run.
     """
 
     def __init__(self, f: FpPoly):
@@ -227,28 +247,31 @@ class _Closure:
             del e
         return out
 
-    def _sorted_cuts(self, expanded: list[tuple[np.ndarray, int]], n: int) -> np.ndarray:
-        """The level-n blocks that the expanded source level yields, sorted,
-        each as often as a cut yields it."""
-        return _sort_rows(self._cuts(expanded, n))
+    def _sorted_cuts(self, expanded: list[tuple[np.ndarray, int]],
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The level-n blocks that the expanded source level yields, each as
+        often as a cut yields it, and the order that sorts them (see _order)."""
+        cuts = self._cuts(expanded, n)
+        return cuts, _order(cuts)
 
     def _apply_maps(self, expanded: list[tuple[np.ndarray, int]], n: int) -> np.ndarray:
         """The level-n blocks that the expanded source level yields."""
-        return _first_of_runs(self._sorted_cuts(expanded, n))
+        return _distinct(*self._sorted_cuts(expanded, n))
 
-    def candidates(self, n: int) -> np.ndarray:
-        """The accessible n-blocks (n >= 1), sorted, one per matrix row; above
-        lc each appears as often as the maps yield it from its source level."""
+    def candidates(self, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The accessible n-blocks (n >= 1), one per matrix row, and the order
+        that sorts them.  Above lc each appears as often as the maps yield it
+        from its source level; at or below lc they are level n, sorted and
+        distinct, and the order is None."""
         if n > self.lc:
             return self._sorted_cuts(self._expand(self.level(self._source_len(n))), n)
-        return self.level(n)
+        return self.level(n), None
 
     def level(self, n: int) -> np.ndarray:
         """The accessible n-blocks (n >= 1), one per matrix row."""
         if n > self.lc:
-            return _first_of_runs(self.candidates(n))
-        fix = self.fixpoint
-        return fix[np.r_[True, _first_diffs(fix) < n], :n]
+            return _distinct(*self.candidates(n))
+        return _distinct(self.fixpoint[:, :n])
 
 
 def window_maps(f: FpPoly, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -280,16 +303,19 @@ def line_complexity_range(f: FpPoly, n_max: int) -> list[int]:
     A window extends one digit right inside its row, so the m-blocks are the
     distinct m-prefixes of the sorted n_max-blocks, and a(m) is 1 plus the
     adjacent unequal rows that first differ before column m.  Level n_max is
-    only counted, so its sorted candidates are read with their repeats and
-    never deduplicated.
+    only counted: its candidates are read in order with their repeats, never
+    deduplicated, and their first differences are counted chunk by chunk.
     """
     if n_max < 0:
         raise ValueError("block length must be >= 0")
     closure = _Closure(f)
     if n_max == 0:
         return [1]
-    firsts = np.bincount(_first_diffs(closure.candidates(n_max)), minlength=n_max)
-    return [1, *(1 + np.cumsum(firsts)).tolist()]
+    firsts = np.zeros(n_max + 1, np.int64)
+    for chunk in _first_diffs(*closure.candidates(n_max)):
+        firsts += np.bincount(chunk, minlength=n_max + 1)
+    # the last bin holds the pairs of equal rows
+    return [1, *(1 + np.cumsum(firsts[:n_max])).tolist()]
 
 
 # ---------------------------------------------------------------- 1 + x ----

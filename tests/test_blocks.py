@@ -315,6 +315,13 @@ def distinct_prefixes(level, m):
     return len(blocks._unique_rows(level[:, :m]))
 
 
+def first_diffs(rows, order=None):
+    """The chunks of _first_diffs as one array, checking each chunk's size."""
+    chunks = list(blocks._first_diffs(rows, order))
+    assert all(0 < len(chunk) <= blocks.ROW_CHUNK for chunk in chunks)
+    return np.concatenate([np.empty(0, np.intp), *chunks])
+
+
 @pytest.mark.parametrize("chunk", [blocks.ROW_CHUNK, 1, 3, 4])
 def test_prefix_pass_counts_the_distinct_prefixes(monkeypatch, chunk):
     # chunks of 1, 3 and 4 pairs split 4, 5, 6 and 7 rows at and off a boundary
@@ -326,7 +333,7 @@ def test_prefix_pass_counts_the_distinct_prefixes(monkeypatch, chunk):
         levels.append(blocks._unique_rows(digits)[:rows])
     levels.append(blocks._Closure(CXX2_23).level(9))
     for level in levels:
-        diffs = blocks._first_diffs(level)
+        diffs = first_diffs(level)
         assert len(diffs) == len(level) - 1
         for m in range(1, level.shape[1] + 1):
             assert 1 + int(np.sum(diffs < m)) == distinct_prefixes(level, m)
@@ -352,6 +359,7 @@ QUADRATIC_5 = RecursionSpec(
     initials=(1, 5, 25, 121, 393, 673, 929, 1257, 1761, 2341, 3097),
     threshold=6,
 )
+QUADRATIC_5_POLY = FpPoly.make(5, [1, 1, 1])
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
@@ -359,10 +367,10 @@ def test_counted_level_counts_exactly_with_its_repeats(monkeypatch, chunk):
     # the counted level is the sorted candidates, repeats kept, so runs of
     # equal rows straddle the chunk boundaries of the prefix pass
     monkeypatch.setattr(blocks, "ROW_CHUNK", chunk)
-    quadratic_5 = FpPoly.make(5, [1, 1, 1])
-    candidates = blocks._Closure(quadratic_5).candidates(30)
+    candidates, order = blocks._Closure(QUADRATIC_5_POLY).candidates(30)
     assert len(blocks._unique_rows(candidates)) < len(candidates)
-    assert line_complexity_range(quadratic_5, 30) == a_from_recursion_range(QUADRATIC_5, 30)
+    assert np.array_equal(candidates[order], np.array(sorted(candidates.tolist()), np.uint8))
+    assert line_complexity_range(QUADRATIC_5_POLY, 30) == a_from_recursion_range(QUADRATIC_5, 30)
     assert line_complexity_range(ONE_PLUS_X_3, 60) == [a_1px(3, n) for n in range(61)]
     level = blocks._Closure(CXX2_23).level(12)
     oracle = [1] + [distinct_prefixes(level, m) for m in range(1, 13)]
@@ -382,6 +390,62 @@ def test_counted_level_holds_one_candidate_matrix():
         tracemalloc.stop()
     assert counts[-1] == a_1px(3, 150)
     assert peak < 2 * candidate_bytes
+
+
+def test_counted_level_of_many_runs_holds_one_candidate_matrix():
+    # level 60 of 1+x+x^2 mod 5 is cut from level 15; its candidates come in
+    # about 14,600 sorted runs, against 23 for level 150 of 1+x mod 3
+    assert source_chain(QUADRATIC_5_POLY, 60)[1] == 15
+    candidate_rows = 5 * 5 * a_from_recursion(QUADRATIC_5, 15)
+    assert candidate_rows == 208625
+    tracemalloc.start()
+    try:
+        counts = line_complexity_range(QUADRATIC_5_POLY, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == a_from_recursion_range(QUADRATIC_5, 60)
+    assert peak < 2 * candidate_rows * 60
+
+
+def sorted_run_matrices(seed):
+    """Random uint8 matrices made of sorted runs with repeated rows, one run
+    reversed, and a 0-row and a 1-row matrix."""
+    rng = np.random.default_rng(seed)
+    mats = [np.zeros((0, 4), np.uint8), np.array([[2, 0, 1, 1]], np.uint8)]
+    for runs, width in ((1, 3), (3, 5), (6, 2), (5, 8), (2, 1)):
+        parts = []
+        for _ in range(runs):
+            pool = rng.integers(0, 3, size=(int(rng.integers(1, 9)), width), dtype=np.uint8)
+            drawn = pool[rng.integers(0, len(pool), size=int(rng.integers(1, 15)))]
+            parts.append(np.array(sorted(drawn.tolist()), np.uint8).reshape(-1, width))
+        reversed_run = int(rng.integers(runs))
+        parts[reversed_run] = parts[reversed_run][::-1]
+        mats.append(np.concatenate(parts))
+    return mats
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_order_and_first_diffs_equal_a_sorted_oracle(monkeypatch, chunk):
+    monkeypatch.setattr(blocks, "ROW_CHUNK", chunk)
+    unsorted = 0
+    for mat in sorted_run_matrices(23):
+        rows = [tuple(row) for row in mat.tolist()]
+        oracle = sorted(rows)
+        unsorted += rows != oracle
+        order = blocks._order(mat)
+        assert [rows[i] for i in order] == oracle
+        # stable: equal rows keep the order they came in
+        assert all(order[i] < order[i + 1] for i in range(len(oracle) - 1)
+                   if oracle[i] == oracle[i + 1])
+        width = mat.shape[1]
+        firsts = [next((j for j in range(width) if a[j] != b[j]), width)
+                  for a, b in zip(oracle, oracle[1:])]
+        assert first_diffs(mat, order).tolist() == firsts
+        # a matrix already sorted is read as it stands
+        assert first_diffs(np.array(oracle, np.uint8).reshape(-1, width)).tolist() == firsts
+        assert [tuple(row) for row in blocks._distinct(mat, order).tolist()] == sorted(set(rows))
+    assert unsorted >= 3
 
 
 def test_unique_rows_leaves_its_argument_alone():
