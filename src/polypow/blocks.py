@@ -21,11 +21,13 @@ Memory: each level is one matrix, its sorted distinct blocks as uint8 rows.
 A map step holds one candidate matrix, the p*p cuts of its source level,
 filled one row's expansion at a time, and the index order that sorts it; the
 cuts of a sorted level come in long sorted runs, which a stable sort merges
-in little more than one pass.  A level keeps the first of each run of equal
-candidates.  Only the fixpoint level stays; a count builds one level up its
-source chain, and the last level of that chain is never deduplicated: its
-candidates, read in order one chunk at a time, count it and every shorter
-length.
+in little more than one pass.  A row's expansion is gathered from tables of
+at most TABLE_CELLS digits, p digits per lookup, and holds beside itself
+only KEY_CHUNK table keys at a time.  A level keeps the first of each run
+of equal candidates.  Only the fixpoint level stays; a count builds one level
+up its source chain, and the last level of that chain is never
+deduplicated: its candidates, read in order one chunk at a time, count it
+and every shorter length.
 A step that would hold more than MAX_CELLS digits raises ClosureSizeError
 before allocating.  Every call builds its own closure; none is cached.
 Digits are bytes, so p > 255 is refused.
@@ -67,6 +69,8 @@ def _packed(mat: np.ndarray) -> np.ndarray:
 
 
 ROW_CHUNK = 2**14  # adjacent row pairs _first_diffs compares at once
+TABLE_CELLS = 2**16  # the most digits one lookup table of _expand_row holds
+KEY_CHUNK = 2**16  # table keys _expand_row builds and gathers at once, or one row's
 
 
 def _first_diffs(rows: np.ndarray, order: np.ndarray | None = None) -> Iterator[np.ndarray]:
@@ -115,6 +119,16 @@ def _unique_rows(mat: np.ndarray) -> np.ndarray:
     return _distinct(mat, _order(mat))
 
 
+@lru_cache(maxsize=None)
+def _digit_products(p: int) -> np.ndarray:
+    """The p x p table of a*b mod p, read-only, as uint16 so that the sum of
+    two entries does not wrap."""
+    digit = np.arange(p, dtype=np.uint16)
+    times = digit[:, None] * digit % p
+    times.setflags(write=False)
+    return times
+
+
 def _check_cells(cells: int, what: str) -> None:
     if cells > MAX_CELLS:
         raise ClosureSizeError(f"{what} would hold {cells} digits, over the cap of {MAX_CELLS}")
@@ -153,9 +167,15 @@ class _Closure:
         self.p = f.p
         self.d = len(f.coeffs) - 1
         self.rows = list(iter_rows(f, f.p))
-        # an expanded digit sums at most this many products of two digits
+        # a table of _expand_row, p**group rows of p digits, is keyed by up to
+        # `group` source digits
+        self.group = 1
+        while self.p ** (self.group + 1) * self.p <= TABLE_CELLS:
+            self.group += 1
+        # a row that reads more source digits than one table keys sums one
+        # residue per table in this dtype, then reduces the sum mod p
         terms = (max(len(rr) for rr in self.rows) - 1) // self.p + 1
-        self.dtype = np.min_scalar_type((self.p - 1) ** 2 * terms)
+        self.dtype = np.min_scalar_type((self.p - 1) * -(-terms // self.group))
         # _source_len(m) >= m exactly when m <= d + 2, with equality at d + 2
         self.lc = self.d + 2
 
@@ -213,15 +233,59 @@ class _Closure:
         return [(src, r) for r in range(self.p)]
 
     def _expand_row(self, src: np.ndarray, r: int) -> np.ndarray:
-        """Each source block dilated by p and convolved with row r."""
-        rr = self.rows[r]
-        digits = src.astype(self.dtype, copy=False)
-        span = self.p * (src.shape[1] - 1) + 1
-        e = np.zeros((len(src), span + len(rr) + self.p - 1), dtype=self.dtype)
-        for y, coef in enumerate(rr.tolist()):
-            if coef:
-                e[:, y:y + span:self.p] += coef * digits
-        return np.remainder(e, self.p, out=e).astype(np.uint8, copy=False)
+        """Each source block dilated by p and convolved with row r, as p*(s+kt)
+        digits for a block of s digits, the last ones zero.
+
+        With kt = ceil(len(rr)/p), digit p*u+i is the sum over k < kt of
+        rr[p*k+i] * src[u-k] mod p: the p digits at u are a fixed function of
+        the kt source digits up to u (a sliding block code), read from
+        tables.  The kt digits are split into groups of at most self.group,
+        and a group's base-p value keys a table of its p digits.  With one
+        group, the usual case, the table gather fills the output directly;
+        with several, the lookups are summed in self.dtype and reduced mod p.
+        np.take holds its keys as intp, so they are built and gathered
+        KEY_CHUNK at a time.
+        """
+        p, rr = self.p, self.rows[r]
+        kt = (len(rr) - 1) // p + 1
+        # coef[k, i] = rr[p*k+i], the weight of src[u-k] in digit p*u+i
+        coef = np.zeros(p * kt, np.intp)
+        coef[:len(rr)] = rr
+        coef = coef.reshape(kt, p)
+        times, tables = _digit_products(p), []
+        for lo in range(0, kt, self.group):
+            ks = range(lo, min(lo + self.group, kt))
+            # row sum_j c_j p^j: the p digits that src[u-lo-j] = c_j contribute
+            table = times[:, coef[lo]]
+            for k in ks[1:]:
+                table = (times[:, coef[k]][:, None] + table).reshape(-1, p) % p
+            tables.append((ks, table.astype(np.uint8)))
+        n, s = src.shape
+        width = s + kt
+        out = np.empty((n, width, p), np.uint8)
+        step = max(1, KEY_CHUNK // width)
+        keys = np.empty((min(step, n), width), np.intp)
+        for top in range(0, n, step):
+            chunk = src[top:top + step]
+            key, dest, sums = keys[:len(chunk)], out[top:top + len(chunk)], None
+            for ks, table in tables:
+                # the group's last digit is the key's most significant:
+                # it is placed among zeros, then Horner's rule adds the rest
+                key[:, :ks[-1]] = 0
+                key[:, ks[-1] + s:] = 0
+                key[:, ks[-1]:ks[-1] + s] = chunk
+                for k in reversed(ks[:-1]):
+                    key *= p
+                    key[:, k:k + s] += chunk
+                # every key is a table row; mode "raise" would buffer out
+                if len(tables) == 1:
+                    np.take(table, key, axis=0, out=dest, mode="clip")
+                else:
+                    part = np.take(table, key, axis=0, mode="clip")
+                    sums = part.astype(self.dtype) if sums is None else np.add(sums, part, out=sums)
+            if sums is not None:
+                np.remainder(sums, p, out=dest)
+        return out.reshape(n, p * width)
 
     def _cuts(self, expanded: list[tuple[np.ndarray, int]], n: int) -> np.ndarray:
         """The p*p cuts of the expanded source level, one matrix of n-windows.

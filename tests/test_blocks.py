@@ -496,6 +496,84 @@ def test_single_and_range_queries_mix_in_either_order(single_first):
     assert line_complexity(ONE_PLUS_X_3, 120) == a_1px(3, 120)
 
 
+def expand_row_oracle(closure, src, r):
+    """Each source block dilated by p and convolved with row r, one strided
+    add per nonzero coefficient in int64, then one reduction mod p."""
+    p, rr = closure.p, closure.rows[r]
+    span = p * (src.shape[1] - 1) + 1
+    e = np.zeros((len(src), span + len(rr) + p - 1), np.int64)
+    for y, coef in enumerate(rr.tolist()):
+        if coef:
+            e[:, y:y + span:p] += coef * src.astype(np.int64)
+    return (e % p).astype(np.uint8)
+
+
+def assert_expansions_equal_the_oracle(closure, rng):
+    p = closure.p
+    shapes = ((0, 3), (1, 1), (6, 1), (9, 4)) + (((40, 7),) if p < 100 else ())
+    for shape in shapes:
+        src = rng.integers(0, p, size=shape, dtype=np.uint8)
+        for r in range(p):
+            want = expand_row_oracle(closure, src, r)
+            got = closure._expand_row(src, r)
+            assert got.dtype == np.uint8 and got.shape[0] == len(src)
+            # the table gather's width is p*(s+kt), at least the oracle's, and
+            # the extra trailing columns are zero
+            assert got.shape[1] >= want.shape[1]
+            assert np.array_equal(got[:, :want.shape[1]], want)
+            assert not got[:, want.shape[1]:].any()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17, 251])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_expand_row_equals_the_strided_add_oracle(p, degree):
+    rng = np.random.default_rng(1000 * p + degree)
+    coeffs = [int(c) for c in rng.integers(0, p, size=degree)] + [int(rng.integers(1, p))]
+    closure = blocks._Closure(FpPoly.make(p, coeffs))
+    if p == 17 and degree > 2:
+        # row 16 reads 3 or 4 source digits, more than one table keys: the
+        # lookups of two tables are summed
+        assert (len(closure.rows[16]) - 1) // p + 1 > closure.group == 2
+    assert_expansions_equal_the_oracle(closure, rng)
+
+
+def test_expand_row_in_one_digit_tables_and_one_row_chunks(monkeypatch):
+    # a table of one digit and a key chunk of one row: every expansion that
+    # reads two source digits sums tables, and every row is its own chunk
+    level, maps = blocks.window_maps(FpPoly.make(3, [1, 1, 1]), 3)
+    monkeypatch.setattr(blocks, "TABLE_CELLS", 1)
+    monkeypatch.setattr(blocks, "KEY_CHUNK", 1)
+    rng = np.random.default_rng(19)
+    for p, coeffs in ((2, (1, 1, 0, 1)), (3, (2, 1, 1)), (5, (1, 1, 1)), (17, (3, 5, 0, 16)),
+                      (251, (1, 7, 250))):
+        closure = blocks._Closure(FpPoly.make(p, coeffs))
+        assert closure.group == 1
+        assert_expansions_equal_the_oracle(closure, rng)
+    assert line_complexity_range(ONE_PLUS_X_3, 60) == [a_1px(3, n) for n in range(61)]
+    assert line_complexity_range(QUADRATIC_5_POLY, 30) == a_from_recursion_range(QUADRATIC_5, 30)
+    patched_level, patched_maps = blocks.window_maps(FpPoly.make(3, [1, 1, 1]), 3)
+    assert np.array_equal(patched_level, level)
+    assert all(np.array_equal(a, b) for a, b in zip(patched_maps, maps, strict=True))
+
+
+def test_expand_row_holds_its_keys_one_chunk_at_a_time():
+    # level 150 of 1+x mod 2 has 22,352 blocks; keyed whole, as intp, they
+    # would take four times the bytes of their expansion
+    closure = blocks._Closure(ONE_PLUS_X_2)
+    src = closure.level(150)
+    assert src.shape == (150 * 150 - 150 + 2, 150)
+    tracemalloc.start()
+    try:
+        out = closure._expand_row(src, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = expand_row_oracle(closure, src, 1)
+    assert np.array_equal(out[:, :want.shape[1]], want)
+    key_bytes = blocks.KEY_CHUNK * np.dtype(np.intp).itemsize
+    assert peak < out.nbytes + 4 * key_bytes
+
+
 # -------------------------------------------------------- 1+x recursions ----
 
 
