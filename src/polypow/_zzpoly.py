@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -54,19 +55,19 @@ def minimal_recurrence(seq: list[int], max_order: int) -> list[int]:
     The sequence must satisfy some integer recurrence of order at most
     max_order, and len(seq) >= 2 * max_order must hold.  Berlekamp-Massey runs
     modulo primes below 2^62; only results of the largest order seen so far
-    are glued by CRT, until one more prime leaves the lift unchanged.  The
-    lift is then checked exactly on every term: with both it and the true
-    minimal polynomial of order <= max_order, agreement on 2 * max_order terms
-    means it holds forever, and since no prime found a shorter recurrence it
-    is the minimal one.
+    are glued by CRT, and after each prime the lift is checked exactly on
+    every term.  The first lift of order <= max_order that passes is the
+    answer: with both it and the true minimal polynomial of order <=
+    max_order, agreement on 2 * max_order terms means they generate the same
+    sequence (Massey 1969), and since reduction mod a prime can only shorten
+    a recurrence, no shorter one exists.  A lift that one more prime leaves
+    unchanged and that still fails is refused.
     """
     if len(seq) < 2 * max_order:
         raise ValueError(f"need {2 * max_order} terms, got {len(seq)}")
     q, order, lift = 1 << 62, -1, None
     while True:
-        q -= 1
-        while not is_prime(q):
-            q -= 1
+        q = _prime_below(q)
         rec = _berlekamp_massey([s % q for s in seq], q)
         if len(rec) - 1 < order:
             continue
@@ -79,12 +80,38 @@ def minimal_recurrence(seq: list[int], max_order: int) -> list[int]:
         if new == lift:
             break
         lift = new
+        if order <= max_order and _first_failure(lift, seq) is None:
+            return lift
     if order > max_order:
         raise ArithmeticError(f"recurrence order {order} exceeds {max_order}")
+    raise ArithmeticError(f"recurrence fails at term {_first_failure(lift, seq)}")
+
+
+def _first_failure(rec: list[int], seq: list[int]) -> int | None:
+    """The first index k >= order at which rec does not annihilate seq, or None."""
+    order = len(rec) - 1
     for k in range(len(seq) - order):
-        if sum(c * s for c, s in zip(lift, seq[k:k + order + 1])):
-            raise ArithmeticError(f"recurrence fails at term {k + order}")
-    return lift
+        if sum(c * s for c, s in zip(rec, seq[k:k + order + 1])):
+            return k + order
+    return None
+
+
+@lru_cache(maxsize=None)
+def _prime_below(q: int) -> int:
+    """The largest prime below q."""
+    q -= 1
+    while not is_prime(q):
+        q -= 1
+    return q
+
+
+@lru_cache(maxsize=None)
+def _prime_above(q: int) -> int:
+    """The smallest prime above q."""
+    q += 1
+    while not is_prime(q):
+        q += 1
+    return q
 
 
 def may_vanish(c: list[int], lo: Fraction, hi: Fraction) -> bool:
@@ -175,9 +202,7 @@ def _squarefree_part(f: list[int]) -> list[int]:
     df = _derivative(f)
     q, size, lift = 1 << 30, len(f) + 1, None
     while True:
-        q -= 1
-        while not is_prime(q):
-            q -= 1
+        q = _prime_below(q)
         g = gcd_mod([c % q for c in f], [c % q for c in df], q)
         if len(g) == 1:
             return f
@@ -432,9 +457,7 @@ def _factor_squarefree(f: list[int]) -> list[list[int]]:
     """
     found, tried, q = [], [], 2
     while len(f) > 2:
-        q += 1
-        while not is_prime(q):
-            q += 1
+        q = _prime_above(q)
         if len(gcd_mod([c % q for c in f], _trimmed([c % q for c in _derivative(f)]), q)) > 1:
             continue
         if not tried:

@@ -22,8 +22,9 @@ A map step holds one candidate matrix, the p*p cuts of its source level,
 filled one row's expansion at a time, and the index order that sorts it; the
 cuts of a sorted level come in long sorted runs, which a stable sort merges
 in little more than one pass.  A row's expansion is gathered from tables of
-at most TABLE_CELLS digits, p digits per lookup, and holds beside itself
-only KEY_CHUNK table keys at a time.  A level keeps the first of each run
+at most TABLE_CELLS digits, p digits per lookup, which the closure keeps
+while all p rows' tables fit in TABLE_CELLS digits together, and holds
+beside itself only KEY_CHUNK table keys at a time.  A level keeps the first of each run
 of equal candidates.  Only the fixpoint level stays; a count builds one level
 up its source chain, and the last level of that chain is never
 deduplicated: its candidates, read in order one chunk at a time, count it
@@ -176,6 +177,10 @@ class _Closure:
         # residue per table in this dtype, then reduces the sum mod p
         terms = (max(len(rr) for rr in self.rows) - 1) // self.p + 1
         self.dtype = np.min_scalar_type((self.p - 1) * -(-terms // self.group))
+        # the tables of all p rows are kept while they hold at most
+        # TABLE_CELLS digits together; larger ones are rebuilt on every call
+        cells = sum(self.p ** len(ks) * self.p for r in range(self.p) for ks in self._groups(r))
+        self._tables = {} if cells <= TABLE_CELLS else None
         # _source_len(m) >= m exactly when m <= d + 2, with equality at d + 2
         self.lc = self.d + 2
 
@@ -232,6 +237,32 @@ class _Closure:
         _check_cells(cells, f"the expansion of {len(src)} blocks")
         return [(src, r) for r in range(self.p)]
 
+    def _groups(self, r: int) -> list[range]:
+        """The source digits k < kt = ceil(len(row r)/p) that row r's
+        expansion reads, split into groups of at most self.group."""
+        kt = (len(self.rows[r]) - 1) // self.p + 1
+        return [range(lo, min(lo + self.group, kt)) for lo in range(0, kt, self.group)]
+
+    def _row_tables(self, r: int) -> list[tuple[range, np.ndarray]]:
+        """Per group of row r, the group and its table of p**len(group) rows
+        of p digits (see _expand_row); kept when self._tables is a dict."""
+        if self._tables is not None and r in self._tables:
+            return self._tables[r]
+        p, rr, groups = self.p, self.rows[r], self._groups(r)
+        # coef[k, i] = rr[p*k+i], the weight of src[u-k] in digit p*u+i
+        coef = np.zeros((groups[-1][-1] + 1, p), np.intp)
+        coef.flat[:len(rr)] = rr
+        times, tables = _digit_products(p), []
+        for ks in groups:
+            # row sum_j c_j p^j: the p digits that src[u-ks[0]-j] = c_j contribute
+            table = times[:, coef[ks[0]]]
+            for k in ks[1:]:
+                table = (times[:, coef[k]][:, None] + table).reshape(-1, p) % p
+            tables.append((ks, table.astype(np.uint8)))
+        if self._tables is not None:
+            self._tables[r] = tables
+        return tables
+
     def _expand_row(self, src: np.ndarray, r: int) -> np.ndarray:
         """Each source block dilated by p and convolved with row r, as p*(s+kt)
         digits for a block of s digits, the last ones zero.
@@ -246,20 +277,8 @@ class _Closure:
         np.take holds its keys as intp, so they are built and gathered
         KEY_CHUNK at a time.
         """
-        p, rr = self.p, self.rows[r]
-        kt = (len(rr) - 1) // p + 1
-        # coef[k, i] = rr[p*k+i], the weight of src[u-k] in digit p*u+i
-        coef = np.zeros(p * kt, np.intp)
-        coef[:len(rr)] = rr
-        coef = coef.reshape(kt, p)
-        times, tables = _digit_products(p), []
-        for lo in range(0, kt, self.group):
-            ks = range(lo, min(lo + self.group, kt))
-            # row sum_j c_j p^j: the p digits that src[u-lo-j] = c_j contribute
-            table = times[:, coef[lo]]
-            for k in ks[1:]:
-                table = (times[:, coef[k]][:, None] + table).reshape(-1, p) % p
-            tables.append((ks, table.astype(np.uint8)))
+        p, tables = self.p, self._row_tables(r)
+        kt = (len(self.rows[r]) - 1) // p + 1
         n, s = src.shape
         width = s + kt
         out = np.empty((n, width, p), np.uint8)
@@ -560,6 +579,12 @@ def infer_recursion(f: FpPoly, window: int | None = None) -> RecursionSpec:
     padded with zeros, which are trimmed; a linear a(n) leaves free unknowns
     at every template size and gets the same canonical fit.  `window`
     defaults to 4p + max(14, 3p).
+
+    The systems are nested, so the last threshold that still leaves two
+    equations beyond a full rank is solved first.  When that system pins its
+    one solution x, every system of a smaller threshold is consistent exactly
+    when x satisfies its extra equations, and x is then its solution: those
+    thresholds are settled by exact integer residuals, not by solves.
     """
     p = f.p
     n_data = window if window is not None else 4 * p + max(14, 3 * p)
@@ -572,11 +597,26 @@ def infer_recursion(f: FpPoly, window: int | None = None) -> RecursionSpec:
         row = [-1] + [0] * (SHIFTS * p) + [data[m]]
         row[1 + k:1 + SHIFTS * p:p] = data[n:n + SHIFTS]
         equations.append(row)
+    unknowns = SHIFTS * p + 1
+    # the largest threshold that leaves two equations beyond a full rank
+    last = min(2 * p + 5, len(equations) - unknowns - 2)
+    full, pinned = False, None
+    if last >= 3:
+        x, rank = _solve_exact(equations[last:], unknowns)
+        full = rank == unknowns
+        if full and x is not None and all(v.denominator == 1 for v in x):
+            pinned = [int(v) for v in x]
     for t0 in range(3, 2 * p + 6):
-        aug = equations[t0:]
-        sol, rank = _solve_exact(aug, SHIFTS * p + 1)
-        if sol is None or len(aug) < rank + 2 or any(v.denominator != 1 for v in sol):
-            continue
+        if full and t0 <= last:
+            if pinned is None or any(sum(a * v for a, v in zip(eq, pinned)) != eq[-1]
+                                     for eq in equations[t0:last]):
+                continue
+            sol = pinned
+        else:
+            aug = equations[t0:]
+            sol, rank = _solve_exact(aug, unknowns)
+            if sol is None or len(aug) < rank + 2 or any(v.denominator != 1 for v in sol):
+                continue
         rows = []
         for k in range(p):
             row = [int(v) for v in sol[1 + k::p]]

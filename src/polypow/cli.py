@@ -26,6 +26,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
+from functools import lru_cache
 
 from . import asympt, blocks, genfun, willson
 from .fpoly import (
@@ -248,7 +249,10 @@ def _cmd_fractal(args) -> str:
 # Parser
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built once per process: parse_args leaves it as it
+    is and returns a fresh namespace every call."""
     parser = argparse.ArgumentParser(
         prog="polypow",
         description="Coefficient patterns of powers of polynomials over Z/p.",

@@ -8,7 +8,8 @@ those p maps gives the count matrix B_r, and B = B_0 + ... + B_(p-1)
 satisfies u.B^k.v = r(p^k), the number of nonzero coefficients in rows
 0..p^k-1: v marks the windows of row 0 and u the windows whose first digit
 is nonzero.  The matrices are never stored: the maps are the only
-representation, and B acts on vectors as scatter-adds along them.
+representation, and B acts on vectors by gathering along them in target
+order and summing each target's run.
 
 The dominant growth rate lambda (so the fractal dimension log_p lambda) is
 the spectral radius of B, certified in one walk of the exact vectors B^k.v
@@ -124,12 +125,28 @@ class TransferSystem:
             edges.append((src[keep], tables[keep]))
         return tuple(edges)
 
+    @cached_property
+    def _by_target(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        # per child row r, then for B itself: the sources of the edges sorted
+        # by target, each target that has in-edges, and where its run starts
+        out = []
+        for src, dst in (*self._edges, tuple(map(np.concatenate, zip(*self._edges)))):
+            order = np.argsort(dst, kind="stable")
+            dst = dst[order]
+            starts = np.flatnonzero(np.diff(dst, prepend=-1))
+            out.append((src[order], dst[starts], starts))
+        return tuple(out)
+
     def apply(self, w: np.ndarray, eps: int | None = None) -> np.ndarray:
-        """B.w, or B_eps.w, over the states; w may be a stack of rows."""
-        edges = self._edges if eps is None else self._edges[eps : eps + 1]
+        """B.w, or B_eps.w, over the states; w may be a stack of rows.
+
+        Each target sums its sources' entries in one run: the entries are
+        gathered in target order and reduced run by run.
+        """
+        src, dst, starts = self._by_target[self.f.p if eps is None else eps]
         out = np.zeros_like(w)
-        for src, dst in edges:
-            np.add.at(out, (..., dst), w[..., src])
+        if len(src):  # reduceat refuses an empty list of runs
+            out[..., dst] = np.add.reduceat(w[..., src], starts, axis=-1)
         return out
 
 

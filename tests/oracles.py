@@ -1,11 +1,23 @@
 """Oracles kept out of the package: for the series tests, the hand-made closed
 form of 1+x+x^2 mod 2 and the residual of the self-similarity equation on a
 series prefix, which share nothing with the derivation in polypow.genfun; for
-the similarity classes, the search over every move that canonicalize replaced.
+the similarity classes, the search over every move that canonicalize replaced;
+for the transfer maps, one unbuffered scatter-add per edge; for the recursion
+fit, one exact solve per trial threshold.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from polypow.blocks import (
+    SHIFTS,
+    InferenceError,
+    RecursionSpec,
+    _solve_exact,
+    line_complexity_range,
+)
+from polypow.fpoly import format_poly
 from polypow.willson import _desubstitute, _exponents, _root, _strip
 
 
@@ -96,3 +108,48 @@ def canonical_by_search(f):
                 seen.add(h)
                 todo.append(h)
     return min(reduced, key=_exponents)
+
+
+def apply_by_scatter(sys, w, eps=None):
+    """B.w, or B_eps.w, over the states of a transfer system, by one
+    np.add.at per child row along its edges; w may be a stack of rows."""
+    edges = sys._edges if eps is None else sys._edges[eps:eps + 1]
+    out = np.zeros_like(w)
+    for src, dst in edges:
+        np.add.at(out, (..., dst), w[..., src])
+    return out
+
+
+def infer_by_thresholds(f, window=None):
+    """blocks.infer_recursion with one exact solve of every equation at or
+    above each trial threshold t0, accepted when its canonical solution is
+    integral and at least two equations beyond the rank confirm it."""
+    p = f.p
+    n_data = window if window is not None else 4 * p + max(14, 3 * p)
+    data = line_complexity_range(f, n_data)
+    equations = []
+    for m in range(min(len(data), p * (len(data) - SHIFTS + 1))):
+        n, k = divmod(m, p)
+        row = [-1] + [0] * (SHIFTS * p) + [data[m]]
+        row[1 + k:1 + SHIFTS * p:p] = data[n:n + SHIFTS]
+        equations.append(row)
+    for t0 in range(3, 2 * p + 6):
+        aug = equations[t0:]
+        sol, rank = _solve_exact(aug, SHIFTS * p + 1)
+        if sol is None or len(aug) < rank + 2 or any(v.denominator != 1 for v in sol):
+            continue
+        rows = []
+        for k in range(p):
+            row = [int(v) for v in sol[1 + k::p]]
+            while row and row[-1] == 0:
+                row.pop()
+            rows.append(tuple(row))
+        for threshold in range(t0, t0 + 4 * p):
+            try:
+                return RecursionSpec(p=p, rows=tuple(rows), constant=int(sol[0]),
+                                     initials=tuple(data[:threshold]), threshold=threshold)
+            except ValueError:
+                continue
+    raise InferenceError(
+        f"no recursion a(pn+k) = sum_j c_kj a(n+j) - K with {SHIFTS} shifts fits "
+        f"a(0..{n_data}) of {format_poly(f)} mod {p} from any threshold 3 to {2 * p + 5}")

@@ -32,6 +32,8 @@ from polypow import (
 from polypow import blocks
 from polypow.fpoly import digits_to_text, parse_poly
 
+from oracles import infer_by_thresholds
+
 ONE_PLUS_X_2 = FpPoly.make(2, [1, 1])
 ONE_PLUS_X_3 = FpPoly.make(3, [1, 1])
 ONE_PLUS_X_5 = FpPoly.make(5, [1, 1])
@@ -556,6 +558,24 @@ def test_expand_row_in_one_digit_tables_and_one_row_chunks(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(patched_maps, maps, strict=True))
 
 
+def test_expand_row_tables_are_kept_only_while_they_fit():
+    # mod 3 the three rows' tables hold 45 digits together: built once per closure
+    closure = blocks._Closure(FpPoly.make(3, [1, 1, 1]))
+    assert all(closure._row_tables(r) is closure._row_tables(r) for r in range(3))
+    # mod 251 one table alone has 251 * 251 digits, so all of them never fit
+    closure = blocks._Closure(FpPoly.make(251, [1, 7, 250]))
+    assert closure._tables is None
+    assert closure._row_tables(1) is not closure._row_tables(1)
+    # kept tables expand exactly as rebuilt ones, across calls
+    src = np.random.default_rng(5).integers(0, 5, size=(30, 6), dtype=np.uint8)
+    kept = blocks._Closure(QUADRATIC_5_POLY)
+    for _ in range(2):
+        for r in range(5):
+            want = expand_row_oracle(kept, src, r)
+            assert np.array_equal(kept._expand_row(src, r)[:, :want.shape[1]], want)
+    assert sorted(kept._tables) == list(range(5))
+
+
 def test_expand_row_holds_its_keys_one_chunk_at_a_time():
     # level 150 of 1+x mod 2 has 22,352 blocks; keyed whole, as intp, they
     # would take four times the bytes of their expansion
@@ -787,6 +807,46 @@ def test_infer_refusal_names_what_was_tried_and_reads_one_window(monkeypatch):
     msg = str(exc.value)
     for part in ("a(0..22)", "4 shifts", "threshold 3 to 9", "1+x+x^4 mod 2"):
         assert part in msg
+
+
+def infer_outcome(infer, f, window):
+    try:
+        return infer(f, window)
+    except InferenceError as exc:
+        return f"InferenceError: {exc}"
+
+
+INFER_CASES = (
+    [(FpPoly.make(p, [c, 1, 1]), None) for p in (2, 3, 5, 7) for c in range(1, p)]
+    + [(FpPoly.make(p, [1, 1]), None) for p in (2, 3, 5, 7, 11)]
+    + [(FpPoly.make(5, [1]), None), (FpPoly.make(5, [2]), None), (parse_poly("x^3", 3), None)]
+    # every f mod 2 of degree 1 to 3 with f(0) = 1, so every class and its reversal
+    + [(FpPoly.make(2, [1, *(mid >> i & 1 for i in range(d - 1)), 1]), None)
+       for d in (1, 2, 3) for mid in range(1 << (d - 1))]
+    + [(f, window) for f in (CXX2_12, CXX2_23) for window in (7, 60)]
+)
+
+
+@pytest.mark.parametrize("f,window", INFER_CASES,
+                         ids=[f"{digits_to_text(f.coeffs)}-mod{f.p}-w{w}" for f, w in INFER_CASES])
+def test_infer_equals_one_solve_per_threshold(f, window):
+    assert infer_outcome(infer_recursion, f, window) == infer_outcome(infer_by_thresholds, f, window)
+
+
+def test_infer_solves_a_full_rank_window_once(monkeypatch):
+    # the fit of 1+x+x^2 mod 5 is accepted at t0 = 6; t0 = 3, 4, 5 are
+    # refused by residuals of the one solve, not by solves of their own
+    solve, calls = blocks._solve_exact, []
+
+    def counted(aug, n_unknowns):
+        calls.append(len(aug))
+        return solve(aug, n_unknowns)
+
+    monkeypatch.setattr(blocks, "_solve_exact", counted)
+    rec = infer_recursion(FpPoly.make(5, [1, 1, 1]))
+    assert rec.rows == ((9, 12, 4), (6, 13, 6), (4, 12, 9), (2, 12, 10, 1), (1, 10, 12, 2))
+    # 36 equations a(0..35) in 21 unknowns: the last threshold is 13
+    assert calls == [36 - 13]
 
 
 @given(st.integers(1, 5), st.integers(1, 7), st.data())

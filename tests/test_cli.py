@@ -630,3 +630,23 @@ def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, where):
     assert "Traceback" not in err
     assert list(tmp_path.rglob(".polypow-*")) == []
     assert list((tmp_path / "dir").iterdir()) == []
+
+
+def test_one_process_answers_each_command_as_a_fresh_one(capsys):
+    # the parser is built once per process; a failed parse must leave it as
+    # it was for the commands after it
+    env = {**os.environ, "PYTHONPATH": str(Path(polypow.__file__).parents[1])}
+    commands = [
+        ("blocks", "--poly", "1+x", "--n", "-x"),
+        ("blocks", "--poly", "1+x+x^2", "--n", "12"),
+        ("infer", "--poly", "2+x+x^2", "--prime", "3", "--format", "csv"),
+        ("survey", "--max-deg", "3", "--format", "json"),
+        ("blocks", "--poly", "1+x", "--prime", "3", "--n", "5", "--format", "json"),
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "polypow.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+    assert run(capsys, *commands[0])[0] == 2

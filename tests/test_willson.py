@@ -46,7 +46,7 @@ from polypow.willson import (
     count_sequence,
 )
 
-from oracles import canonical_by_search
+from oracles import apply_by_scatter, canonical_by_search
 
 P1X = FpPoly.make(2, [1, 1])
 P1XX2 = FpPoly.make(2, [1, 1, 1])
@@ -271,6 +271,44 @@ def test_scatter_adds_match_dense_matrices(f):
         want = [mat_vec(b, list(w)) for w in batch]
         assert sys.apply(batch, eps).tolist() == want
         assert sys.apply(batch[0], eps).tolist() == want[0]
+
+
+# every f mod 3 of degree 1 to 3 with f(0) != 0
+MOD3_UP_TO_3 = [FpPoly.make(3, [c0, *mid, top]) for d in (1, 2, 3) for c0 in (1, 2)
+                for mid in np.ndindex(*(3,) * (d - 1)) for top in (1, 2)]
+
+
+@pytest.mark.parametrize("f", enumerate_classes(6) + MOD3_UP_TO_3,
+                         ids=lambda f: f"{digits_to_text(f.coeffs)}-mod{f.p}")
+def test_apply_equals_the_scatter_add_oracle(f):
+    sys = build_transfer(f)
+    n = len(sys.states)
+    # exact vectors past 2^64: B^k.v for k <= 44, walked by the oracle
+    w = sys.v.astype(object)
+    for _ in range(45):
+        for eps in (None, *range(f.p)):
+            assert sys.apply(w, eps).tolist() == apply_by_scatter(sys, w, eps).tolist()
+        w = apply_by_scatter(sys, w)
+    assert max(w) >= 2**64
+    # stacked int64 batches, of one and of two stacking axes
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (5, n), (2, 3, n)):
+        batch = rng.integers(-9, 10, size=shape)
+        for eps in (None, *range(f.p)):
+            got, want = sys.apply(batch, eps), apply_by_scatter(sys, batch, eps)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_apply_without_edges_is_zero():
+    sys = build_transfer(P1XX2)
+    empty = replace(sys, maps=np.full_like(sys.maps, -1))
+    for w in (sys.v.astype(object), np.ones((3, len(sys.states)), np.int64)):
+        for eps in (None, 0, 1):
+            assert not empty.apply(w, eps).any()
+    # a B_r with no edge of its own gathers nothing, beside rows that do
+    half = replace(sys, maps=np.stack([sys.maps[0], np.full_like(sys.maps[1], -1)]))
+    assert not half.apply(sys.v, 1).any()
+    assert np.array_equal(half.apply(sys.v), sys.apply(sys.v, 0))
 
 
 @pytest.mark.parametrize(

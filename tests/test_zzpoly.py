@@ -75,19 +75,59 @@ def test_minimal_recurrence_known_values():
     assert minimal_recurrence([0] * 4, 2) == [1]
 
 
-def test_minimal_recurrence_skips_primes_that_lose_order(monkeypatch):
-    # a prime dividing a Hankel determinant sees a shorter recurrence; its
-    # result must not enter the CRT
+def counting_berlekamp_massey(monkeypatch, unlucky=()):
+    """Record the prime of every Berlekamp-Massey call; the calls numbered in
+    `unlucky` (from 1) see the shorter recurrence [1] instead."""
     real, calls = _zzpoly._berlekamp_massey, []
 
-    def unlucky_second_prime(seq, q):
+    def counted(seq, q):
         calls.append(q)
-        return [1] if len(calls) == 2 else real(seq, q)
+        return [1] if len(calls) in unlucky else real(seq, q)
 
-    monkeypatch.setattr(_zzpoly, "_berlekamp_massey", unlucky_second_prime)
+    monkeypatch.setattr(_zzpoly, "_berlekamp_massey", counted)
+    return calls
+
+
+def test_minimal_recurrence_returns_the_first_proven_lift(monkeypatch):
+    # Fibonacci's coefficients are below any prime: the first lift passes
+    # the exact check
+    calls = counting_berlekamp_massey(monkeypatch)
+    assert minimal_recurrence([0, 1, 1, 2, 3, 5, 8, 13], 2) == [-1, -1, 1]
+    assert len(calls) == 1
+
+
+def test_minimal_recurrence_glues_a_root_above_one_prime(monkeypatch):
+    # the first prime's lift of -(2^70+3) is its symmetric residue, which
+    # fails the exact check; the second prime's CRT lift is the root itself
+    calls = counting_berlekamp_massey(monkeypatch)
+    root = 2**70 + 3
+    assert minimal_recurrence([root**k for k in range(6)], 3) == [-root, 1]
+    assert len(calls) == 2
+
+
+def test_minimal_recurrence_skips_primes_that_lose_order(monkeypatch):
+    # a prime dividing a Hankel determinant sees a shorter recurrence; its
+    # lift [1] fails the exact check, and the next prime's longer recurrence
+    # starts the CRT afresh instead of being glued to it
+    calls = counting_berlekamp_massey(monkeypatch, unlucky=(1,))
     fib = [0, 1, 1, 2, 3, 5, 8, 13]
     assert minimal_recurrence(fib, 2) == [-1, -1, 1]
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+def test_prime_helpers_equal_an_is_prime_scan():
+    def scan(q, step):
+        q += step
+        while not _zzpoly.is_prime(q):
+            q += step
+        return q
+
+    # the searches of minimal_recurrence and _squarefree_part start at 2^62
+    # and 2^30, that of _factor_squarefree at 3
+    for q in (*range(3, 400), (1 << 30) - 35, 1 << 30, (1 << 62) - 57, 1 << 62):
+        assert _zzpoly._prime_below(q) == scan(q, -1)
+        assert _zzpoly._prime_above(q) == scan(q, 1)
+    assert [_zzpoly._prime_above(q) for q in (1, 2, 3, 4)] == [2, 3, 5, 5]
 
 
 def test_minimal_recurrence_refuses_what_it_cannot_certify():
