@@ -18,17 +18,19 @@ At a length that is its own source, window_maps also gives, per map, the
 image of every block by index: the transfer maps of the nonzero counts.
 
 Memory: each level is one matrix, its sorted distinct blocks as uint8 rows.
-A map step holds one candidate matrix, the p*p cuts of its source level,
-filled one row's expansion at a time, and the index order that sorts it; the
-cuts of a sorted level come in long sorted runs, which a stable sort merges
-in little more than one pass.  A row's expansion is gathered from tables of
-at most TABLE_CELLS digits, p digits per lookup, which the closure keeps
-while all p rows' tables fit in TABLE_CELLS digits together, and holds
-beside itself only KEY_CHUNK table keys at a time.  A level keeps the first of each run
-of equal candidates.  Only the fixpoint level stays; a count builds one level
-up its source chain, and the last level of that chain is never
-deduplicated: its candidates, read in order one chunk at a time, count it
-and every shorter length.
+Every map step is one call of _Closure._cuts, in which row r of the maps
+reads a source level of its own: the scan's rows read one of two horizons,
+every other step reads one level in all rows.  The step holds one candidate
+matrix, the p*p cuts of its sources, filled one row's expansion at a time,
+and the index order that sorts it; the cuts of a sorted level come in long
+sorted runs, which a stable sort merges in little more than one pass.  A
+row's expansion is gathered from tables of at most TABLE_CELLS digits, p
+digits per lookup, built for that expansion, and holds beside itself only
+KEY_CHUNK table keys at a time.  A level keeps the first of each run of equal
+candidates.  Only the fixpoint level stays; a count builds one level up its
+source chain, and the last level of that chain is never deduplicated: its
+candidates, read in order one chunk at a time, count it and every shorter
+length.
 A step that would hold more than MAX_CELLS digits raises ClosureSizeError
 before allocating.  Every call builds its own closure; none is cached.
 Digits are bytes, so p > 255 is refused.
@@ -74,26 +76,23 @@ TABLE_CELLS = 2**16  # the most digits one lookup table of _expand_row holds
 KEY_CHUNK = 2**16  # table keys _expand_row builds and gathers at once, or one row's
 
 
-def _first_diffs(rows: np.ndarray, order: np.ndarray | None = None) -> Iterator[np.ndarray]:
+def _first_diffs(rows: np.ndarray, order: np.ndarray) -> Iterator[np.ndarray]:
     """The first differing column of each adjacent pair of rows read in
-    `order` (None: as they stand), or the row length for a pair of equal
-    rows; one array per chunk of ROW_CHUNK pairs.
+    `order`, or the row length for a pair of equal rows; one array per chunk
+    of ROW_CHUNK pairs.
 
-    Through an order, each chunk's rows are gathered into one reused buffer,
-    and every chunk compares into one reused bool buffer, whose last column
-    stays True so that argmax finds it for a pair of equal rows.
+    Each chunk's rows are gathered into one reused buffer, and every chunk
+    compares into one reused bool buffer, whose last column stays True so
+    that argmax finds it for a pair of equal rows.
     """
     n, pairs = rows.shape[1], len(rows) - 1
     chunk = min(ROW_CHUNK, max(pairs, 0))
-    gathered = None if order is None else np.empty((chunk + 1, n), rows.dtype)
+    gathered = np.empty((chunk + 1, n), rows.dtype)
     differs = np.ones((chunk, n + 1), bool)
     for lo in range(0, pairs, ROW_CHUNK):
         k = min(ROW_CHUNK, pairs - lo)
-        if order is None:
-            block = rows[lo:lo + k + 1]
-        else:
-            # the order's indices are all in range; mode "raise" would buffer out
-            block = np.take(rows, order[lo:lo + k + 1], axis=0, out=gathered[:k + 1], mode="clip")
+        # the order's indices are all in range; mode "raise" would buffer out
+        block = np.take(rows, order[lo:lo + k + 1], axis=0, out=gathered[:k + 1], mode="clip")
         np.not_equal(block[1:], block[:-1], out=differs[:k, :n])
         yield np.argmax(differs[:k], axis=1)
 
@@ -106,12 +105,12 @@ def _order(mat: np.ndarray) -> np.ndarray:
     return np.argsort(_packed(mat), kind="stable")
 
 
-def _distinct(rows: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
-    """The distinct rows of a matrix read in `order` (None: as they stand,
-    already sorted): the first of each run of equal rows, in that order."""
+def _distinct(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The distinct rows of a matrix read in `order`, which sorts them: the
+    first of each run of equal rows, in that order."""
     keep = np.concatenate([np.ones(min(len(rows), 1), bool),
                            *(first < rows.shape[1] for first in _first_diffs(rows, order))])
-    return rows[keep] if order is None else rows[order[keep]]
+    return rows[order[keep]]
 
 
 def _unique_rows(mat: np.ndarray) -> np.ndarray:
@@ -143,6 +142,8 @@ def scan_accessible(f: FpPoly, n: int, max_row: int = SCAN_CAP) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("block length must be >= 0")
+    if max_row < 0:
+        raise ValueError("the row horizon must be >= 0")
     if n == 0:
         return np.zeros((1, 0), np.uint8)
     return _Closure(f).horizon(n, max_row)
@@ -155,11 +156,12 @@ class _Closure:
 
     Level m is the sorted, duplicate-free uint8 matrix of the accessible
     m-blocks, one per row.  Level lc, the least fixpoint of the maps, is kept;
-    a shorter level is cut from its prefixes, and a longer level m is the
-    maps applied to level _source_len(m) < m, so level n needs only the chain
-    n -> _source_len(n) -> ... -> lc, each link dropped once the next is cut.
-    The cuts of a level are not moved to sort them: one stable index sort
-    orders them, and the level is gathered from the first of each run.
+    a shorter level is the distinct prefixes of its rows, and a longer level m
+    is the maps applied to level _source_len(m) < m, so level n needs only
+    the chain n -> _source_len(n) -> ... -> lc, each link dropped once the
+    next is cut.  Every level, horizon and window map is one map step,
+    _cuts(sources, n), and one stable index sort: the candidates are not
+    moved to sort them, and a level is gathered from the first of each run.
     """
 
     def __init__(self, f: FpPoly):
@@ -177,10 +179,6 @@ class _Closure:
         # residue per table in this dtype, then reduces the sum mod p
         terms = (max(len(rr) for rr in self.rows) - 1) // self.p + 1
         self.dtype = np.min_scalar_type((self.p - 1) * -(-terms // self.group))
-        # the tables of all p rows are kept while they hold at most
-        # TABLE_CELLS digits together; larger ones are rebuilt on every call
-        cells = sum(self.p ** len(ks) * self.p for r in range(self.p) for ks in self._groups(r))
-        self._tables = {} if cells <= TABLE_CELLS else None
         # _source_len(m) >= m exactly when m <= d + 2, with equality at d + 2
         self.lc = self.d + 2
 
@@ -204,11 +202,11 @@ class _Closure:
         full = _row0_blocks(m) if q == 0 else short
         while chain:
             m, q = chain.pop()
-            e_full, e_short = self._expand(full), self._expand(short)
             s = q % self.p
-            full = self._apply_maps(e_full[:s + 1] + e_short[s + 1:], m)
+            grown = _unique_rows(self._cuts([full] * (s + 1) + [short] * (self.p - s - 1), m))
             if chain:
-                short = self._apply_maps(e_full[:s] + e_short[s:], m)
+                short = _unique_rows(self._cuts([full] * s + [short] * (self.p - s), m))
+            full = grown
         return full
 
     @cached_property
@@ -219,7 +217,7 @@ class _Closure:
         set, so each round expands only the blocks the last one added."""
         fix = new = _row0_blocks(self.lc)
         while len(new):
-            grown = self._apply_maps(self._expand(new), self.lc)
+            grown = _unique_rows(self._cuts([new] * self.p, self.lc))
             keys, found = _packed(fix), _packed(grown)
             at = np.searchsorted(keys, found)
             fresh = keys[np.minimum(at, len(keys) - 1)] != found
@@ -228,39 +226,23 @@ class _Closure:
             fix = np.insert(fix, at[fresh], new, axis=0)
         return fix
 
-    def _expand(self, src: np.ndarray) -> list[tuple[np.ndarray, int]]:
-        """Per row r, the pair (src, r) that _expand_row turns into the source
-        blocks dilated by p and convolved with row r.  The whole expansion is
-        sized and checked here; _cuts builds one row's at a time."""
-        span = self.p * (src.shape[1] - 1) + 1
-        cells = len(src) * sum(span + len(rr) + self.p - 1 for rr in self.rows)
-        _check_cells(cells, f"the expansion of {len(src)} blocks")
-        return [(src, r) for r in range(self.p)]
-
-    def _groups(self, r: int) -> list[range]:
-        """The source digits k < kt = ceil(len(row r)/p) that row r's
-        expansion reads, split into groups of at most self.group."""
-        kt = (len(self.rows[r]) - 1) // self.p + 1
-        return [range(lo, min(lo + self.group, kt)) for lo in range(0, kt, self.group)]
-
     def _row_tables(self, r: int) -> list[tuple[range, np.ndarray]]:
-        """Per group of row r, the group and its table of p**len(group) rows
-        of p digits (see _expand_row); kept when self._tables is a dict."""
-        if self._tables is not None and r in self._tables:
-            return self._tables[r]
-        p, rr, groups = self.p, self.rows[r], self._groups(r)
+        """Row r's tables (see _expand_row): the source digits k < kt that
+        it reads, split into groups of at most self.group, each with a table
+        of p**len(group) rows of p digits."""
+        p, rr = self.p, self.rows[r]
+        kt = (len(rr) - 1) // p + 1
         # coef[k, i] = rr[p*k+i], the weight of src[u-k] in digit p*u+i
-        coef = np.zeros((groups[-1][-1] + 1, p), np.intp)
+        coef = np.zeros((kt, p), np.intp)
         coef.flat[:len(rr)] = rr
         times, tables = _digit_products(p), []
-        for ks in groups:
+        for lo in range(0, kt, self.group):
+            ks = range(lo, min(lo + self.group, kt))
             # row sum_j c_j p^j: the p digits that src[u-ks[0]-j] = c_j contribute
             table = times[:, coef[ks[0]]]
             for k in ks[1:]:
                 table = (times[:, coef[k]][:, None] + table).reshape(-1, p) % p
             tables.append((ks, table.astype(np.uint8)))
-        if self._tables is not None:
-            self._tables[r] = tables
         return tables
 
     def _expand_row(self, src: np.ndarray, r: int) -> np.ndarray:
@@ -306,71 +288,67 @@ class _Closure:
                 np.remainder(sums, p, out=dest)
         return out.reshape(n, p * width)
 
-    def _cuts(self, expanded: list[tuple[np.ndarray, int]], n: int) -> np.ndarray:
-        """The p*p cuts of the expanded source level, one matrix of n-windows.
+    def _cuts(self, sources: list[np.ndarray], n: int) -> np.ndarray:
+        """The p*p cuts of the source levels, one matrix of n-windows; row r
+        of the maps reads the blocks of sources[r].
 
         Per row r in order, cut p*r+j sends the source block at position t
         of row m to the n-window at p*t+dr+j of row p*m+r, where dr is the
         degree of row r; each cut's windows follow the source blocks' order.
-        The matrix is allocated once, and each row's expansion is dropped
-        before the next is built.
+        Every expansion is sized before anything is allocated; the matrix is
+        allocated once, and each row's expansion is dropped before the next
+        is built.
         """
-        rows = self.p * sum(len(src) for src, _ in expanded)
+        p = self.p
+        span = p * (sources[0].shape[1] - 1) + 1
+        cells = sum(len(src) * (span + len(rr) + p - 1) for src, rr in zip(sources, self.rows))
+        _check_cells(cells, f"the expansion of {max(map(len, sources))} blocks")
+        rows = p * sum(map(len, sources))
         _check_cells(rows * n, f"the candidate {n}-blocks")
         out = np.empty((rows, n), np.uint8)
         at = 0
-        for src, r in expanded:
+        for r, src in enumerate(sources):
             e = self._expand_row(src, r)
             dr = len(self.rows[r]) - 1
             # offsets dr..dr+p-1 realize every alignment of a true window
             # while staying inside the patch the source block determines
-            for o in range(dr, dr + self.p):
+            for o in range(dr, dr + p):
                 out[at:at + len(e)] = e[:, o:o + n]
                 at += len(e)
             del e
         return out
 
-    def _sorted_cuts(self, expanded: list[tuple[np.ndarray, int]],
-                     n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The level-n blocks that the expanded source level yields, each as
-        often as a cut yields it, and the order that sorts them (see _order)."""
-        cuts = self._cuts(expanded, n)
-        return cuts, _order(cuts)
-
-    def _apply_maps(self, expanded: list[tuple[np.ndarray, int]], n: int) -> np.ndarray:
-        """The level-n blocks that the expanded source level yields."""
-        return _distinct(*self._sorted_cuts(expanded, n))
-
-    def candidates(self, n: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """The accessible n-blocks (n >= 1), one per matrix row, and the order
-        that sorts them.  Above lc each appears as often as the maps yield it
-        from its source level; at or below lc they are level n, sorted and
-        distinct, and the order is None."""
+    def candidates(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The accessible n-blocks (n >= 1), one per matrix row, each as often
+        as it is found, and the order that sorts them.  Above lc they are the
+        cuts of their source level; at or below lc they are the prefixes of
+        the sorted fixpoint, so the order is one linear pass."""
         if n > self.lc:
-            return self._sorted_cuts(self._expand(self.level(self._source_len(n))), n)
-        return self.level(n), None
+            mat = self._cuts([self.level(self._source_len(n))] * self.p, n)
+        else:
+            mat = np.ascontiguousarray(self.fixpoint[:, :n])
+        return mat, _order(mat)
 
     def level(self, n: int) -> np.ndarray:
-        """The accessible n-blocks (n >= 1), one per matrix row."""
-        if n > self.lc:
-            return _distinct(*self.candidates(n))
-        return _distinct(self.fixpoint[:, :n])
+        """The accessible n-blocks (n >= 1), sorted, one per matrix row."""
+        return _distinct(*self.candidates(n))
 
 
-def window_maps(f: FpPoly, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def window_maps(f: FpPoly, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The sorted accessible n-blocks and, per cut, the index of each one's image.
 
     n must be its own source length (d+1 or d+2 for f of degree d), so that
-    every cut of an accessible n-block is again one.  Array p*r+j holds, for
-    each block, the index of its image under cut p*r+j (see _Closure._cuts).
+    every cut of an accessible n-block is again one.  The images are one
+    (p, p, blocks) array: [r, j, i] is the index of the image of block i
+    under cut p*r+j (see _Closure._cuts).
     """
     closure = _Closure(f)
     if closure._source_len(n) != n:
         raise ValueError(f"window length {n} is not its own source length")
     level = closure.level(n)
-    cuts = closure._cuts(closure._expand(level), n)
+    cuts = closure._cuts([level] * f.p, n)
     images = np.searchsorted(_packed(level), _packed(cuts))
-    return level, list(images.reshape(-1, len(level)))
+    return level, images.reshape(f.p, f.p, len(level))
 
 
 def line_complexity(f: FpPoly, n: int) -> int:

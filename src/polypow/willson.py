@@ -2,14 +2,14 @@
 
 A state is a nonzero accessible window of length d+1 of a coefficient row,
 for f of degree d.  Row pm+r is f(x^p)^m f^r, so each of the p*p cuts of
-blocks.window_maps sends the window at t of row m to a window of row pm+r,
-the p cuts of row r to the windows at pt+dr..pt+dr+p-1 (dr = rd).  Summing
-those p maps gives the count matrix B_r, and B = B_0 + ... + B_(p-1)
-satisfies u.B^k.v = r(p^k), the number of nonzero coefficients in rows
-0..p^k-1: v marks the windows of row 0 and u the windows whose first digit
-is nonzero.  The matrices are never stored: the maps are the only
-representation, and B acts on vectors by gathering along them in target
-order and summing each target's run.
+blocks.window_maps sends the window at t of row m to a window of row pm+r:
+the maps come as one (p, p, windows) array, and maps[r, j] sends it to the
+window at pt+dr+j (dr = rd).  Summing the p maps maps[r] gives the count
+matrix B_r, and B = B_0 + ... + B_(p-1) satisfies u.B^k.v = r(p^k), the
+number of nonzero coefficients in rows 0..p^k-1: v marks the windows of
+row 0 and u the windows whose first digit is nonzero.  The matrices are
+never stored: the maps are the only representation, and B acts on vectors
+by gathering along them in target order and summing each target's run.
 
 The dominant growth rate lambda (so the fractal dimension log_p lambda) is
 the spectral radius of B, certified in one walk of the exact vectors B^k.v
@@ -94,10 +94,11 @@ class TransferSystem:
     """Window-transfer realization of the count identity for f^k mod p.
 
     states holds the nonzero accessible (d+1)-windows, sorted, one per row;
-    maps[r, j] sends each state to the index of its image under cut p*r+j of
-    blocks.window_maps, or to -1 for the zero window.  B_r has one unit entry
-    per edge s -> maps[r, j, s] >= 0.  u masks the states whose first digit
-    is nonzero; v (0/1) marks the windows of row 0.
+    maps is the (p, p, states) array of blocks.window_maps without the zero
+    window: maps[r, j] sends each state to the index of its image under cut
+    p*r+j, or to -1 for the zero window.  B_r has one unit entry per edge
+    s -> maps[r, j, s] >= 0.  u masks the states whose first digit is
+    nonzero; v (0/1) marks the windows of row 0.
     """
 
     f: FpPoly
@@ -161,7 +162,7 @@ def build_transfer(f: FpPoly) -> TransferSystem:
     return TransferSystem(
         f=f,
         states=states,
-        maps=(np.stack(maps)[:, 1:] - 1).reshape(f.p, f.p, len(states)),
+        maps=maps[:, :, 1:] - 1,
         u=states[:, 0] != 0,
         v=(states.sum(axis=1) == 1).astype(np.int64),
     )

@@ -105,6 +105,10 @@ def test_scan_rows_sorted_and_distinct():
     assert got.dtype == np.uint8
     # the empty block is the one 0-block
     assert scan_accessible(ONE_PLUS_X_2, 0).shape == (1, 0)
+    # a negative horizon is refused at every length
+    for n in (0, 2):
+        with pytest.raises(ValueError, match="horizon"):
+            scan_accessible(ONE_PLUS_X_2, n, max_row=-1)
 
 
 @pytest.mark.parametrize(
@@ -268,15 +272,15 @@ def source_chain(f, n):
 
 def recording_maps(monkeypatch):
     """The lengths of the levels cut from now on, in order: every level, kept
-    or only counted, is one call of _sorted_cuts."""
+    or only counted, is one call of _cuts."""
     built = []
-    sorted_cuts = blocks._Closure._sorted_cuts
+    cuts = blocks._Closure._cuts
 
-    def recording(self, expanded, n):
+    def recording(self, sources, n):
         built.append(n)
-        return sorted_cuts(self, expanded, n)
+        return cuts(self, sources, n)
 
-    monkeypatch.setattr(blocks._Closure, "_sorted_cuts", recording)
+    monkeypatch.setattr(blocks._Closure, "_cuts", recording)
     return built
 
 
@@ -317,7 +321,7 @@ def distinct_prefixes(level, m):
     return len(blocks._unique_rows(level[:, :m]))
 
 
-def first_diffs(rows, order=None):
+def first_diffs(rows, order):
     """The chunks of _first_diffs as one array, checking each chunk's size."""
     chunks = list(blocks._first_diffs(rows, order))
     assert all(0 < len(chunk) <= blocks.ROW_CHUNK for chunk in chunks)
@@ -335,7 +339,7 @@ def test_prefix_pass_counts_the_distinct_prefixes(monkeypatch, chunk):
         levels.append(blocks._unique_rows(digits)[:rows])
     levels.append(blocks._Closure(CXX2_23).level(9))
     for level in levels:
-        diffs = first_diffs(level)
+        diffs = first_diffs(level, np.arange(len(level)))
         assert len(diffs) == len(level) - 1
         for m in range(1, level.shape[1] + 1):
             assert 1 + int(np.sum(diffs < m)) == distinct_prefixes(level, m)
@@ -444,8 +448,10 @@ def test_order_and_first_diffs_equal_a_sorted_oracle(monkeypatch, chunk):
         firsts = [next((j for j in range(width) if a[j] != b[j]), width)
                   for a, b in zip(oracle, oracle[1:])]
         assert first_diffs(mat, order).tolist() == firsts
-        # a matrix already sorted is read as it stands
-        assert first_diffs(np.array(oracle, np.uint8).reshape(-1, width)).tolist() == firsts
+        # a matrix already sorted is one run, which its order reads as it stands
+        already = np.array(oracle, np.uint8).reshape(-1, width)
+        assert blocks._order(already).tolist() == list(range(len(already)))
+        assert first_diffs(already, blocks._order(already)).tolist() == firsts
         assert [tuple(row) for row in blocks._distinct(mat, order).tolist()] == sorted(set(rows))
     assert unsorted >= 3
 
@@ -463,7 +469,7 @@ def test_unique_rows_leaves_its_argument_alone():
 def naive_fixpoint(closure):
     """The fixpoint by re-expanding the whole level every round."""
     fix = blocks._row0_blocks(closure.lc)
-    while len(grown := closure._apply_maps(closure._expand(fix), closure.lc)) > len(fix):
+    while len(grown := blocks._unique_rows(closure._cuts([fix] * closure.p, closure.lc))) > len(fix):
         fix = grown
     return fix
 
@@ -478,16 +484,58 @@ def naive_fixpoint(closure):
 def test_fixpoint_expands_each_block_once(monkeypatch, p, coeffs):
     closure = blocks._Closure(FpPoly.make(p, coeffs))
     expanded = []
-    expand = blocks._Closure._expand
+    cuts = blocks._Closure._cuts
 
-    def recording(self, src):
-        expanded.append(len(src))
-        return expand(self, src)
+    def recording(self, sources, n):
+        expanded.append([len(src) for src in sources])
+        return cuts(self, sources, n)
 
-    monkeypatch.setattr(blocks._Closure, "_expand", recording)
+    monkeypatch.setattr(blocks._Closure, "_cuts", recording)
     fix = closure.fixpoint
-    assert sum(expanded) == len(fix)
+    # every row of a round reads the same new blocks
+    assert all(lens == lens[:1] * p for lens in expanded)
+    assert sum(lens[0] for lens in expanded) == len(fix)
     assert np.array_equal(fix, naive_fixpoint(closure))
+
+
+@pytest.mark.parametrize("f", [FpPoly.make(3, [1, 1, 1]), ONE_PLUS_X_5],
+                         ids=["1+x+x^2 mod 3", "1+x mod 5"])
+def test_cuts_read_each_rows_own_source(monkeypatch, f):
+    closure = blocks._Closure(f)
+    p, n = f.p, 30
+    s = closure._source_len(n)
+    level = closure.level(s)
+    # sources of different sizes, one row each: all blocks, a strided
+    # third, none, one
+    pool = [level, level[::3], level[:0], level[1:2]]
+    sources = [pool[r % len(pool)] for r in range(p)]
+    got = closure._cuts(sources, n)
+    at = 0
+    for r, src in enumerate(sources):
+        rows = p * len(src)
+        alone = closure._cuts([src] * p, n)
+        assert np.array_equal(got[at:at + rows], alone[r * rows:(r + 1) * rows])
+        at += rows
+    assert at == len(got)
+    # every cut of an accessible block is accessible
+    found = {bytes(row) for row in blocks._unique_rows(got)}
+    assert found <= {bytes(row) for row in closure.level(n)}
+    # under a cap below the dilated span of the whole level, a few blocks
+    # still fit, and the level alone in one row is refused before its
+    # expansion or the candidate matrix is allocated
+    monkeypatch.setattr(blocks, "MAX_CELLS", len(level) * (p * (s - 1) + 1) - 1)
+    assert closure._cuts([level[:1]] * p, n).shape == (p * p, n)
+    monkeypatch.setattr(blocks._Closure, "_expand_row",
+                        lambda self, src, r: pytest.fail("expanded over the cap"))
+    candidate_bytes = p * len(level) * n
+    tracemalloc.start()
+    try:
+        with pytest.raises(blocks.ClosureSizeError, match="expansion"):
+            closure._cuts([level] + [level[:0]] * (p - 1), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < candidate_bytes // 4
 
 
 @pytest.mark.parametrize("single_first", [True, False])
@@ -536,7 +584,9 @@ def test_expand_row_equals_the_strided_add_oracle(p, degree):
         # row 16 reads 3 or 4 source digits, more than one table keys: the
         # lookups of two tables are summed
         assert (len(closure.rows[16]) - 1) // p + 1 > closure.group == 2
-    assert_expansions_equal_the_oracle(closure, rng)
+    # a closure expands alike on every call
+    for _ in range(2):
+        assert_expansions_equal_the_oracle(closure, rng)
 
 
 def test_expand_row_in_one_digit_tables_and_one_row_chunks(monkeypatch):
@@ -555,25 +605,7 @@ def test_expand_row_in_one_digit_tables_and_one_row_chunks(monkeypatch):
     assert line_complexity_range(QUADRATIC_5_POLY, 30) == a_from_recursion_range(QUADRATIC_5, 30)
     patched_level, patched_maps = blocks.window_maps(FpPoly.make(3, [1, 1, 1]), 3)
     assert np.array_equal(patched_level, level)
-    assert all(np.array_equal(a, b) for a, b in zip(patched_maps, maps, strict=True))
-
-
-def test_expand_row_tables_are_kept_only_while_they_fit():
-    # mod 3 the three rows' tables hold 45 digits together: built once per closure
-    closure = blocks._Closure(FpPoly.make(3, [1, 1, 1]))
-    assert all(closure._row_tables(r) is closure._row_tables(r) for r in range(3))
-    # mod 251 one table alone has 251 * 251 digits, so all of them never fit
-    closure = blocks._Closure(FpPoly.make(251, [1, 7, 250]))
-    assert closure._tables is None
-    assert closure._row_tables(1) is not closure._row_tables(1)
-    # kept tables expand exactly as rebuilt ones, across calls
-    src = np.random.default_rng(5).integers(0, 5, size=(30, 6), dtype=np.uint8)
-    kept = blocks._Closure(QUADRATIC_5_POLY)
-    for _ in range(2):
-        for r in range(5):
-            want = expand_row_oracle(kept, src, r)
-            assert np.array_equal(kept._expand_row(src, r)[:, :want.shape[1]], want)
-    assert sorted(kept._tables) == list(range(5))
+    assert np.array_equal(patched_maps, maps)
 
 
 def test_expand_row_holds_its_keys_one_chunk_at_a_time():
@@ -655,7 +687,7 @@ def test_window_maps_follow_the_rows(f):
             src = index[window(m, t)]
             for r in range(p):
                 for j in range(p):
-                    assert level[maps[p * r + j][src]].tolist() == [
+                    assert level[maps[r, j, src]].tolist() == [
                         int(c) for c in window(p * m + r, p * t + r * d + j)
                     ]
 
@@ -666,7 +698,8 @@ def test_window_maps_need_a_self_sourcing_length():
         with pytest.raises(ValueError, match="source length"):
             blocks.window_maps(CXX2_23, n)
     for n in (3, 4):
-        assert len(blocks.window_maps(CXX2_23, n)[1]) == 9
+        level, maps = blocks.window_maps(CXX2_23, n)
+        assert maps.shape == (3, 3, len(level))
 
 
 # ---------------------------------------------------------- RecursionSpec ---
