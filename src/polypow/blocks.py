@@ -27,13 +27,19 @@ sorted runs, which a stable sort merges in little more than one pass.  A
 row's expansion is gathered from tables of at most TABLE_CELLS digits, p
 digits per lookup, built for that expansion, and holds beside itself only
 KEY_CHUNK table keys at a time.  A level keeps the first of each run of equal
-candidates.  Only the fixpoint level stays; a count builds one level up its
-source chain, and the last level of that chain is never deduplicated: its
-candidates, read in order one chunk at a time, count it and every shorter
-length.
-A step that would hold more than MAX_CELLS digits raises ClosureSizeError
-before allocating.  Every call builds its own closure; none is cached.
-Digits are bytes, so p > 255 is refused.
+candidates.  Only the fixpoint level stays.  A count of length n never
+builds level n.  From n = 2p on, unless L = n - p*(n//2//p) is at most
+lc, it builds level s(n) up its source chain and ranks the prefix and
+suffix of each block; then, with level s(n) dropped, it holds the
+candidates of level L, about n/2, with their order, one uint32 rank per
+candidate, p*p*a(s(n)) uint64 sort keys, and a sparse table of level L's
+first differences, about log2 a(L) rows of a(L) entries in the smallest
+dtype that holds L (_split_firsts says why this is exact).  Otherwise the
+candidates of level n, read in order one chunk at a time, count it and
+every shorter length.
+An array of more than MAX_CELLS bytes, a digit being one, raises
+ClosureSizeError before it is allocated.  Every call builds its own closure;
+none is cached.  Digits are bytes, so p > 255 is refused.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ class InferenceError(RuntimeError):
 
 
 class ClosureSizeError(RuntimeError):
-    """Raised when one step of the maps would hold more than MAX_CELLS digits."""
+    """Raised when one array of a closure step would hold more than MAX_CELLS bytes."""
 
 
 def _row0_blocks(n: int) -> np.ndarray:
@@ -131,7 +137,7 @@ def _digit_products(p: int) -> np.ndarray:
 
 def _check_cells(cells: int, what: str) -> None:
     if cells > MAX_CELLS:
-        raise ClosureSizeError(f"{what} would hold {cells} digits, over the cap of {MAX_CELLS}")
+        raise ClosureSizeError(f"{what} would hold {cells} bytes, over the cap of {MAX_CELLS}")
 
 
 def scan_accessible(f: FpPoly, n: int, max_row: int = SCAN_CAP) -> np.ndarray:
@@ -295,14 +301,15 @@ class _Closure:
         Per row r in order, cut p*r+j sends the source block at position t
         of row m to the n-window at p*t+dr+j of row p*m+r, where dr is the
         degree of row r; each cut's windows follow the source blocks' order.
-        Every expansion is sized before anything is allocated; the matrix is
-        allocated once, and each row's expansion is dropped before the next
-        is built.
+        Each row's expansion, one held at a time, and the matrix are sized
+        before anything is allocated; the matrix is allocated once, and each
+        row's expansion is dropped before the next is built.
         """
         p = self.p
-        span = p * (sources[0].shape[1] - 1) + 1
-        cells = sum(len(src) * (span + len(rr) + p - 1) for src, rr in zip(sources, self.rows))
-        _check_cells(cells, f"the expansion of {max(map(len, sources))} blocks")
+        # row r expands a block of s digits to p*(s+kt) (see _expand_row)
+        cells, r = max((len(src) * p * (src.shape[1] + (len(rr) - 1) // p + 1), r)
+                       for r, (src, rr) in enumerate(zip(sources, self.rows)))
+        _check_cells(cells, f"the expansion of {len(sources[r])} blocks by row {r}")
         rows = p * sum(map(len, sources))
         _check_cells(rows * n, f"the candidate {n}-blocks")
         out = np.empty((rows, n), np.uint8)
@@ -359,24 +366,119 @@ def line_complexity(f: FpPoly, n: int) -> int:
 
 
 def line_complexity_range(f: FpPoly, n_max: int) -> list[int]:
-    """[a(0), ..., a(n_max)] from the one closure level n_max.
+    """[a(0), ..., a(n_max)] from the sorted windows of length n_max.
 
     A window extends one digit right inside its row, so the m-blocks are the
     distinct m-prefixes of the sorted n_max-blocks, and a(m) is 1 plus the
-    adjacent unequal rows that first differ before column m.  Level n_max is
-    only counted: its candidates are read in order with their repeats, never
-    deduplicated, and their first differences are counted chunk by chunk.
+    adjacent unequal windows that first differ before column m.  Level n_max
+    is counted, never built.  With t = n_max//2//p >= 1 and L = n_max - p*t
+    above lc, each n_max-window is two overlapping L-windows, cut from the
+    prefix and the suffix of one block of level s(n_max) (_split_firsts
+    gives why).  That count holds level s(n_max) while it ranks those
+    prefixes and suffixes, then level L's candidates with their order and
+    ranks, then the windows' rank pairs as sort keys and a sparse table of
+    level L's first differences.  Otherwise the candidates of level n_max
+    are read in order with their repeats, never deduplicated, and their
+    first differences are counted chunk by chunk.
     """
     if n_max < 0:
         raise ValueError("block length must be >= 0")
     closure = _Closure(f)
     if n_max == 0:
         return [1]
-    firsts = np.zeros(n_max + 1, np.int64)
-    for chunk in _first_diffs(*closure.candidates(n_max)):
-        firsts += np.bincount(chunk, minlength=n_max + 1)
-    # the last bin holds the pairs of equal rows
+    t = n_max // 2 // closure.p
+    if t and n_max - closure.p * t > closure.lc:
+        firsts = _split_firsts(closure, n_max, t)
+    else:
+        firsts = _rank(*closure.candidates(n_max))[0]
+    # the last bin holds the pairs of equal windows
     return [1, *(1 + np.cumsum(firsts[:n_max])).tolist()]
+
+
+def _rank(mat: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Count and rank the candidates of one level, read in their sorted order.
+
+    Returns firsts, where firsts[k] counts the adjacent sorted candidates
+    that first differ at column k (k = n for equal ones); the rank of each
+    candidate among the level's distinct blocks, uint32, in the candidates'
+    own order; and lcp, where lcp[i] is the first column at which distinct
+    blocks i and i+1 differ, in the smallest dtype that holds n.
+    """
+    n = mat.shape[1]
+    firsts = np.zeros(n + 1, np.int64)
+    ranks = np.zeros(len(mat), np.uint32)
+    lcp = [np.empty(0, np.min_scalar_type(n))]
+    at = 1
+    for chunk in _first_diffs(mat, order):
+        firsts += np.bincount(chunk, minlength=n + 1)
+        fresh = chunk < n
+        ranks[order[at:at + len(chunk)]] = ranks[order[at - 1]] + np.cumsum(fresh)
+        lcp.append(chunk[fresh].astype(lcp[0].dtype))
+        at += len(chunk)
+    return firsts, ranks, np.concatenate(lcp)
+
+
+def _range_minima(values: np.ndarray) -> np.ndarray:
+    """The sparse table of values: row k holds min(values[i:i + 2**k]) at
+    every i <= len(values) - 2**k (Bender & Farach-Colton, LATIN 2000), so
+    the minimum of any range is that of two rows' entries."""
+    levels = len(values).bit_length()
+    _check_cells(levels * values.nbytes, f"the range minima of {len(values)} first differences")
+    table = np.empty((levels, len(values)), values.dtype)
+    table[:1] = values
+    for k in range(1, levels):
+        h, valid = 1 << (k - 1), len(values) - (1 << k) + 1
+        np.minimum(table[k - 1, :valid], table[k - 1, h:h + valid], out=table[k, :valid])
+    return table
+
+
+def _split_firsts(closure: _Closure, n: int, t: int) -> np.ndarray:
+    """firsts, as _rank counts them, for the sorted n-windows, found from
+    the candidates of the shorter level L = n - p*t, where lc < L and
+    n/2 <= L.
+
+    s(n) = t + s(L), and cut p*r+j of a block b of level s(n) is two
+    L-windows.  Its first L digits are cut p*r+j of b[:s(L)], since they
+    read source digits below s(L).  Its last L digits are cut p*r+j of
+    b[t:]: digit P = p*u+i of an expansion sums rr[p*k+i]*src[u-k] over
+    p*k+i <= dr, so at P >= dr every term has u-k >= 0, and digit P + p*t of
+    b's expansion reads b[t:] alone.  The halves overlap, so sorting the
+    windows' rank pairs in level L, as uint64 keys, sorts the windows.
+    Windows whose first halves differ first differ where those L-blocks do,
+    which level L's own count gives for every m <= L; windows with equal
+    first halves first differ at n - L plus the least first difference of
+    level L between their second halves' ranks.
+    """
+    p = closure.p
+    half = n - p * t
+    level = closure.level(closure._source_len(n))
+    windows = p * p * len(level)
+    _check_cells(8 * windows, f"the {windows} sort keys of level {n}")
+    # level s(L) is the distinct prefixes of the sorted level s(n)
+    sources = _unique_rows(level[:, :closure._source_len(half)])
+    index = _packed(sources)
+    front = np.searchsorted(index, _packed(level[:, :sources.shape[1]]))
+    back = np.searchsorted(index, _packed(level[:, t:]))
+    del level
+    cuts = closure._cuts([sources] * p, half)
+    counts, ranks, lcp = _rank(cuts, _order(cuts))
+    del cuts
+    img = ranks.reshape(p, p, len(sources))
+    key = img[:, :, front].astype(np.uint64).ravel()
+    key <<= 32
+    key |= img[:, :, back].ravel()
+    key.sort()
+    # the adjacent windows whose first halves are equal and second halves not
+    step = key[1:] ^ key[:-1]
+    pair = np.flatnonzero((step > 0) & (step < 1 << 32))
+    lo = (key[pair] & 0xFFFFFFFF).astype(np.intp)
+    hi = (key[pair + 1] & 0xFFFFFFFF).astype(np.intp)
+    table = _range_minima(lcp)
+    k = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo)), exact below 2**53
+    shared = np.minimum(table[k, lo], table[k, hi - (1 << k)])
+    firsts = np.bincount(shared.astype(np.intp) + (n - half), minlength=n + 1)
+    firsts[:half] = counts[:half]
+    return firsts
 
 
 # ---------------------------------------------------------------- 1 + x ----

@@ -39,8 +39,9 @@ from .fpoly import (
 )
 
 # Longest value list --terms and --n may ask for: about 3 s and 140 MB.  A
-# closure level of length n holds at least n+1 blocks of n digits, so no
-# --engine scan run above 2^14 fits under blocks.MAX_CELLS anyway.
+# count of length n holds the candidates of a level of m >= n/2 digits, at
+# least m+1 blocks, so no --engine scan run above 2^15 fits under
+# blocks.MAX_CELLS anyway.
 MAX_TERMS = 1 << 18
 
 

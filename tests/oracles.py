@@ -3,7 +3,8 @@ form of 1+x+x^2 mod 2 and the residual of the self-similarity equation on a
 series prefix, which share nothing with the derivation in polypow.genfun; for
 the similarity classes, the search over every move that canonicalize replaced;
 for the transfer maps, one unbuffered scatter-add per edge; for the recursion
-fit, one exact solve per trial threshold.
+fit, one exact solve per trial threshold; for the block counts, the sorted
+candidates of the top level itself.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,8 @@ from polypow.blocks import (
     SHIFTS,
     InferenceError,
     RecursionSpec,
+    _Closure,
+    _first_diffs,
     _solve_exact,
     line_complexity_range,
 )
@@ -153,3 +156,15 @@ def infer_by_thresholds(f, window=None):
     raise InferenceError(
         f"no recursion a(pn+k) = sum_j c_kj a(n+j) - K with {SHIFTS} shifts fits "
         f"a(0..{n_data}) of {format_poly(f)} mod {p} from any threshold 3 to {2 * p + 5}")
+
+
+def count_by_candidates(f, n_max):
+    """[a(0), ..., a(n_max)] from the candidates of level n_max itself: the
+    p*p cuts of level s(n_max), sorted with their repeats, and 1 plus the
+    adjacent unequal ones that first differ before each length."""
+    if n_max == 0:
+        return [1]
+    firsts = np.zeros(n_max + 1, np.int64)
+    for chunk in _first_diffs(*_Closure(f).candidates(n_max)):
+        firsts += np.bincount(chunk, minlength=n_max + 1)
+    return [1, *(1 + np.cumsum(firsts[:n_max])).tolist()]

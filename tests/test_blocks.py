@@ -6,6 +6,7 @@ and the closure.
 """
 
 import tracemalloc
+from itertools import product
 from math import isqrt
 
 import numpy as np
@@ -32,7 +33,7 @@ from polypow import (
 from polypow import blocks
 from polypow.fpoly import digits_to_text, parse_poly
 
-from oracles import infer_by_thresholds
+from oracles import count_by_candidates, infer_by_thresholds, series_1xx2
 
 ONE_PLUS_X_2 = FpPoly.make(2, [1, 1])
 ONE_PLUS_X_3 = FpPoly.make(3, [1, 1])
@@ -306,12 +307,15 @@ def test_range_query_builds_only_the_source_chain_of_its_end(monkeypatch):
     expected = a_from_recursion_range(recursion_1px(3), 150)
     assert line_complexity_range(f, 150) == expected
     assert source_chain(f, 150) == [150, 52, 19, 8, 4, 3]
-    # the fixpoint rounds cut level 3; above it only the chain is cut
-    assert [n for n in built if n > 3] == [4, 8, 19, 52, 150]
-    # a longer count builds its own chain
+    # level 150 is never cut: its windows are pairs of windows of level
+    # 150 - 3*25 = 75, cut from level 27, the prefixes of level 52
+    assert source_chain(f, 75)[:2] == [75, 27]
+    # the fixpoint rounds cut level 3; above it only the chain of 52 and level 75
+    assert [n for n in built if n > 3] == [4, 8, 19, 52, 75]
+    # a longer count builds its own chain: 160 = 82 + 3*26
     built.clear()
     assert line_complexity(f, 160) == a_from_recursion(recursion_1px(3), 160)
-    assert [n for n in built if n > 3] == sorted(source_chain(f, 160)[:-1])
+    assert [n for n in built if n > 3] == sorted(source_chain(f, 160)[1:-1]) + [82]
     closure = blocks._Closure(f)
     closure.level(150)
     assert held_matrices(closure) == ["fixpoint"]
@@ -384,8 +388,8 @@ def test_counted_level_counts_exactly_with_its_repeats(monkeypatch, chunk):
 
 
 def test_counted_level_holds_one_candidate_matrix():
-    # level 150 of 1+x mod 3 is cut from the a(52) blocks of level 52, p*p
-    # cuts each; the count holds that matrix and little beside it
+    # level 150 of 1+x mod 3 was counted from the p*p cuts of the a(52)
+    # blocks of level 52; the split count holds less than that matrix
     assert source_chain(ONE_PLUS_X_3, 150)[1] == 52
     candidate_bytes = 3 * 3 * a_1px(3, 52) * 150
     tracemalloc.start()
@@ -395,12 +399,12 @@ def test_counted_level_holds_one_candidate_matrix():
     finally:
         tracemalloc.stop()
     assert counts[-1] == a_1px(3, 150)
-    assert peak < 2 * candidate_bytes
+    assert peak < candidate_bytes
 
 
 def test_counted_level_of_many_runs_holds_one_candidate_matrix():
-    # level 60 of 1+x+x^2 mod 5 is cut from level 15; its candidates come in
-    # about 14,600 sorted runs, against 23 for level 150 of 1+x mod 3
+    # level 60 of 1+x+x^2 mod 5 was counted from the cuts of level 15, which
+    # come in about 14,600 sorted runs, against 23 for level 150 of 1+x mod 3
     assert source_chain(QUADRATIC_5_POLY, 60)[1] == 15
     candidate_rows = 5 * 5 * a_from_recursion(QUADRATIC_5, 15)
     assert candidate_rows == 208625
@@ -411,7 +415,84 @@ def test_counted_level_of_many_runs_holds_one_candidate_matrix():
     finally:
         tracemalloc.stop()
     assert counts == a_from_recursion_range(QUADRATIC_5, 60)
-    assert peak < 2 * candidate_rows * 60
+    assert peak < candidate_rows * 60
+
+
+def nonzero_polys(p, max_degree):
+    """Every nonzero polynomial mod p of degree at most max_degree."""
+    return [FpPoly.make(p, list(coeffs)) for degree in range(max_degree + 1)
+            for coeffs in product(range(p), repeat=degree + 1) if coeffs[-1]]
+
+
+@pytest.mark.parametrize(
+    "polys",
+    [
+        nonzero_polys(2, 5),
+        nonzero_polys(3, 3),
+        [FpPoly.make(p, c) for p, c in ((5, [1, 1, 1]), (5, [3, 2, 4]), (5, [2, 0, 1]),
+                                        (7, [1, 1, 1]), (7, [3, 5, 2]),
+                                        (11, [5, 0, 3]), (11, [0, 1, 1]))],
+        [FpPoly.make(p, [0] * k + [c]) for p, c, k in ((2, 1, 6), (3, 2, 4), (5, 2, 3),
+                                                       (7, 3, 2), (11, 5, 1))],
+    ],
+    ids=["every f mod 2 of degree <= 5", "every f mod 3 of degree <= 3",
+         "quadratics mod 5, 7 and 11", "c*x^k"],
+)
+def test_split_count_equals_the_candidate_count(polys):
+    # lengths on both sides of the split's start at 2p, and past it
+    for f in polys:
+        p = f.p
+        lengths = sorted({1, 2, 2 * p - 1, 2 * p, 2 * p + 1, 3 * p + 2, 17, 29, 40})
+        oracle = count_by_candidates(f, lengths[-1])
+        for n in lengths:
+            assert line_complexity_range(f, n) == oracle[:n + 1], (f, n)
+
+
+def test_split_count_reaches_levels_past_the_candidate_cap():
+    # level 700 of 1+x mod 2 would hold 343,985,600 candidate digits and
+    # level 600 of 1+x+x^2 mod 2 also over MAX_CELLS; the split holds neither
+    assert line_complexity_range(ONE_PLUS_X_2, 700) == [a_1px(2, n) for n in range(701)]
+    assert line_complexity_range(CXX2_12, 600) == series_1xx2(600)
+
+
+def test_split_count_refuses_its_sort_keys_before_allocating(monkeypatch):
+    # 1+x mod 5 to 60 sorts p*p keys per block of level s(60) = 14; with the
+    # cap just below them it is refused after building level 14 and before
+    # the keys, level 30's candidates and the range minima
+    f, n = ONE_PLUS_X_5, 60
+    tracemalloc.start()
+    try:
+        line_complexity_range(f, n)
+        full_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    closure = blocks._Closure(f)
+    keys = 5 * 5 * len(closure.level(closure._source_len(n)))
+    assert closure._source_len(n) == 14
+    monkeypatch.setattr(blocks, "MAX_CELLS", 8 * keys - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(blocks.ClosureSizeError,
+                           match=f"the {keys} sort keys of level {n} would hold {8 * keys} bytes"):
+            line_complexity_range(f, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * keys
+    assert peak < full_peak / 4
+
+
+def test_range_minima_equal_a_scan():
+    rng = np.random.default_rng(3)
+    for size in (0, 1, 2, 3, 7, 8, 9, 33):
+        values = rng.integers(0, 200, size=size).astype(np.uint8)
+        table = blocks._range_minima(values)
+        assert table.shape == (size.bit_length(), size) and table.dtype == np.uint8
+        for lo in range(size):
+            for hi in range(lo + 1, size + 1):
+                k = (hi - lo).bit_length() - 1
+                least = min(table[k, lo], table[k, hi - (1 << k)])
+                assert least == values[lo:hi].min()
 
 
 def sorted_run_matrices(seed):
@@ -536,6 +617,22 @@ def test_cuts_read_each_rows_own_source(monkeypatch, f):
     finally:
         tracemalloc.stop()
     assert peak < candidate_bytes // 4
+
+
+def test_cuts_size_each_rows_expansion_on_its_own(monkeypatch):
+    # a step holds one row's expansion at a time, so the largest is sized,
+    # not their sum; short cuts keep the candidate matrix under the cap
+    closure = blocks._Closure(CXX2_23)
+    level = closure.level(6)
+    sources = [level, level[: len(level) // 2], level[:0]]
+    sizes = [closure._expand_row(src, r).size for r, src in enumerate(sources)]
+    assert sizes[0] == max(sizes) < sum(sizes)
+    monkeypatch.setattr(blocks, "MAX_CELLS", sizes[0])
+    assert closure._cuts(sources, 2).shape == (3 * (len(level) + len(level) // 2), 2)
+    monkeypatch.setattr(blocks, "MAX_CELLS", sizes[0] - 1)
+    with pytest.raises(blocks.ClosureSizeError,
+                       match=f"the expansion of {len(level)} blocks by row 0 would hold {sizes[0]} bytes"):
+        closure._cuts(sources, 2)
 
 
 @pytest.mark.parametrize("single_first", [True, False])

@@ -162,14 +162,15 @@ def test_cli_answers_for_1xx2_mod2(capsys):
 
 def test_cli_blocks_auto_prints_only_proven_values(capsys):
     # auto runs the exact closure for every f but 1+x; past the closure cap
-    # it refuses, while the inferred recursion still answers when asked for
-    argv = ("blocks", "--poly", "1+x+x^2", "--n", "600")
+    # it refuses, while the inferred recursion still answers when asked for.
+    # The count of length 1200 is refused at level s(1200) = 602.
+    argv = ("blocks", "--poly", "1+x+x^2", "--n", "1200")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err.startswith("diagnostic: the candidate 600-blocks would hold ")
+    assert err.startswith("diagnostic: the candidate 602-blocks would hold ")
     code, out, _ = run(capsys, *argv, "--engine", "recursion")
     assert code == 0
-    assert out == run(capsys, "series", "--poly", "1+x+x^2", "--terms", "600")[1]
+    assert out == run(capsys, "series", "--poly", "1+x+x^2", "--terms", "1200")[1]
 
 
 # ------------------------------------------------------------------ limits --
@@ -544,10 +545,12 @@ def test_exit_code_3_for_diagnostics(capsys):
 
 
 def test_oversized_closure_exits_3(capsys):
-    # the fixpoint of 5-blocks of this cubic would cut 92 million candidates
+    # one round of the fixpoint of 5-blocks of this cubic would cut the
+    # 274970 blocks it added into 17*17*274970 candidates of 5 digits; each
+    # row's expansion alone fits
     code, out, err = run(capsys, "blocks", "--poly", "3+5x+16x^3", "--prime", "17", "--n", "4")
     assert (code, out) == (3, "")
-    assert err.startswith("diagnostic: the expansion of ")
+    assert err.startswith(f"diagnostic: the candidate 5-blocks would hold {17 * 17 * 274970 * 5} bytes")
     assert err.endswith(f"over the cap of {2**28}\n")
 
 
