@@ -29,14 +29,18 @@ digits per lookup, built for that expansion, and holds beside itself only
 KEY_CHUNK table keys at a time.  A level keeps the first of each run of equal
 candidates.  Only the fixpoint level stays.  A count of length n never
 builds level n.  From n = 2p on, unless L = n - p*(n//2//p) is at most
-lc, it builds level s(n) up its source chain and ranks the prefix and
-suffix of each block; then, with level s(n) dropped, it holds the
-candidates of level L, about n/2, with their order, one uint32 rank per
-candidate, p*p*a(s(n)) uint64 sort keys, and a sparse table of level L's
-first differences, about log2 a(L) rows of a(L) entries in the smallest
-dtype that holds L (_split_firsts says why this is exact).  Otherwise the
+lc, it never gathers level s(n) either: one pass over the sorted
+candidates of level s(n) gives each block's front rank and level s(L),
+and each block's suffix is ranked one chunk at a time.  With those
+candidates dropped it holds level L's candidates, about n/2 digits wide,
+with their order and one uint32 rank each; then p*p*a(s(n)) uint64 sort
+keys, filled one cut at a time and sorted in place, and a sparse table of
+level L's first differences, about log2 a(L) rows of a(L) entries in the
+smallest dtype that holds L, while the adjacent keys are read one chunk
+at a time (_split_firsts says why this is exact).  Otherwise the
 candidates of level n, read in order one chunk at a time, count it and
-every shorter length.
+every shorter length.  A chunk of rows holds CHUNK_DIGITS digits, a chunk
+of keys as many bytes.
 An array of more than MAX_CELLS bytes, a digit being one, raises
 ClosureSizeError before it is allocated.  Every call builds its own closure;
 none is cached.  Digits are bytes, so p > 255 is refused.
@@ -77,26 +81,32 @@ def _packed(mat: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(mat).view(np.dtype((np.void, mat.shape[1]))).ravel()
 
 
-ROW_CHUNK = 2**14  # adjacent row pairs _first_diffs compares at once
+CHUNK_DIGITS = 2**18  # digits a pass over rows reads at once; 8 per sort key
 TABLE_CELLS = 2**16  # the most digits one lookup table of _expand_row holds
 KEY_CHUNK = 2**16  # table keys _expand_row builds and gathers at once, or one row's
+
+
+def _chunk(width: int) -> int:
+    """Rows of `width` digits in one chunk of CHUNK_DIGITS, at least one."""
+    return max(1, CHUNK_DIGITS // max(width, 1))
 
 
 def _first_diffs(rows: np.ndarray, order: np.ndarray) -> Iterator[np.ndarray]:
     """The first differing column of each adjacent pair of rows read in
     `order`, or the row length for a pair of equal rows; one array per chunk
-    of ROW_CHUNK pairs.
+    of _chunk(row length) pairs.
 
     Each chunk's rows are gathered into one reused buffer, and every chunk
     compares into one reused bool buffer, whose last column stays True so
     that argmax finds it for a pair of equal rows.
     """
     n, pairs = rows.shape[1], len(rows) - 1
-    chunk = min(ROW_CHUNK, max(pairs, 0))
+    step = _chunk(n)
+    chunk = min(step, max(pairs, 0))
     gathered = np.empty((chunk + 1, n), rows.dtype)
     differs = np.ones((chunk, n + 1), bool)
-    for lo in range(0, pairs, ROW_CHUNK):
-        k = min(ROW_CHUNK, pairs - lo)
+    for lo in range(0, pairs, step):
+        k = min(step, pairs - lo)
         # the order's indices are all in range; mode "raise" would buffer out
         block = np.take(rows, order[lo:lo + k + 1], axis=0, out=gathered[:k + 1], mode="clip")
         np.not_equal(block[1:], block[:-1], out=differs[:k, :n])
@@ -374,12 +384,13 @@ def line_complexity_range(f: FpPoly, n_max: int) -> list[int]:
     is counted, never built.  With t = n_max//2//p >= 1 and L = n_max - p*t
     above lc, each n_max-window is two overlapping L-windows, cut from the
     prefix and the suffix of one block of level s(n_max) (_split_firsts
-    gives why).  That count holds level s(n_max) while it ranks those
-    prefixes and suffixes, then level L's candidates with their order and
-    ranks, then the windows' rank pairs as sort keys and a sparse table of
-    level L's first differences.  Otherwise the candidates of level n_max
-    are read in order with their repeats, never deduplicated, and their
-    first differences are counted chunk by chunk.
+    gives why).  That count reads the sorted candidates of level s(n_max)
+    once for the ranks of those prefixes and suffixes, then holds level L's
+    candidates with their order and ranks, then the windows' rank pairs as
+    sort keys and a sparse table of level L's first differences, and reads
+    the sorted keys chunk by chunk.  Otherwise the candidates of level
+    n_max are read in order with their repeats, never deduplicated, and
+    their first differences are counted chunk by chunk.
     """
     if n_max < 0:
         raise ValueError("block length must be >= 0")
@@ -433,9 +444,9 @@ def _range_minima(values: np.ndarray) -> np.ndarray:
 
 
 def _split_firsts(closure: _Closure, n: int, t: int) -> np.ndarray:
-    """firsts, as _rank counts them, for the sorted n-windows, found from
-    the candidates of the shorter level L = n - p*t, where lc < L and
-    n/2 <= L.
+    """firsts, as _rank counts them, bin n included, for the sorted
+    n-windows, found from the candidates of the shorter level L = n - p*t,
+    where lc < L and n/2 <= L.
 
     s(n) = t + s(L), and cut p*r+j of a block b of level s(n) is two
     L-windows.  Its first L digits are cut p*r+j of b[:s(L)], since they
@@ -447,37 +458,80 @@ def _split_firsts(closure: _Closure, n: int, t: int) -> np.ndarray:
     Windows whose first halves differ first differ where those L-blocks do,
     which level L's own count gives for every m <= L; windows with equal
     first halves first differ at n - L plus the least first difference of
-    level L between their second halves' ranks.
+    level L between their second halves' ranks; equal keys are equal
+    windows.
+
+    Beside the sorted keys, no array holds one entry per window.  Level
+    s(n) is read from its sorted candidates, never gathered: its blocks
+    are the candidates that first differ from the one before below column
+    s(n), and level s(L), the blocks' distinct prefixes, those that differ
+    below s(L), so a block's front rank counts the prefixes up to it.  Only
+    the suffix ranks need searchsorted, on level s(L), one chunk at a time.
+    The keys are filled one cut at a time and sorted in place, and the
+    adjacent pairs, their range minima included, are read one chunk at a
+    time.
     """
     p = closure.p
     half = n - p * t
-    level = closure.level(closure._source_len(n))
-    windows = p * p * len(level)
+    width = closure._source_len(half)
+    mat, order = closure.candidates(closure._source_len(n))
+    # the sorted candidates that head a block of level s(n), their front
+    # ranks, and those that head a block of level s(L)
+    heads, fronts, prefixes = [order[:1]], [np.zeros(1, np.uint32)], [order[:1]]
+    at, rank = 1, 0
+    for chunk in _first_diffs(mat, order):
+        rows = order[at:at + len(chunk)]
+        fresh = chunk < width
+        block = chunk < mat.shape[1]
+        prefix = np.cumsum(fresh, dtype=np.uint32)
+        prefix += rank
+        rank = prefix[-1]
+        heads.append(rows[block])
+        fronts.append(prefix[block])
+        prefixes.append(rows[fresh])
+        at += len(chunk)
+    heads = np.concatenate(heads)
+    windows = p * p * len(heads)
     _check_cells(8 * windows, f"the {windows} sort keys of level {n}")
-    # level s(L) is the distinct prefixes of the sorted level s(n)
-    sources = _unique_rows(level[:, :closure._source_len(half)])
+    front = np.concatenate(fronts)
+    sources = mat[np.concatenate(prefixes), :width]
     index = _packed(sources)
-    front = np.searchsorted(index, _packed(level[:, :sources.shape[1]]))
-    back = np.searchsorted(index, _packed(level[:, t:]))
-    del level
+    back = np.empty(len(heads), np.uint32)
+    step = _chunk(width)
+    for lo in range(0, len(heads), step):
+        back[lo:lo + step] = np.searchsorted(index, _packed(mat[heads[lo:lo + step], t:]))
+    del mat, order, heads, index
     cuts = closure._cuts([sources] * p, half)
+    del sources
     counts, ranks, lcp = _rank(cuts, _order(cuts))
     del cuts
-    img = ranks.reshape(p, p, len(sources))
-    key = img[:, :, front].astype(np.uint64).ravel()
-    key <<= 32
-    key |= img[:, :, back].ravel()
+    # key = rank of the window's first half << 32 | rank of its second half,
+    # filled one cut at a time
+    key = np.empty((p * p, len(front)), np.uint64)
+    for cut, img in zip(key, ranks.reshape(p * p, -1)):
+        cut[:] = img[front]
+        cut <<= 32
+        cut |= img[back]
+    del ranks, front, back
+    key = key.ravel()
     key.sort()
-    # the adjacent windows whose first halves are equal and second halves not
-    step = key[1:] ^ key[:-1]
-    pair = np.flatnonzero((step > 0) & (step < 1 << 32))
-    lo = (key[pair] & 0xFFFFFFFF).astype(np.intp)
-    hi = (key[pair + 1] & 0xFFFFFFFF).astype(np.intp)
-    table = _range_minima(lcp)
-    k = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo)), exact below 2**53
-    shared = np.minimum(table[k, lo], table[k, hi - (1 << k)])
-    firsts = np.bincount(shared.astype(np.intp) + (n - half), minlength=n + 1)
+    table = _range_minima(lcp).ravel()  # row k of the table starts at k*len(lcp)
+    firsts = np.zeros(n + 1, np.int64)
     firsts[:half] = counts[:half]
+    step = _chunk(key.itemsize)
+    for lo in range(0, windows - 1, step):
+        pair = key[lo:lo + step + 1]
+        diff = pair[1:] ^ pair[:-1]
+        firsts[n] += len(diff) - np.count_nonzero(diff)
+        # the adjacent windows whose first halves are equal and second halves not
+        tied = np.flatnonzero((diff > 0) & (diff < 1 << 32))
+        a = (pair[tied] & 0xFFFFFFFF).astype(np.intp)
+        b = (pair[tied + 1] & 0xFFFFFFFF).astype(np.intp)
+        k = np.frexp(b - a)[1] - 1  # floor(log2(b - a)), exact below 2**53
+        b -= 1 << k
+        k *= len(lcp)
+        shared = np.minimum(np.take(table, k + a), np.take(table, k + b))
+        firsts[n - half:n] += np.bincount(shared, minlength=half)
     return firsts
 
 

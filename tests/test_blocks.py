@@ -326,16 +326,19 @@ def distinct_prefixes(level, m):
 
 
 def first_diffs(rows, order):
-    """The chunks of _first_diffs as one array, checking each chunk's size."""
+    """The chunks of _first_diffs as one array, checking that each chunk
+    holds CHUNK_DIGITS // (row length) pairs, at least one, the last no more."""
     chunks = list(blocks._first_diffs(rows, order))
-    assert all(0 < len(chunk) <= blocks.ROW_CHUNK for chunk in chunks)
+    size = max(1, blocks.CHUNK_DIGITS // rows.shape[1])
+    assert all(len(chunk) == size for chunk in chunks[:-1])
+    assert all(0 < len(chunk) <= size for chunk in chunks[-1:])
     return np.concatenate([np.empty(0, np.intp), *chunks])
 
 
-@pytest.mark.parametrize("chunk", [blocks.ROW_CHUNK, 1, 3, 4])
+@pytest.mark.parametrize("chunk", [2**14, 1, 3, 4])
 def test_prefix_pass_counts_the_distinct_prefixes(monkeypatch, chunk):
-    # chunks of 1, 3 and 4 pairs split 4, 5, 6 and 7 rows at and off a boundary
-    monkeypatch.setattr(blocks, "ROW_CHUNK", chunk)
+    # chunks of 1, 3 and 4 pairs split 4, 5, 6 and 7 rows at and off a
+    # boundary; chunks of 2**14 pairs hold every level whole
     rng = np.random.default_rng(5)
     levels = [np.array([[1, 0, 2]], np.uint8)]
     for rows in (2, 4, 5, 6, 7, 40):
@@ -343,6 +346,7 @@ def test_prefix_pass_counts_the_distinct_prefixes(monkeypatch, chunk):
         levels.append(blocks._unique_rows(digits)[:rows])
     levels.append(blocks._Closure(CXX2_23).level(9))
     for level in levels:
+        monkeypatch.setattr(blocks, "CHUNK_DIGITS", chunk * level.shape[1])
         diffs = first_diffs(level, np.arange(len(level)))
         assert len(diffs) == len(level) - 1
         for m in range(1, level.shape[1] + 1):
@@ -353,7 +357,9 @@ def test_prefix_pass_in_small_chunks_counts_a_range(monkeypatch):
     closure = blocks._Closure(CXX2_23)
     level = closure.level(12)
     oracle = [1] + [distinct_prefixes(level, m) for m in range(1, 13)]
-    monkeypatch.setattr(blocks, "ROW_CHUNK", 7)
+    # level s(12) and level L = 12 - 3*2 both have 6 digits: chunks of 7 rows
+    assert closure._source_len(12) == 6
+    monkeypatch.setattr(blocks, "CHUNK_DIGITS", 7 * 6)
     assert line_complexity_range(CXX2_23, 12) == oracle
     # a level below the fixpoint length is cut from the fixpoint's prefixes
     for m in range(1, closure.lc + 1):
@@ -375,16 +381,18 @@ QUADRATIC_5_POLY = FpPoly.make(5, [1, 1, 1])
 @pytest.mark.parametrize("chunk", [1, 3, 7])
 def test_counted_level_counts_exactly_with_its_repeats(monkeypatch, chunk):
     # the counted level is the sorted candidates, repeats kept, so runs of
-    # equal rows straddle the chunk boundaries of the prefix pass
-    monkeypatch.setattr(blocks, "ROW_CHUNK", chunk)
+    # equal rows straddle the chunk boundaries of the prefix pass; each count
+    # reads the candidates of level s(n) in chunks of `chunk` rows
     candidates, order = blocks._Closure(QUADRATIC_5_POLY).candidates(30)
     assert len(blocks._unique_rows(candidates)) < len(candidates)
     assert np.array_equal(candidates[order], np.array(sorted(candidates.tolist()), np.uint8))
-    assert line_complexity_range(QUADRATIC_5_POLY, 30) == a_from_recursion_range(QUADRATIC_5, 30)
-    assert line_complexity_range(ONE_PLUS_X_3, 60) == [a_1px(3, n) for n in range(61)]
     level = blocks._Closure(CXX2_23).level(12)
-    oracle = [1] + [distinct_prefixes(level, m) for m in range(1, 13)]
-    assert line_complexity_range(CXX2_23, 12) == oracle
+    cases = [(QUADRATIC_5_POLY, 30, a_from_recursion_range(QUADRATIC_5, 30)),
+             (ONE_PLUS_X_3, 60, [a_1px(3, n) for n in range(61)]),
+             (CXX2_23, 12, [1] + [distinct_prefixes(level, m) for m in range(1, 13)])]
+    for f, n, oracle in cases:
+        monkeypatch.setattr(blocks, "CHUNK_DIGITS", chunk * blocks._Closure(f)._source_len(n))
+        assert line_complexity_range(f, n) == oracle
 
 
 def test_counted_level_holds_one_candidate_matrix():
@@ -482,6 +490,72 @@ def test_split_count_refuses_its_sort_keys_before_allocating(monkeypatch):
     assert peak < full_peak / 4
 
 
+@pytest.mark.parametrize("f, n", [(ONE_PLUS_X_2, 40), (CXX2_23, 29), (QUADRATIC_5_POLY, 30),
+                                  (FpPoly.make(7, [1, 1, 1]), 40)])
+def test_split_count_equals_the_candidate_count_in_every_bin(f, n):
+    # the last bin counts the adjacent equal windows, N - a(n) of them
+    closure = blocks._Closure(f)
+    t = n // 2 // f.p
+    assert t and n - f.p * t > closure.lc
+    firsts = blocks._split_firsts(closure, n, t)
+    oracle = blocks._rank(*closure.candidates(n))[0]
+    assert oracle[n] > 0
+    assert firsts.tolist() == oracle.tolist()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4])
+def test_split_count_equals_the_candidate_count_in_small_chunks(monkeypatch, chunk):
+    # chunks of `chunk` sort keys, and of `chunk` rows of 8 digits (one row
+    # for the longer ones), split every pass of the count off its boundaries
+    monkeypatch.setattr(blocks, "CHUNK_DIGITS", 8 * chunk)
+    for f in (FpPoly.make(2, [1, 1, 0, 1]), CXX2_23, FpPoly.make(5, [0, 0, 2]),
+              FpPoly.make(7, [0, 3])):
+        lengths = sorted({2 * f.p, 2 * f.p + 1, 3 * f.p + 2, 17})
+        oracle = count_by_candidates(f, lengths[-1])
+        for n in lengths:
+            assert line_complexity_range(f, n) == oracle[:n + 1], (f, n)
+
+
+def test_split_count_gathers_neither_level_s_n_nor_distinct_rows(monkeypatch):
+    # level s(n) is read from its sorted candidates: its blocks and their
+    # prefixes, level s(L), are the candidates' first differences
+    f, n = QUADRATIC_5_POLY, 60
+    closure = blocks._Closure(f)
+    closure.fixpoint  # its rounds deduplicate, so it is built before recording
+    levels = []
+    level = blocks._Closure.level
+
+    def recording(self, m):
+        levels.append(m)
+        return level(self, m)
+
+    def refused(mat):
+        raise AssertionError("the far count deduplicated a matrix")
+
+    monkeypatch.setattr(blocks._Closure, "level", recording)
+    monkeypatch.setattr(blocks, "_unique_rows", refused)
+    firsts = blocks._split_firsts(closure, n, n // 2 // f.p)
+    assert (1 + np.cumsum(firsts[:n])).tolist() == a_from_recursion_range(QUADRATIC_5, 60)[1:]
+    # only the source chain below level s(60) = 15 is built, not level 15
+    # nor level s(L) = s(30) = 9
+    assert source_chain(f, 15) == [15, 6, 4]
+    assert levels == [6, 4]
+
+
+def test_split_count_holds_little_beside_its_sort_keys():
+    # 1+x+x^2 mod 5 to 60 sorts N = 25 * a(15) uint64 keys; the whole count
+    # peaks below three times those 8 * N bytes
+    keys = 5 * 5 * a_from_recursion(QUADRATIC_5, 15)
+    tracemalloc.start()
+    try:
+        counts = line_complexity_range(QUADRATIC_5_POLY, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == a_from_recursion_range(QUADRATIC_5, 60)
+    assert peak < 3 * 8 * keys
+
+
 def test_range_minima_equal_a_scan():
     rng = np.random.default_rng(3)
     for size in (0, 1, 2, 3, 7, 8, 9, 33):
@@ -514,9 +588,9 @@ def sorted_run_matrices(seed):
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
 def test_order_and_first_diffs_equal_a_sorted_oracle(monkeypatch, chunk):
-    monkeypatch.setattr(blocks, "ROW_CHUNK", chunk)
     unsorted = 0
     for mat in sorted_run_matrices(23):
+        monkeypatch.setattr(blocks, "CHUNK_DIGITS", chunk * mat.shape[1])
         rows = [tuple(row) for row in mat.tolist()]
         oracle = sorted(rows)
         unsorted += rows != oracle
