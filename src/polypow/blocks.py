@@ -25,22 +25,22 @@ matrix, the p*p cuts of its sources, filled one row's expansion at a time,
 and the index order that sorts it; the cuts of a sorted level come in long
 sorted runs, which a stable sort merges in little more than one pass.  A
 row's expansion is gathered from tables of at most TABLE_CELLS digits, p
-digits per lookup, built for that expansion, and holds beside itself only
-KEY_CHUNK table keys at a time.  A level keeps the first of each run of equal
-candidates.  Only the fixpoint level stays.  A count of length n never
-builds level n.  From n = 2p on, unless L = n - p*(n//2//p) is at most
-lc, it never gathers level s(n) either: one pass over the sorted
-candidates of level s(n) gives each block's front rank and level s(L),
-and each block's suffix is ranked one chunk at a time.  With those
-candidates dropped it holds level L's candidates, about n/2 digits wide,
-with their order and one uint32 rank each; then p*p*a(s(n)) uint64 sort
-keys, filled one cut at a time and sorted in place, and a sparse table of
-level L's first differences, about log2 a(L) rows of a(L) entries in the
-smallest dtype that holds L, while the adjacent keys are read one chunk
-at a time (_split_firsts says why this is exact).  Otherwise the
-candidates of level n, read in order one chunk at a time, count it and
-every shorter length.  A chunk of rows holds CHUNK_DIGITS digits, a chunk
-of keys as many bytes.
+digits per lookup, built for that expansion.  Every pass over sorted
+candidates reads one array, their first differences, a byte or two each:
+a level keeps the heads of the runs of equal candidates, a fixpoint round
+the heads it lacked, and a count bins them.  Only the fixpoint level stays.
+A count of length n never builds level n.  From n = 2p on, unless
+L = n - p*(n//2//p) is at most lc, it never gathers level s(n) either: the
+first differences of its candidates give each block's front rank and level
+s(L), and each block's suffix is ranked one chunk at a time.  Then it holds
+level L's candidates, about n/2 digits wide, with their order and one
+uint32 rank each; then p*p*a(s(n)) uint64 sort keys, filled one cut at a
+time and sorted in place, and a sparse table of level L's first
+differences, about log2 a(L) rows of a(L) entries (_split_firsts says why
+this is exact).  Otherwise the first differences of the candidates of
+level n count it and every shorter length.  One budget, CHUNK_DIGITS,
+sizes every streamed pass: a chunk of rows holds that many digits, a chunk
+of sort keys or of _expand_row's table keys that many bytes.
 An array of more than MAX_CELLS bytes, a digit being one, raises
 ClosureSizeError before it is allocated.  Every call builds its own closure;
 none is cached.  Digits are bytes, so p > 255 is refused.
@@ -48,7 +48,6 @@ none is cached.  Digits are bytes, so p > 255 is refused.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -81,9 +80,8 @@ def _packed(mat: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(mat).view(np.dtype((np.void, mat.shape[1]))).ravel()
 
 
-CHUNK_DIGITS = 2**18  # digits a pass over rows reads at once; 8 per sort key
+CHUNK_DIGITS = 2**18  # digits, or bytes of keys, that one streamed pass reads at once
 TABLE_CELLS = 2**16  # the most digits one lookup table of _expand_row holds
-KEY_CHUNK = 2**16  # table keys _expand_row builds and gathers at once, or one row's
 
 
 def _chunk(width: int) -> int:
@@ -91,16 +89,16 @@ def _chunk(width: int) -> int:
     return max(1, CHUNK_DIGITS // max(width, 1))
 
 
-def _first_diffs(rows: np.ndarray, order: np.ndarray) -> Iterator[np.ndarray]:
-    """The first differing column of each adjacent pair of rows read in
-    `order`, or the row length for a pair of equal rows; one array per chunk
-    of _chunk(row length) pairs.
-
-    Each chunk's rows are gathered into one reused buffer, and every chunk
-    compares into one reused bool buffer, whose last column stays True so
-    that argmax finds it for a pair of equal rows.
-    """
+def _first_diffs(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The first differences of the rows read in `order`: entry i is the
+    first column at which row order[i] differs from row order[i-1], or the
+    row length if they are equal, in the smallest dtype that holds it; entry
+    0 is 0, so the first row heads a run at every width.  Each chunk of
+    _chunk(row length) pairs is gathered into one reused buffer and compared
+    into one reused bool buffer, whose last column stays True so that argmax
+    finds it for a pair of equal rows."""
     n, pairs = rows.shape[1], len(rows) - 1
+    diffs = np.zeros(len(rows), np.min_scalar_type(n))
     step = _chunk(n)
     chunk = min(step, max(pairs, 0))
     gathered = np.empty((chunk + 1, n), rows.dtype)
@@ -110,7 +108,8 @@ def _first_diffs(rows: np.ndarray, order: np.ndarray) -> Iterator[np.ndarray]:
         # the order's indices are all in range; mode "raise" would buffer out
         block = np.take(rows, order[lo:lo + k + 1], axis=0, out=gathered[:k + 1], mode="clip")
         np.not_equal(block[1:], block[:-1], out=differs[:k, :n])
-        yield np.argmax(differs[:k], axis=1)
+        diffs[lo + 1:lo + k + 1] = np.argmax(differs[:k], axis=1)
+    return diffs
 
 
 def _order(mat: np.ndarray) -> np.ndarray:
@@ -123,10 +122,9 @@ def _order(mat: np.ndarray) -> np.ndarray:
 
 def _distinct(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
     """The distinct rows of a matrix read in `order`, which sorts them: the
-    first of each run of equal rows, in that order."""
-    keep = np.concatenate([np.ones(min(len(rows), 1), bool),
-                           *(first < rows.shape[1] for first in _first_diffs(rows, order))])
-    return rows[order[keep]]
+    first of each run of equal rows, the rows whose first difference from
+    the row before falls inside the row, in that order."""
+    return rows[order[_first_diffs(rows, order) < rows.shape[1]]]
 
 
 def _unique_rows(mat: np.ndarray) -> np.ndarray:
@@ -230,16 +228,18 @@ class _Closure:
         """The accessible lc-blocks: the maps take those of rows 0..R to the
         larger set of rows 0..pR+p-1, grown from row 0 until it stops.  The
         image of a set is the union of its blocks' images and contains the
-        set, so each round expands only the blocks the last one added."""
+        set, so each round expands only the blocks the last one added.  A
+        round sorts the set it holds with the cuts it made, stably, so a
+        block it held heads its run of equal rows, and the heads after the
+        held set are the blocks it adds."""
         fix = new = _row0_blocks(self.lc)
         while len(new):
-            grown = _unique_rows(self._cuts([new] * self.p, self.lc))
-            keys, found = _packed(fix), _packed(grown)
-            at = np.searchsorted(keys, found)
-            fresh = keys[np.minimum(at, len(keys) - 1)] != found
-            new = grown[fresh]
-            _check_cells((len(fix) + len(new)) * self.lc, "the fixpoint")
-            fix = np.insert(fix, at[fresh], new, axis=0)
+            cuts = self._cuts([new] * self.p, self.lc)
+            _check_cells((len(fix) + len(cuts)) * self.lc, "the fixpoint")
+            both = np.concatenate([fix, cuts])
+            order = _order(both)
+            heads = order[_first_diffs(both, order) < self.lc]
+            new, fix = both[heads[heads >= len(fix)]], both[heads]
         return fix
 
     def _row_tables(self, r: int) -> list[tuple[range, np.ndarray]]:
@@ -272,15 +272,15 @@ class _Closure:
         and a group's base-p value keys a table of its p digits.  With one
         group, the usual case, the table gather fills the output directly;
         with several, the lookups are summed in self.dtype and reduced mod p.
-        np.take holds its keys as intp, so they are built and gathered
-        KEY_CHUNK at a time.
+        np.take holds its keys as intp, so they are built and gathered one
+        chunk of CHUNK_DIGITS bytes at a time.
         """
         p, tables = self.p, self._row_tables(r)
         kt = (len(self.rows[r]) - 1) // p + 1
         n, s = src.shape
         width = s + kt
         out = np.empty((n, width, p), np.uint8)
-        step = max(1, KEY_CHUNK // width)
+        step = _chunk(np.dtype(np.intp).itemsize * width)
         keys = np.empty((min(step, n), width), np.intp)
         for top in range(0, n, step):
             chunk = src[top:top + step]
@@ -380,17 +380,14 @@ def line_complexity_range(f: FpPoly, n_max: int) -> list[int]:
 
     A window extends one digit right inside its row, so the m-blocks are the
     distinct m-prefixes of the sorted n_max-blocks, and a(m) is 1 plus the
-    adjacent unequal windows that first differ before column m.  Level n_max
-    is counted, never built.  With t = n_max//2//p >= 1 and L = n_max - p*t
-    above lc, each n_max-window is two overlapping L-windows, cut from the
-    prefix and the suffix of one block of level s(n_max) (_split_firsts
-    gives why).  That count reads the sorted candidates of level s(n_max)
-    once for the ranks of those prefixes and suffixes, then holds level L's
-    candidates with their order and ranks, then the windows' rank pairs as
-    sort keys and a sparse table of level L's first differences, and reads
-    the sorted keys chunk by chunk.  Otherwise the candidates of level
-    n_max are read in order with their repeats, never deduplicated, and
-    their first differences are counted chunk by chunk.
+    adjacent unequal windows that first differ before column m: a histogram
+    of their first differences.  Level n_max is counted, never built.  With
+    t = n_max//2//p >= 1 and L = n_max - p*t above lc, each n_max-window is
+    two overlapping L-windows, cut from the prefix and the suffix of one
+    block of level s(n_max), and _split_firsts counts the windows from
+    their rank pairs in level L.  Otherwise the histogram is one bincount of
+    the first differences of the candidates of level n_max, read in order
+    with their repeats, never deduplicated.
     """
     if n_max < 0:
         raise ValueError("block length must be >= 0")
@@ -401,32 +398,28 @@ def line_complexity_range(f: FpPoly, n_max: int) -> list[int]:
     if t and n_max - closure.p * t > closure.lc:
         firsts = _split_firsts(closure, n_max, t)
     else:
-        firsts = _rank(*closure.candidates(n_max))[0]
+        firsts = np.bincount(_first_diffs(*closure.candidates(n_max))[1:], minlength=n_max + 1)
     # the last bin holds the pairs of equal windows
     return [1, *(1 + np.cumsum(firsts[:n_max])).tolist()]
 
 
 def _rank(mat: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Count and rank the candidates of one level, read in their sorted order.
+    """Count and rank the candidates of one level from their first
+    differences, read in their sorted order.
 
     Returns firsts, where firsts[k] counts the adjacent sorted candidates
     that first differ at column k (k = n for equal ones); the rank of each
     candidate among the level's distinct blocks, uint32, in the candidates'
-    own order; and lcp, where lcp[i] is the first column at which distinct
-    blocks i and i+1 differ, in the smallest dtype that holds n.
+    own order, the heads of runs counted up to it; and lcp, where lcp[i] is
+    the first column at which distinct blocks i and i+1 differ, the first
+    differences of the heads after the first.
     """
     n = mat.shape[1]
-    firsts = np.zeros(n + 1, np.int64)
-    ranks = np.zeros(len(mat), np.uint32)
-    lcp = [np.empty(0, np.min_scalar_type(n))]
-    at = 1
-    for chunk in _first_diffs(mat, order):
-        firsts += np.bincount(chunk, minlength=n + 1)
-        fresh = chunk < n
-        ranks[order[at:at + len(chunk)]] = ranks[order[at - 1]] + np.cumsum(fresh)
-        lcp.append(chunk[fresh].astype(lcp[0].dtype))
-        at += len(chunk)
-    return firsts, ranks, np.concatenate(lcp)
+    diffs = _first_diffs(mat, order)
+    heads = diffs < n
+    ranks = np.empty(len(mat), np.uint32)
+    ranks[order] = np.cumsum(heads, dtype=np.uint32) - 1
+    return np.bincount(diffs[1:], minlength=n + 1), ranks, diffs[heads][1:]
 
 
 def _range_minima(values: np.ndarray) -> np.ndarray:
@@ -462,39 +455,30 @@ def _split_firsts(closure: _Closure, n: int, t: int) -> np.ndarray:
     windows.
 
     Beside the sorted keys, no array holds one entry per window.  Level
-    s(n) is read from its sorted candidates, never gathered: its blocks
-    are the candidates that first differ from the one before below column
-    s(n), and level s(L), the blocks' distinct prefixes, those that differ
-    below s(L), so a block's front rank counts the prefixes up to it.  Only
-    the suffix ranks need searchsorted, on level s(L), one chunk at a time.
-    The keys are filled one cut at a time and sorted in place, and the
-    adjacent pairs, their range minima included, are read one chunk at a
-    time.
+    s(n) is read from the first differences of its sorted candidates, never
+    gathered: its blocks are the candidates that first differ from the one
+    before below column s(n), and level s(L), the blocks' distinct
+    prefixes, those that differ below s(L), so a block's front rank counts
+    the prefixes up to it.  Only the suffix ranks need searchsorted, on
+    level s(L), one chunk at a time.  The keys are filled one cut at a time
+    and sorted in place, and the adjacent pairs, their range minima
+    included, are read one chunk at a time.
     """
     p = closure.p
     half = n - p * t
     width = closure._source_len(half)
     mat, order = closure.candidates(closure._source_len(n))
-    # the sorted candidates that head a block of level s(n), their front
-    # ranks, and those that head a block of level s(L)
-    heads, fronts, prefixes = [order[:1]], [np.zeros(1, np.uint32)], [order[:1]]
-    at, rank = 1, 0
-    for chunk in _first_diffs(mat, order):
-        rows = order[at:at + len(chunk)]
-        fresh = chunk < width
-        block = chunk < mat.shape[1]
-        prefix = np.cumsum(fresh, dtype=np.uint32)
-        prefix += rank
-        rank = prefix[-1]
-        heads.append(rows[block])
-        fronts.append(prefix[block])
-        prefixes.append(rows[fresh])
-        at += len(chunk)
-    heads = np.concatenate(heads)
+    diffs = _first_diffs(mat, order)
+    # the sorted candidates that head a block of level s(n), and their
+    # front ranks: the blocks of level s(L) up to them
+    block = diffs < mat.shape[1]
+    heads = order[block]
     windows = p * p * len(heads)
     _check_cells(8 * windows, f"the {windows} sort keys of level {n}")
-    front = np.concatenate(fronts)
-    sources = mat[np.concatenate(prefixes), :width]
+    prefix = diffs < width
+    front = (np.cumsum(prefix, dtype=np.uint32) - 1)[block]
+    sources = mat[order[prefix], :width]
+    del diffs, block, prefix
     index = _packed(sources)
     back = np.empty(len(heads), np.uint32)
     step = _chunk(width)

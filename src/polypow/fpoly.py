@@ -214,14 +214,6 @@ def _pow_binary(f: FpPoly, k: int) -> FpPoly:
     return result
 
 
-def digits_to_text(digits) -> str:
-    digits = list(digits)
-    # single characters are unambiguous for p <= 10; beyond that use commas
-    if all(d < 10 for d in digits):
-        return "".join(str(d) for d in digits)
-    return ",".join(str(d) for d in digits)
-
-
 # Rows hold one digit per byte, so larger primes would wrap their digits.
 MAX_ROW_PRIME = 255
 # Digits in one block of row_blocks: C rows of the widest width, C the largest
@@ -289,8 +281,9 @@ def _row_blocks(f: FpPoly, n: int):
     base = np.zeros((m, (m - 1) * d + 1), dtype)
     row, f_digits = np.ones(1, np.int64), np.asarray(f.coeffs, np.int64)
     for k in range(min(p, m)):
+        if k:
+            row = np.convolve(row, f_digits) % p
         base[k, : k * d + 1] = row
-        row = np.convolve(row, f_digits) % p
     step = p
     while step < m:
         for t in range(1, p):

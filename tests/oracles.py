@@ -4,7 +4,7 @@ series prefix, which share nothing with the derivation in polypow.genfun; for
 the similarity classes, the search over every move that canonicalize replaced;
 for the transfer maps, one unbuffered scatter-add per edge; for the recursion
 fit, one exact solve per trial threshold; for the block counts, the sorted
-candidates of the top level itself.
+candidates of the top level itself; and a row of digits as text.
 """
 
 from dataclasses import dataclass
@@ -164,7 +164,13 @@ def count_by_candidates(f, n_max):
     adjacent unequal ones that first differ before each length."""
     if n_max == 0:
         return [1]
-    firsts = np.zeros(n_max + 1, np.int64)
-    for chunk in _first_diffs(*_Closure(f).candidates(n_max)):
-        firsts += np.bincount(chunk, minlength=n_max + 1)
+    firsts = np.bincount(_first_diffs(*_Closure(f).candidates(n_max))[1:], minlength=n_max + 1)
     return [1, *(1 + np.cumsum(firsts[:n_max])).tolist()]
+
+
+def digits_to_text(digits) -> str:
+    """A row of digits as text: one character a digit below 10, else commas."""
+    digits = list(digits)
+    if all(d < 10 for d in digits):
+        return "".join(str(d) for d in digits)
+    return ",".join(str(d) for d in digits)

@@ -36,8 +36,7 @@ from polypow import (
     verify_ab_equivalence,
     verify_counts,
 )
-from polypow.fpoly import digits_to_text
-from oracles import functional_residual, series_1xx2
+from oracles import digits_to_text, functional_residual, series_1xx2
 
 LAMBDA_TOL = 5e-6
 RATIO_TOL = 0.02

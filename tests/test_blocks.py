@@ -31,9 +31,9 @@ from polypow import (
     verify_ab_equivalence,
 )
 from polypow import blocks
-from polypow.fpoly import digits_to_text, parse_poly
+from polypow.fpoly import parse_poly
 
-from oracles import count_by_candidates, infer_by_thresholds, series_1xx2
+from oracles import count_by_candidates, digits_to_text, infer_by_thresholds, series_1xx2
 
 ONE_PLUS_X_2 = FpPoly.make(2, [1, 1])
 ONE_PLUS_X_3 = FpPoly.make(3, [1, 1])
@@ -326,13 +326,13 @@ def distinct_prefixes(level, m):
 
 
 def first_diffs(rows, order):
-    """The chunks of _first_diffs as one array, checking that each chunk
-    holds CHUNK_DIGITS // (row length) pairs, at least one, the last no more."""
-    chunks = list(blocks._first_diffs(rows, order))
-    size = max(1, blocks.CHUNK_DIGITS // rows.shape[1])
-    assert all(len(chunk) == size for chunk in chunks[:-1])
-    assert all(0 < len(chunk) <= size for chunk in chunks[-1:])
-    return np.concatenate([np.empty(0, np.intp), *chunks])
+    """The first differences of the adjacent pairs, read from _first_diffs,
+    checking that its entry 0, the first row's, is 0 and that its dtype is
+    the smallest that holds the row length."""
+    diffs = blocks._first_diffs(rows, order)
+    assert len(diffs) == len(rows) and diffs[:1].tolist() == [0] * min(len(rows), 1)
+    assert diffs.dtype == np.min_scalar_type(rows.shape[1])
+    return diffs[1:]
 
 
 @pytest.mark.parametrize("chunk", [2**14, 1, 3, 4])
@@ -709,6 +709,26 @@ def test_cuts_size_each_rows_expansion_on_its_own(monkeypatch):
         closure._cuts(sources, 2)
 
 
+def test_fixpoint_refuses_a_round_before_merging_it(monkeypatch):
+    # a round concatenates the set it holds with its cuts; under a cap one
+    # byte below the largest such merge, that merge is refused unmade
+    merges, concatenate = [], np.concatenate
+
+    def recording(arrays, *args, **kwargs):
+        merges.append(sum(a.nbytes for a in arrays))
+        return concatenate(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", recording)
+    fix = blocks._Closure(QUADRATIC_5_POLY).fixpoint
+    largest = max(merges)
+    assert largest > fix.nbytes
+    merges.clear()
+    monkeypatch.setattr(blocks, "MAX_CELLS", largest - 1)
+    with pytest.raises(blocks.ClosureSizeError, match=f"the fixpoint would hold {largest} bytes"):
+        blocks._Closure(QUADRATIC_5_POLY).fixpoint
+    assert all(size < largest for size in merges)
+
+
 @pytest.mark.parametrize("single_first", [True, False])
 def test_single_and_range_queries_mix_in_either_order(single_first):
     if single_first:
@@ -761,11 +781,12 @@ def test_expand_row_equals_the_strided_add_oracle(p, degree):
 
 
 def test_expand_row_in_one_digit_tables_and_one_row_chunks(monkeypatch):
-    # a table of one digit and a key chunk of one row: every expansion that
-    # reads two source digits sums tables, and every row is its own chunk
+    # a table of one digit and chunks of one row: every expansion that
+    # reads two source digits sums tables, and every row is its own chunk of
+    # keys, as in every other pass
     level, maps = blocks.window_maps(FpPoly.make(3, [1, 1, 1]), 3)
     monkeypatch.setattr(blocks, "TABLE_CELLS", 1)
-    monkeypatch.setattr(blocks, "KEY_CHUNK", 1)
+    monkeypatch.setattr(blocks, "CHUNK_DIGITS", 1)
     rng = np.random.default_rng(19)
     for p, coeffs in ((2, (1, 1, 0, 1)), (3, (2, 1, 1)), (5, (1, 1, 1)), (17, (3, 5, 0, 16)),
                       (251, (1, 7, 250))):
@@ -793,7 +814,7 @@ def test_expand_row_holds_its_keys_one_chunk_at_a_time():
         tracemalloc.stop()
     want = expand_row_oracle(closure, src, 1)
     assert np.array_equal(out[:, :want.shape[1]], want)
-    key_bytes = blocks.KEY_CHUNK * np.dtype(np.intp).itemsize
+    key_bytes = blocks.CHUNK_DIGITS
     assert peak < out.nbytes + 4 * key_bytes
 
 

@@ -33,7 +33,9 @@ from polypow import (
 )
 from polypow import fpoly
 from polypow.cli import main
-from polypow.fpoly import MAX_POLY_DEGREE, Bitmap, digits_to_text, squarefree_parts
+from polypow.fpoly import MAX_POLY_DEGREE, Bitmap, squarefree_parts
+
+from oracles import digits_to_text
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -270,6 +272,23 @@ def test_row_blocks_refusals_come_before_any_row():
     with pytest.raises(ValueError, match="p must be <= 255"):
         row_blocks(FpPoly.make(257, [1, 1]), 4)
     assert list(row_blocks(FpPoly.make(3, [1, 1]), 0)) == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_row_blocks_convolve_only_the_rows_they_keep(monkeypatch, p):
+    # rows 1..min(p, n)-1 are each one convolution of the row before; the
+    # rest are added from them, so nothing is convolved after the last
+    f = FpPoly.make(p, [1, 1, 0, 1])
+    counts = (1, 2, p - 1, p, p + 1, 3 * p * p)
+    want = {n: list(schoolbook_rows(f, n)) for n in counts}
+    calls, convolve = [], np.convolve
+    monkeypatch.setattr(np, "convolve", lambda *args: calls.append(args) or convolve(*args))
+    for n in counts:
+        calls.clear()
+        got = [(start + i, row) for start, block in row_blocks(f, n)
+               for i, row in enumerate(block.tolist())]
+        assert len(calls) == min(p, n) - 1, n
+        assert [row[:3 * k + 1] for k, row in got] == want[n]
 
 
 def test_row_blocks_stay_under_the_cap_at_depth_14():

@@ -38,7 +38,6 @@ from polypow import (
 from polypow import willson
 from polypow._zzpoly import factor_int_poly, may_vanish
 from polypow.cli import main
-from polypow.fpoly import digits_to_text
 from polypow.willson import (
     MAX_TRANSFER_EDGES,
     MAX_VERIFY_CELLS,
@@ -46,7 +45,7 @@ from polypow.willson import (
     count_sequence,
 )
 
-from oracles import apply_by_scatter, canonical_by_search
+from oracles import apply_by_scatter, canonical_by_search, digits_to_text
 
 P1X = FpPoly.make(2, [1, 1])
 P1XX2 = FpPoly.make(2, [1, 1, 1])
