@@ -4,8 +4,10 @@ L(x) = lim a(n)/n^2 along n = floor(p^k/x) is piecewise quadratic on [1/p, 1]
 and invariant under x -> p*x; L(x) = x^2 Phi(1/x), Phi(y) = lim a(p^k y)/p^(2k).
 Exact: with V(n) = (a(n), ..., a(n+w), 1) and V(pn) = M_0 V(n), Phi(m/p^i) =
 p^(-2i) l.V(m) at every p-adic point of [1, p], l the first row of M_0's
-p^2-eigenprojection.  p^2 must be a simple root and every other root smaller
-in modulus (decided exactly, by Schur-Cohn), else ArithmeticError.  Only
+p^2-eigenprojection.  p^2 must be a simple root of det(tI - M_0) and every
+other root smaller in modulus, else ArithmeticError: decided exactly on mu,
+M_0's minimal polynomial (p^2 a simple root of mu, M_0 - p^2 I of nullity 1,
+Schur-Cohn on mu/(t - p^2)).  Only
 checked: the pieces, fitted on a grid that cuts each cell [m, m+1] of [1, p]
 at its own level i (adjacent pieces meet at the double root of their
 difference, as Phi' is continuous) and accepted when every level-(i+1) point
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .blocks import RecursionSpec, a_from_recursion, a_from_recursion_range
+from .blocks import RecursionSpec, _solve_exact, a_from_recursion, a_from_recursion_range
 
 F = Fraction
 
@@ -98,51 +100,46 @@ def _inside_unit_circle(f: list[int]) -> bool:
     return True
 
 
-def _charpoly(m: list[list[int]]) -> list[int]:
-    """det(tI - m) = t^n + c_1 t^(n-1) + ... + c_n of an integer matrix, as
-    [1, c_1, ..., c_n].
-
-    Faddeev-LeVerrier: M_1 = I and M_k = m M_(k-1) + c_(k-1) I give
-    c_k = -tr(m M_k)/k, a division that is exact in the integers.
-    """
-    n = len(m)
-    chi, prod = [1], [[0] * n for _ in range(n)]  # prod = m M_(k-1)
-    for k in range(1, n + 1):
-        for i in range(n):
-            prod[i][i] += chi[-1]
-        cols = list(zip(*prod))
-        prod = [[sum(map(mul, row, col)) for col in cols] for row in m]
-        chi.append(-sum(prod[i][i] for i in range(n)) // k)
-    return chi
-
-
 def _projection_row(rec: RecursionSpec) -> tuple[list[int], int]:
-    """(r, D): r/D is the first row of the p^2-eigenprojection of M_0."""
+    """(r, D): r/D is the first row of the p^2-eigenprojection of M_0.
+
+    mu, the minimal polynomial of M_0 (monic and integral, as it divides
+    det(tI - M_0)), comes from the first power of M_0 that is an exact
+    combination of the lower ones.  With q = mu/(t - p^2), r = e_0 q(M_0)
+    and D = q(p^2).  p^2 is simple in det(tI - M_0) when it is simple in mu
+    and M_0 - p^2 I has nullity 1.
+    """
     p, rows = rec.p, rec.rows
     w = max(map(len, rows)) - 1  # V(n) = (a(n), ..., a(n+w), 1)
     while any(j // p + len(rows[j % p]) - 1 > w for j in range(w + 1)):
         w += 1
-    m0 = [[0] * (w + 2) for _ in range(w + 2)]
+    n, lam = w + 2, p * p
+    m0 = [[0] * n for _ in range(n)]
     for j in range(w + 1):
         for i, c in enumerate(rows[j % p]):
             m0[j][j // p + i] = c
         m0[j][-1] = -rec.constant
     m0[-1][-1] = 1
-    chi = _charpoly(m0)
-    lam, q = p * p, [1]  # q = chi / (t - lam), descending
-    for c in chi[1:]:
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for k in range(1, n + 1):  # M_0^k on I, ..., M_0^(k-1); by k = n (Cayley-Hamilton)
+        powers.append([[sum(map(mul, row, col)) for col in zip(*m0)] for row in powers[-1]])
+        entries = [[pw[i][j] for pw in powers] for i in range(n) for j in range(n)]
+        coeffs, _ = _solve_exact(entries, k)
+        if coeffs is not None:
+            break
+    mu = [1] + [-int(c) for c in reversed(coeffs)]  # descending
+    q = [1]  # q = mu / (t - lam), descending, then the remainder
+    for c in mu[1:]:
         q.append(q[-1] * lam + c)
-    row, denom = [0] * (w + 2), 0
-    for c in q[:-1]:  # r = e_0 q(M_0), D = q(lam): q(M_0)/q(lam) projects
-        row = [sum(map(mul, row, col)) for col in zip(*m0)]
-        row[0] += c
-        denom = denom * lam + c
-    deg = len(q) - 2
-    if q[-1] or not denom or not _inside_unit_circle(
-            [c * lam ** (deg - i) for i, c in enumerate(q[:-1])]):
+    q, rem = q[:-1], q[-1]
+    row = [sum(c * pw[0][j] for c, pw in zip(reversed(q), powers)) for j in range(n)]
+    denom = sum(c * lam**i for i, c in enumerate(reversed(q)))
+    shifted = [[c - lam * (i == j) for j, c in enumerate(r)] + [0] for i, r in enumerate(m0)]
+    if rem or not denom or _solve_exact(shifted, n)[1] < n - 1 or not _inside_unit_circle(
+            [c * lam ** (len(q) - 1 - i) for i, c in enumerate(q)]):
         raise ArithmeticError(
-            f"p^2 = {lam} is not a simple dominant root of {chi}, the "
-            f"characteristic polynomial of the recursion's M_0")
+            f"p^2 = {lam} is not a simple dominant root of the characteristic "
+            f"polynomial of the recursion's M_0, whose minimal polynomial is {mu}")
     return row, denom
 
 

@@ -326,7 +326,8 @@ def count_coeff(f: FpPoly, k: int, alpha) -> int:
 
 
 def cumulative_count(f: FpPoly, n: int, alpha) -> int:
-    """Sum of count_coeff over rows 0..n-1."""
+    """Sum of count_coeff over rows 0..n-1.  Through row_blocks it refuses, at
+    every n, the zero polynomial and p > 255, where count_coeff answers."""
     if n < 0:
         raise ValueError("row count must be >= 0")
     if alpha != TOTAL:

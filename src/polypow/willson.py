@@ -423,10 +423,10 @@ class SurveyResult:
     collisions: tuple[tuple[str, str], ...]
 
 
-def survey(max_deg: int, depth: int = 10) -> SurveyResult:
+def survey(max_deg: int, depth: int = 0) -> SurveyResult:
     """Spectral survey of every similarity class of degree <= max_deg.
 
-    depth > 0 re-verifies the count identities per class (see spectrum).
+    depth > 0 re-verifies the count identities per class (see spectrum); 0 skips them.
     """
     _check_depth(2, depth)
     rows = [survey_row(f, spectrum(f, depth)[1]) for f in enumerate_classes(max_deg)]

@@ -4,13 +4,18 @@ series prefix, which share nothing with the derivation in polypow.genfun; for
 the similarity classes, the search over every move that canonicalize replaced;
 for the transfer maps, one unbuffered scatter-add per edge; for the recursion
 fit, one exact solve per trial threshold; for the block counts, the sorted
-candidates of the top level itself; and a row of digits as text.
+candidates of the top level itself; for the limit law's projection row, the
+characteristic polynomial by Faddeev-LeVerrier, and for the 1+x laws their
+closed form; and a row of digits as text.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction as F
+from operator import mul
 
 import numpy as np
 
+from polypow.asympt import _inside_unit_circle
 from polypow.blocks import (
     SHIFTS,
     InferenceError,
@@ -174,3 +179,91 @@ def digits_to_text(digits) -> str:
     if all(d < 10 for d in digits):
         return "".join(str(d) for d in digits)
     return ",".join(str(d) for d in digits)
+
+
+def charpoly(m: list[list[int]]) -> list[int]:
+    """det(tI - m) = t^n + c_1 t^(n-1) + ... + c_n of an integer matrix, as
+    [1, c_1, ..., c_n].
+
+    Faddeev-LeVerrier: M_1 = I and M_k = m M_(k-1) + c_(k-1) I give
+    c_k = -tr(m M_k)/k, a division that is exact in the integers.
+    """
+    n = len(m)
+    chi, prod = [1], [[0] * n for _ in range(n)]  # prod = m M_(k-1)
+    for k in range(1, n + 1):
+        for i in range(n):
+            prod[i][i] += chi[-1]
+        cols = list(zip(*prod))
+        prod = [[sum(map(mul, row, col)) for col in cols] for row in m]
+        chi.append(-sum(prod[i][i] for i in range(n)) // k)
+    return chi
+
+
+def projection_row_by_charpoly(rec: RecursionSpec) -> tuple[list[int], int]:
+    """(r, D), r/D the first row of the p^2-eigenprojection of M_0, from
+    chi = det(tI - M_0): with q = chi/(t - p^2), r = e_0 q(M_0) and
+    D = q(p^2).  ArithmeticError unless p^2 is a simple root of chi and every
+    other root is smaller in modulus (Schur-Cohn on q)."""
+    p, rows = rec.p, rec.rows
+    w = max(map(len, rows)) - 1  # V(n) = (a(n), ..., a(n+w), 1)
+    while any(j // p + len(rows[j % p]) - 1 > w for j in range(w + 1)):
+        w += 1
+    m0 = [[0] * (w + 2) for _ in range(w + 2)]
+    for j in range(w + 1):
+        for i, c in enumerate(rows[j % p]):
+            m0[j][j // p + i] = c
+        m0[j][-1] = -rec.constant
+    m0[-1][-1] = 1
+    chi = charpoly(m0)
+    lam, q = p * p, [1]  # q = chi / (t - lam), descending
+    for c in chi[1:]:
+        q.append(q[-1] * lam + c)
+    row, denom = [0] * (w + 2), 0
+    for c in q[:-1]:  # Horner: row = e_0 q(M_0), denom = q(lam)
+        row = [sum(map(mul, row, col)) for col in zip(*m0)]
+        row[0] += c
+        denom = denom * lam + c
+    deg = len(q) - 2
+    if q[-1] or not denom or not _inside_unit_circle(
+            [c * lam ** (deg - i) for i, c in enumerate(q[:-1])]):
+        raise ArithmeticError(f"p^2 = {lam} is not a simple dominant root of {chi}")
+    return row, denom
+
+
+def _vertex_piece(lo, hi, a, vertex, floor_value):
+    # a*(x - vertex)^2 + floor expanded to monomial coefficients
+    a, vertex, floor_value = F(a), F(vertex), F(floor_value)
+    return (F(lo), F(hi), a, -2 * a * vertex, a * vertex * vertex + floor_value)
+
+
+def closed_form_1px(p):
+    """(lo, hi, a, b, c) pieces of the 1+x mod p law in closed form."""
+    if p == 2:
+        # degree-1 base case: a(n) = n^2 - n + 2, so the ratio tends to 1
+        return [(F(1, 2), F(1), F(0), F(0), F(1))]
+    pieces = []
+    if p == 5:
+        pieces.append((F(1, 5), F(1, 3), F(0), F(20), F(8)))
+    elif p > 5:
+        # the generic first piece has a removable (p-5) factor; p=5 above, p=3 degenerate
+        pieces.append(_vertex_piece(
+            F(1, p), F(1, 3),
+            F(p * p * (p - 5) * (p - 1), 2 * (p + 1)),
+            F(-(p + 1), p * (p - 5)),
+            F((p - 1) * (p * p - 7 * p + 4), 2 * (p - 5)),
+        ))
+    d2 = 7 * p**3 - 8 * p**2 - 9 * p + 18
+    pieces.append(_vertex_piece(
+        F(1, 3), F(1, 2),
+        F(-(p - 1) * d2, 4 * (p + 1)),
+        F((p + 1) * (3 * p * p - 7 * p + 6), d2),
+        F((p - 1) * (p**5 + 5 * p**4 - 8 * p**3 - 15 * p**2 + 39 * p - 18), 2 * d2),
+    ))
+    d3 = p * p + 2 * p + 5
+    pieces.append(_vertex_piece(
+        F(1, 2), F(1),
+        F((p - 2) * (p - 1) * d3, 4 * (p + 1)),
+        F((p + 1) ** 2, d3),
+        F((p - 1) * (p**3 + 4 * p**2 + 3 * p - 4), 2 * d3),
+    ))
+    return pieces

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import integer_nthroot
 
@@ -26,6 +26,7 @@ from polypow import (
     recursion_1px,
 )
 from polypow import asympt
+from oracles import charpoly, closed_form_1px, projection_row_by_charpoly
 
 REC_1XX2_MOD2 = infer_recursion(FpPoly.make(2, [1, 1, 1]))
 
@@ -40,47 +41,8 @@ families = pytest.mark.parametrize("rec", FAMILIES.values(), ids=FAMILIES.keys()
 
 
 # ------------------------------------------------- closed forms as oracles --
-# Closed forms of the 1+x and 1+x+x^2 mod 2 laws: an oracle that shares
-# nothing with the derivation.
-
-
-def _vertex_piece(lo, hi, a, vertex, floor_value):
-    # a*(x - vertex)^2 + floor expanded to monomial coefficients
-    a, vertex, floor_value = F(a), F(vertex), F(floor_value)
-    return (F(lo), F(hi), a, -2 * a * vertex, a * vertex * vertex + floor_value)
-
-
-def closed_form_1px(p):
-    """(lo, hi, a, b, c) pieces of the 1+x mod p law in closed form."""
-    if p == 2:
-        # degree-1 base case: a(n) = n^2 - n + 2, so the ratio tends to 1
-        return [(F(1, 2), F(1), F(0), F(0), F(1))]
-    pieces = []
-    if p == 5:
-        pieces.append((F(1, 5), F(1, 3), F(0), F(20), F(8)))
-    elif p > 5:
-        # the generic first piece has a removable (p-5) factor; p=5 above, p=3 degenerate
-        pieces.append(_vertex_piece(
-            F(1, p), F(1, 3),
-            F(p * p * (p - 5) * (p - 1), 2 * (p + 1)),
-            F(-(p + 1), p * (p - 5)),
-            F((p - 1) * (p * p - 7 * p + 4), 2 * (p - 5)),
-        ))
-    d2 = 7 * p**3 - 8 * p**2 - 9 * p + 18
-    pieces.append(_vertex_piece(
-        F(1, 3), F(1, 2),
-        F(-(p - 1) * d2, 4 * (p + 1)),
-        F((p + 1) * (3 * p * p - 7 * p + 6), d2),
-        F((p - 1) * (p**5 + 5 * p**4 - 8 * p**3 - 15 * p**2 + 39 * p - 18), 2 * d2),
-    ))
-    d3 = p * p + 2 * p + 5
-    pieces.append(_vertex_piece(
-        F(1, 2), F(1),
-        F((p - 2) * (p - 1) * d3, 4 * (p + 1)),
-        F((p + 1) ** 2, d3),
-        F((p - 1) * (p**3 + 4 * p**2 + 3 * p - 4), 2 * d3),
-    ))
-    return pieces
+# Closed forms of the 1+x (in oracles) and 1+x+x^2 mod 2 laws: an oracle that
+# shares nothing with the derivation.
 
 
 CLOSED_FORM_1XX2_MOD2 = [
@@ -118,10 +80,12 @@ def spec_2(rows):
 
 @pytest.mark.parametrize(
     "rows",
-    [((3, 2), (2, 3)), ((4, 1), (0, 5)), ((4, 1), (0, 4)), ((4, 0), (0, -4))],
+    [((3, 2), (2, 3)), ((4, 1), (0, 5)), ((4, 1), (0, 4)), ((4, 0), (0, 4)),
+     ((4, 0), (0, -4))],
     # each row sums past p^2 = 4 (roots 5, 1); 4 simple but 5 dominates;
-    # 4 double; 4 simple but -4 as large
-    ids=["rows-sum-past-p2", "larger-root", "double-root", "equal-modulus"],
+    # 4 double, in one Jordan block and in two; 4 simple but -4 as large
+    ids=["rows-sum-past-p2", "larger-root", "double-root", "double-eigenvalue",
+         "equal-modulus"],
 )
 def test_law_refuses_a_spectrum_without_a_simple_dominant_p_squared(rows):
     with pytest.raises(ArithmeticError, match="not a simple dominant root"):
@@ -333,7 +297,48 @@ def test_oscillation_work_cap():
     lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
 @settings(max_examples=80, deadline=None)
 def test_charpoly_against_sympy(m):
-    assert asympt._charpoly(m) == [int(c) for c in sympy.Matrix(m).charpoly().all_coeffs()]
+    assert charpoly(m) == [int(c) for c in sympy.Matrix(m).charpoly().all_coeffs()]
+
+
+def projection_or_refusal(project, rec):
+    """The projection row r/D as fractions, or None for a refusal."""
+    try:
+        row, denom = project(rec)
+    except ArithmeticError:
+        return None
+    return [F(c, denom) for c in row]
+
+
+def assert_projection_matches_charpoly(rec):
+    expected = projection_or_refusal(projection_row_by_charpoly, rec)
+    assert projection_or_refusal(asympt._projection_row, rec) == expected
+    return expected
+
+
+@pytest.mark.parametrize("rec", [recursion_1px(p) for p in (2, 3, 5, 7, 11)] + [
+    infer_recursion(FpPoly.make(p, coeffs)) for p, coeffs in (
+        (2, [1, 1, 1]), (3, [2, 1, 1]), (5, [1, 1, 1]), (7, [3, 1, 1]),
+        (2, [1, 1, 0, 1]), (2, [1, 0, 1, 1]))])
+def test_projection_matches_charpoly_on_known_recursions(rec):
+    assert assert_projection_matches_charpoly(rec) is not None
+
+
+@given(st.sampled_from([2, 3]).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.lists(st.lists(st.integers(-5, 9), min_size=1, max_size=3), min_size=p, max_size=p),
+    st.integers(-20, 20))))
+# M_0 = diag(4, 4, 1): 4 is a simple root of the minimal polynomial but a
+# double one of det(tI - M_0).  e_0 M_0 = 4 e_0 for rows ((4, 0), (0, -4)),
+# so the minimal polynomial of e_0 alone, t - 4, misses the root -4
+@example((2, [[4, 0], [0, 4]], 0))
+@example((2, [[4, 0], [0, -4]], 0))
+@settings(max_examples=300, deadline=None)
+def test_projection_matches_charpoly_on_random_recursions(spec):
+    # threshold 6 keeps the descent of rows of up to three shifts at p <= 3,
+    # and initials of that length leave no value to check
+    p, rows, constant = spec
+    assert_projection_matches_charpoly(RecursionSpec(
+        p=p, rows=tuple(map(tuple, rows)), constant=constant, initials=(1,) * 6, threshold=6))
 
 
 @given(st.integers(0, 10**80), st.integers(1, 40))

@@ -31,6 +31,8 @@ from polypow import _zzpoly, blocks, cli
 from polypow.cli import main
 from polypow.fpoly import BitmapSizeError
 
+from oracles import closed_form_1px
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -269,6 +271,13 @@ def test_cli_linear_a_has_a_recursion_but_no_law(capsys):
     code, out, err = run(capsys, "limits", "--poly", "1")
     assert (code, out) == (3, "")
     assert err.startswith("diagnostic: 1 mod 2: p^2 = 4 is not a simple dominant root")
+
+
+def test_cli_limits_answers_1px_up_to_p_181(capsys):
+    # the last prime whose 3p^2 + (p - 4)p + 1 points fit MAX_LAW_POINTS
+    pieces = law_pieces(capsys, "1+x", 181)
+    assert [tuple(pc[k] for k in ("lo", "hi", "a", "b", "c")) for pc in pieces] == (
+        closed_form_1px(181))
 
 
 def test_cli_limits_refuses_a_law_past_the_grid_cap(capsys):

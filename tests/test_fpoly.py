@@ -350,15 +350,30 @@ def test_count_coeff_matches_brute_force(f, k):
         assert count_coeff(f, k, alpha) == brute_count(f, k, alpha)
 
 
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 2999))
+@settings(max_examples=80)
+def test_count_coeff_follows_fine(p, k):
+    # Fine (1947): row k of 1+x mod p holds prod (k_i + 1) nonzero digits,
+    # k_i the base-p digits of k
+    expected, rest = 1, k
+    while rest:
+        rest, digit = divmod(rest, p)
+        expected *= digit + 1
+    assert count_coeff(FpPoly.make(p, [1, 1]), k, TOTAL) == expected
+
+
 def test_cumulative_count_is_prefix_sum():
     f = FpPoly.make(2, [1, 1])
     for n in range(0, 20):
         assert cumulative_count(f, n, TOTAL) == sum(
             brute_count(f, k, TOTAL) for k in range(n)
         )
-    # Sierpinski: rows < 2^j hold 3^j ones in total
-    for j in range(7):
-        assert cumulative_count(f, 2**j, TOTAL) == 3**j
+    # Sierpinski: rows < p^j of 1+x mod p hold (p(p+1)/2)^j nonzero digits,
+    # 3^j ones mod 2
+    for p, j_max in ((2, 6), (3, 6), (5, 4), (7, 3)):
+        g = FpPoly.make(p, [1, 1])
+        for j in range(j_max + 1):
+            assert cumulative_count(g, p**j, TOTAL) == (p * (p + 1) // 2) ** j
 
 
 def test_count_rejects_bad_residue():
