@@ -2,8 +2,10 @@
 
 Coefficients are stored low degree first; the zero polynomial is the empty
 tuple.  Row k is the digit string of f(x)^k reduced mod p, again low degree
-first.  row_blocks builds the rows in p-adic blocks, by Frobenius
-(f^(tC+a) = f^a * f^t(x^C) for C a power of p), and yields them as uint8
+first.  Both row routes rest on Frobenius, f^(tC+a) = f^a * f^t(x^C) for C a
+power of p.  poly_pow builds one row from the base-p digits of k (C = p),
+squaring only below p, in O(k*p*d^2) digit operations, not dense O((k*d)^2).
+row_blocks builds the rows in p-adic blocks and yields them as uint8
 matrices of consecutive rows; iter_rows yields them one row at a time.
 count_coeff counts one residue, or every nonzero digit, in a row,
 cumulative_count sums that over rows 0..n-1, and the nonzero pattern of the
@@ -185,33 +187,20 @@ def squarefree_parts(f: FpPoly) -> list[tuple[FpPoly, int]]:
 
 
 def poly_pow(f: FpPoly, k: int) -> FpPoly:
-    """f^k mod p, using f(x)^(mp^e) = (f^m)(x^(p^e)) to shortcut p-divisible powers."""
+    """f^k mod p, one base-p digit of k at a time: f^(pm+r) = f^m(x^p) * f^r
+    for k >= p, and f^k = (f^(k//2))^2 * f^(k%2) below p."""
     if k < 0:
         raise ValueError("exponent must be >= 0")
-    if k == 0:
-        return FpPoly.one(f.p)
-    if f.is_zero():
-        return f
-    e = 0
-    while k % f.p == 0:
-        k //= f.p
-        e += 1
-    g = _pow_binary(f, k)
-    for _ in range(e):
-        g = g.inflate(f.p)
-    return g
-
-
-def _pow_binary(f: FpPoly, k: int) -> FpPoly:
-    result = FpPoly.one(f.p)
-    base = f
-    while k:
-        if k & 1:
-            result = result * base
-        k >>= 1
-        if k:
-            base = base * base
-    return result
+    if f.degree < 1:  # c^k at once, with 0^0 = 1: no digits to recurse on
+        return FpPoly.make(f.p, [pow(f.coeffs[0] if f.coeffs else 0, k, f.p)])
+    if k < 2:
+        return f if k else FpPoly.one(f.p)
+    if k >= f.p:
+        g, r = poly_pow(f, k // f.p).inflate(f.p), k % f.p
+    else:
+        g, r = poly_pow(f, k // 2), k % 2
+        g = g * g
+    return g * poly_pow(f, r) if r else g
 
 
 # Rows hold one digit per byte, so larger primes would wrap their digits.
@@ -318,11 +307,10 @@ def _frozen(digits: np.ndarray) -> np.ndarray:
 
 def count_coeff(f: FpPoly, k: int, alpha) -> int:
     """Occurrences of residue alpha in row k, or of any nonzero digit for TOTAL."""
+    if alpha != TOTAL:
+        _check_residue(f.p, alpha)
     row = poly_pow(f, k).coeffs
-    if alpha == TOTAL:
-        return sum(1 for d in row if d)
-    _check_residue(f.p, alpha)
-    return sum(1 for d in row if d == alpha)
+    return len(row) - row.count(0) if alpha == TOTAL else row.count(alpha)
 
 
 def cumulative_count(f: FpPoly, n: int, alpha) -> int:

@@ -221,6 +221,9 @@ def test_piecewise_constructor_rejects_gaps_and_jumps():
         PiecewiseQuadratic((a, Piece(F(3, 4), F(1), F(0), F(0), F(2))))  # jump
     with pytest.raises(ValueError):
         PiecewiseQuadratic(())
+    # one piece, 1/2 at x = 1/2 and 1 at x = 1: not invariant under x -> p*x
+    with pytest.raises(ValueError, match="invariant"):
+        PiecewiseQuadratic((Piece(F(1, 2), F(1), F(0), F(1), F(0)),))
 
 
 @pytest.mark.parametrize(

@@ -110,6 +110,10 @@ def test_scan_rows_sorted_and_distinct():
     for n in (0, 2):
         with pytest.raises(ValueError, match="horizon"):
             scan_accessible(ONE_PLUS_X_2, n, max_row=-1)
+    with pytest.raises(ValueError, match="block length"):
+        scan_accessible(ONE_PLUS_X_2, -1)
+    with pytest.raises(ValueError, match="block length"):
+        line_complexity_range(ONE_PLUS_X_2, -1)
 
 
 @pytest.mark.parametrize(

@@ -100,6 +100,19 @@ def test_make_normalizes_mod_p_and_strips_zeros():
     assert FpPoly.one(7).coeffs == (1,)
 
 
+def test_constructor_refuses_unreduced_or_untrimmed_coefficients():
+    with pytest.raises(ValueError, match="reduced and trimmed"):
+        FpPoly(2, (1, 2))
+    with pytest.raises(ValueError, match="reduced and trimmed"):
+        FpPoly(3, (1, 0))
+    assert FpPoly(3, (1, 2)).coeffs == (1, 2)
+
+
+def test_product_of_different_moduli_is_refused():
+    with pytest.raises(ValueError, match="mixed moduli"):
+        FpPoly.make(2, [1, 1]) * FpPoly.make(3, [1, 1])
+
+
 def test_make_rejects_composite_modulus():
     with pytest.raises(ValueError):
         FpPoly.make(4, [1, 1])
@@ -148,11 +161,33 @@ def test_inflate_and_reverse():
     assert f.inflate(2).coeffs == (1, 0, 1, 0, 0, 0, 1)
     assert f.reverse().coeffs == (1, 0, 1, 1)
     assert f.reverse().reverse() == f
+    with pytest.raises(ValueError, match="inflation factor"):
+        f.inflate(0)
 
 
 def test_pow_rejects_negative_exponent():
     with pytest.raises(ValueError):
         poly_pow(FpPoly.make(2, [1, 1]), -1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251, 257, 65537, 2**31 - 1, 2**61 - 1, 10**18 + 9])
+def test_poly_pow_below_70_matches_schoolbook_products(p):
+    # every k < 70: one digit for most p, two or more for p <= 7
+    f = FpPoly.make(p, [p - 1, 2, 0, p - 3])
+    want = (1,)
+    for k in range(70):
+        assert poly_pow(f, k).coeffs == want, k
+        want = naive_mul(want, f.coeffs, p)
+
+
+def test_poly_pow_of_a_constant_needs_no_recursion():
+    # one recursion step per binary digit of 10^400 would pass Python's limit
+    k = 10**400
+    assert poly_pow(FpPoly.make(2, [1]), k).coeffs == (1,)
+    assert poly_pow(FpPoly.make(5, [3]), k).coeffs == (pow(3, k, 5),)
+    zero = FpPoly.make(7, [])
+    assert poly_pow(zero, k).is_zero()
+    assert poly_pow(zero, 0).coeffs == (1,)
 
 
 # ------------------------------------------------------------------ rows ----
@@ -215,6 +250,28 @@ def _row_counts(p):
         ns |= {q - 1, q, q + 1}
         q *= p
     return sorted(ns)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251])
+def test_poly_pow_at_multi_digit_exponents_matches_schoolbook_rows(p):
+    rng = np.random.default_rng(p)
+    f = FpPoly.make(p, [1 + int(rng.integers(p - 1))] + rng.integers(p, size=2).tolist() + [1])
+    ks = set(rng.integers(p, 2**12, size=12).tolist())
+    for k, row in enumerate(schoolbook_rows(f, max(ks) + 1)):
+        if k in ks:
+            assert list(poly_pow(f, k).coeffs) == row, k
+
+
+def test_poly_pow_row_of_1_plus_x_follows_lucas():
+    # Lucas: C(k, j) = prod C(k_i, j_i) mod p over the base-p digits, read
+    # here for every j at once from a table of single-digit binomials
+    p, k = 3, 3**11 + 5
+    table = np.array([[math.comb(a, b) % p for b in range(p)] for a in range(p)])
+    want, j, rest = np.ones(k + 1, np.int64), np.arange(k + 1), k
+    while j.any():
+        want = want * table[rest % p][j % p] % p
+        j, rest = j // p, rest // p
+    assert poly_pow(FpPoly.make(p, [1, 1]), k).coeffs == tuple(want.tolist())
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 251])
@@ -376,11 +433,34 @@ def test_cumulative_count_is_prefix_sum():
             assert cumulative_count(g, p**j, TOTAL) == (p * (p + 1) // 2) ** j
 
 
-def test_count_rejects_bad_residue():
+def test_cumulative_count_of_a_residue_sums_count_coeff():
+    f = FpPoly.make(3, [1, 1])
+    got = [cumulative_count(f, 30, alpha) for alpha in (1, 2)]
+    assert got == [sum(brute_count(f, k, alpha) for k in range(30)) for alpha in (1, 2)]
+    assert got == [150, 78]
+    with pytest.raises(ValueError, match="row count"):
+        cumulative_count(f, -1, TOTAL)
+
+
+def test_count_coeff_at_a_multi_digit_exponent_follows_fine():
+    # 1+2x+x^2 = (1+x)^2 mod 3, so row 200000 is row 400000 of 1+x, whose
+    # base-3 digits give Fine's count prod (d_i + 1)
+    want, rest = 1, 400000
+    while rest:
+        rest, digit = divmod(rest, 3)
+        want *= digit + 1
+    assert count_coeff(FpPoly.make(3, [1, 2, 1]), 200000, TOTAL) == want == 2916
+
+
+def test_count_rejects_bad_residue(monkeypatch):
     f = FpPoly.make(3, [1, 1])
     for alpha in (0, 3, -1, "x"):
         with pytest.raises(ValueError):
             count_coeff(f, 1, alpha)
+    # the residue is checked before row 10^6 is built
+    monkeypatch.setattr(fpoly, "poly_pow", lambda *_: pytest.fail("row was built"))
+    with pytest.raises(ValueError, match="residue"):
+        count_coeff(FpPoly.make(3, [1, 2, 1]), 10**6, 0)
 
 
 # ---------------------------------------------------------- text format -----
@@ -397,13 +477,16 @@ def test_count_rejects_bad_residue():
         ("1,0,2", 3, (1, 0, 2)),
         ("4+x", 3, (1, 1)),
         ("x+x", 3, (0, 2)),
+        ("-1+x", 5, (4, 1)),
+        ("1-x", 5, (1, 4)),
+        ("-x^2-x-1", 5, (4, 4, 4)),
     ],
 )
 def test_parse_poly_accepted_forms(text, p, coeffs):
     assert parse_poly(text, p).coeffs == coeffs
 
 
-@pytest.mark.parametrize("bad", ["", "x^-1", "1+y", "x**2", "1++x", "2.5x"])
+@pytest.mark.parametrize("bad", ["", "x^-1", "1+y", "x**2", "1++x", "2.5x", "1,a"])
 def test_parse_poly_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_poly(bad, 5)

@@ -719,6 +719,8 @@ def test_canonicalize_rejects_bad_inputs():
 
 def test_enumerate_classes_small_degrees():
     assert enumerate_classes(1) == [P1X]
+    with pytest.raises(ValueError, match="max_deg"):
+        enumerate_classes(0)
     got2 = set(enumerate_classes(2))
     assert got2 == {P1X, P1XX2}
     assert len(enumerate_classes(3)) == 3
