@@ -61,10 +61,16 @@ def minimal_recurrence(seq: list[int], max_order: int) -> list[int]:
     max_order, agreement on 2 * max_order terms means they generate the same
     sequence (Massey 1969), and since reduction mod a prime can only shorten
     a recurrence, no shorter one exists.  A lift that one more prime leaves
-    unchanged and that still fails is refused.
+    unchanged and that still fails is refused, and so is one whose modulus
+    passes 2|seq|_2^max_order when one more prime confirms its order.  An
+    integer recurrence of order L <= max_order is the one solution of its
+    linear system, so by Cramer's rule on L independent equations and
+    Hadamard's bound on their columns no coefficient exceeds |seq|_2^L; the
+    primes that see a lower order all divide that nonzero minor.
     """
     if len(seq) < 2 * max_order:
         raise ValueError(f"need {2 * max_order} terms, got {len(seq)}")
+    limit = 2 + max_order * (math.isqrt(sum(s * s for s in seq)) + 1).bit_length()
     q, order, lift = 1 << 62, -1, None
     while True:
         q = _prime_below(q)
@@ -73,6 +79,8 @@ def minimal_recurrence(seq: list[int], max_order: int) -> list[int]:
             continue
         if len(rec) - 1 > order:
             order, residues, mod, lift = len(rec) - 1, [0] * len(rec), 1, None
+        elif mod.bit_length() > limit:
+            break
         inv = pow(mod, -1, q)
         residues = [x + mod * ((r - x) * inv % q) for x, r in zip(residues, rec)]
         mod *= q

@@ -5,10 +5,11 @@ and invariant under x -> p*x; L(x) = x^2 Phi(1/x), Phi(y) = lim a(p^k y)/p^(2k).
 Exact: with V(n) = (a(n), ..., a(n+w), 1) and V(pn) = M_0 V(n), Phi(m/p^i) =
 p^(-2i) l.V(m) at every p-adic point of [1, p], l the first row of M_0's
 p^2-eigenprojection.  p^2 must be a simple root of det(tI - M_0) and every
-other root smaller in modulus, else ArithmeticError: decided exactly on mu,
-M_0's minimal polynomial (p^2 a simple root of mu, M_0 - p^2 I of nullity 1,
-Schur-Cohn on mu/(t - p^2)).  Only
-checked: the pieces, fitted on a grid that cuts each cell [m, m+1] of [1, p]
+other root smaller in modulus, else ArithmeticError: decided exactly by
+linrep.LinearRepresentation.dominant_component on mu, M_0's minimal
+polynomial, certified by the exact check mu(M_0) = 0 (p^2 a simple root of
+mu, M_0 - p^2 I of nullity 1, Schur-Cohn on mu/(t - p^2)).  Only checked:
+the pieces, fitted on a grid that cuts each cell [m, m+1] of [1, p]
 at its own level i (adjacent pieces meet at the double root of their
 difference, as Phi' is continuous) and accepted when every level-(i+1) point
 of every cell lies on its piece; a cell that holds a miss, or a run too short
@@ -26,7 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .blocks import RecursionSpec, _solve_exact, a_from_recursion, a_from_recursion_range
+from .blocks import RecursionSpec, a_from_recursion, a_from_recursion_range
+from .linrep import LinearRepresentation
 
 F = Fraction
 
@@ -91,24 +93,10 @@ class ExtremaResult:
     arg_sup: Fraction
 
 
-def _inside_unit_circle(f: list[int]) -> bool:
-    """Schur-Cohn: every root of f (descending coefficients) has modulus < 1."""
-    while len(f) > 1:
-        if abs(f[-1]) >= abs(f[0]):
-            return False
-        f = [f[0] * x - f[-1] * y for x, y in zip(f, f[::-1])][:-1]
-    return True
-
-
 def _projection_row(rec: RecursionSpec) -> tuple[list[int], int]:
-    """(r, D): r/D is the first row of the p^2-eigenprojection of M_0.
-
-    mu, the minimal polynomial of M_0 (monic and integral, as it divides
-    det(tI - M_0)), comes from the first power of M_0 that is an exact
-    combination of the lower ones.  With q = mu/(t - p^2), r = e_0 q(M_0)
-    and D = q(p^2).  p^2 is simple in det(tI - M_0) when it is simple in mu
-    and M_0 - p^2 I has nullity 1.
-    """
+    """(r, D): r/D is the first row of the p^2-eigenprojection of M_0, the
+    dominant component of the representation whose B is M_0 (see
+    LinearRepresentation.dominant_component)."""
     p, rows = rec.p, rec.rows
     w = max(map(len, rows)) - 1  # V(n) = (a(n), ..., a(n+w), 1)
     while any(j // p + len(rows[j % p]) - 1 > w for j in range(w + 1)):
@@ -120,27 +108,15 @@ def _projection_row(rec: RecursionSpec) -> tuple[list[int], int]:
             m0[j][j // p + i] = c
         m0[j][-1] = -rec.constant
     m0[-1][-1] = 1
-    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
-    for k in range(1, n + 1):  # M_0^k on I, ..., M_0^(k-1); by k = n (Cayley-Hamilton)
-        powers.append([[sum(map(mul, row, col)) for col in zip(*m0)] for row in powers[-1]])
-        entries = [[pw[i][j] for pw in powers] for i in range(n) for j in range(n)]
-        coeffs, _ = _solve_exact(entries, k)
-        if coeffs is not None:
-            break
-    mu = [1] + [-int(c) for c in reversed(coeffs)]  # descending
-    q = [1]  # q = mu / (t - lam), descending, then the remainder
-    for c in mu[1:]:
-        q.append(q[-1] * lam + c)
-    q, rem = q[:-1], q[-1]
-    row = [sum(c * pw[0][j] for c, pw in zip(reversed(q), powers)) for j in range(n)]
-    denom = sum(c * lam**i for i, c in enumerate(reversed(q)))
-    shifted = [[c - lam * (i == j) for j, c in enumerate(r)] + [0] for i, r in enumerate(m0)]
-    if rem or not denom or _solve_exact(shifted, n)[1] < n - 1 or not _inside_unit_circle(
-            [c * lam ** (len(q) - 1 - i) for i, c in enumerate(q)]):
+    e0 = [1] + [0] * (n - 1)
+    rep = LinearRepresentation.dense([m0], e0, e0)
+    component = rep.dominant_component(lam)
+    if component is None:
         raise ArithmeticError(
             f"p^2 = {lam} is not a simple dominant root of the characteristic "
-            f"polynomial of the recursion's M_0, whose minimal polynomial is {mu}")
-    return row, denom
+            f"polynomial of the recursion's M_0, whose minimal polynomial is "
+            f"{rep.minimal_polynomial()[::-1]}")
+    return component
 
 
 def _points(rec: RecursionSpec, row: list[int], denom: int,

@@ -69,8 +69,8 @@ class FpPoly:
 
     def __post_init__(self):
         check_prime(self.p)
-        if self.coeffs and (self.coeffs[-1] == 0 or any(
-                not (0 <= c < self.p) for c in self.coeffs)):
+        if self.coeffs and (self.coeffs[-1] == 0 or min(self.coeffs) < 0
+                            or max(self.coeffs) >= self.p):
             raise ValueError("coefficients must be reduced and trimmed; use FpPoly.make")
 
     @staticmethod

@@ -10,6 +10,9 @@ number of nonzero coefficients in rows 0..p^k-1: v marks the windows of
 row 0 and u the windows whose first digit is nonzero.  The matrices are
 never stored: the maps are the only representation, and B acts on vectors
 by gathering along them in target order and summing each target's run.
+TransferSystem.rep is this count identity as a linrep.LinearRepresentation
+(left u, right v): perron and count_sequence read its Krylov walk B^k.v, and
+verify_counts its values u.B_(m_0)...B_(m_top).v, the row counts q(m).
 
 The dominant growth rate lambda (so the fractal dimension log_p lambda) is
 the spectral radius of B, certified in one walk of the exact vectors B^k.v
@@ -47,6 +50,7 @@ import numpy as np
 from ._zzpoly import factor_int_poly, may_vanish, minimal_recurrence
 from .blocks import window_maps
 from .fpoly import FpPoly, format_poly, iter_rows, poly_pow, squarefree_parts
+from .linrep import LinearRepresentation
 
 # Degree 12 at p = 2 (5660 states, built in under a second); 1+x mod 13
 # (28561) takes about a second, while 1+x+x^2 mod 11 (161051) takes minutes.
@@ -117,6 +121,11 @@ class TransferSystem:
         return self.states
 
     @cached_property
+    def rep(self) -> LinearRepresentation:
+        """The count identity as a linear representation: B_r, left u, right v."""
+        return LinearRepresentation(self.f.p, self.apply, self.u.astype(np.int64), self.v)
+
+    @cached_property
     def _edges(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         # per child row r: the source and target state of each edge of B_r
         edges = []
@@ -168,17 +177,10 @@ def build_transfer(f: FpPoly) -> TransferSystem:
     )
 
 
-def _krylov(sys: TransferSystem):
-    """The exact vectors B^k.v for k = 0, 1, 2, ..."""
-    w = sys.v.astype(object)
-    while True:
-        yield w
-        w = sys.apply(w)
-
-
 def count_sequence(sys: TransferSystem, terms: int) -> list[int]:
     """r(p^k) = u.B^k.v for k < terms, exact."""
-    return [int(w[sys.u].sum()) for w in islice(_krylov(sys), terms)]
+    rep = sys.rep
+    return [int(w @ rep.left) for w in islice(rep.krylov(rep.right), terms)]
 
 
 def _mismatch(f: FpPoly, kind: str, index, got, want) -> SpectralMismatchError:
@@ -208,17 +210,7 @@ def verify_counts(sys: TransferSystem, depth: int) -> None:
     for k, got in enumerate(count_sequence(sys, depth + 1)):
         if got != cum[p**k - 1]:
             raise _mismatch(f, "cumulative", k, got, cum[p**k - 1])
-
-    # row pm+r has vector B_r times that of row m, so the rows p^l..p^(l+1)-1
-    # come from the rows p^(l-1)..p^l-1 in one batch (rows 1..p-1 from row 0,
-    # which carries v itself); only the last batch is kept
-    block = sys.v[np.newaxis]
-    rows = [block[:, sys.u].sum(axis=1)]
-    for level in range(depth):
-        children = np.stack([sys.apply(block, r) for r in range(p)], axis=1).reshape(-1, n)
-        block = children[1:] if level == 0 else children
-        rows.append(block[:, sys.u].sum(axis=1))
-    rows = np.concatenate(rows)
+    rows = sys.rep.values(depth)  # row m's vector is B_(m_0)...B_(m_top).v
     bad = np.flatnonzero(rows != q)
     if len(bad):
         raise _mismatch(f, "row", bad[0], rows[bad[0]], q[bad[0]])
@@ -265,9 +257,9 @@ def perron(sys: TransferSystem) -> SpectralResult:
         raise ArithmeticError(f"{n - size} states of {format_poly(sys.f)} "
                               "reach no window with a nonzero first digit")
     counts, tail, K = [], deque(maxlen=3), 2 * n
-    for k, w in enumerate(_krylov(sys)):
+    for k, w in enumerate(sys.rep.krylov(sys.v)):
         if k < 2 * n + 2:
-            counts.append(int(w[sys.u].sum()))
+            counts.append(int(w @ sys.rep.left))
         tail.append(w)
         if k < K + 2:
             continue

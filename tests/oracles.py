@@ -6,7 +6,8 @@ for the transfer maps, one unbuffered scatter-add per edge; for the recursion
 fit, one exact solve per trial threshold; for the block counts, the sorted
 candidates of the top level itself; for the limit law's projection row, the
 characteristic polynomial by Faddeev-LeVerrier, and for the 1+x laws their
-closed form; and a row of digits as text.
+closed form; for the linear-representation type, plain Python-int matrices
+and sympy's exact nullspace; and a row of digits as text.
 """
 
 from dataclasses import dataclass
@@ -14,8 +15,8 @@ from fractions import Fraction as F
 from operator import mul
 
 import numpy as np
+import sympy
 
-from polypow.asympt import _inside_unit_circle
 from polypow.blocks import (
     SHIFTS,
     InferenceError,
@@ -26,6 +27,7 @@ from polypow.blocks import (
     line_complexity_range,
 )
 from polypow.fpoly import format_poly
+from polypow.linrep import _inside_unit_circle
 from polypow.willson import _desubstitute, _exponents, _root, _strip
 
 
@@ -267,3 +269,53 @@ def closed_form_1px(p):
         F((p - 1) * (p**3 + 4 * p**2 + 3 * p - 4), 2 * d3),
     ))
     return pieces
+
+
+def mat_vec(m, v):
+    return [sum(map(mul, row, v)) for row in m]
+
+
+def dense_values(matrices, left, right, depth):
+    """left.B_(m_0)...B_(m_(k-1)).right for every m < p^depth, p =
+    len(matrices) and B_r = matrices[r], by one matrix-vector product per
+    base-p digit m_i of m, the top digit first."""
+    p, out = len(matrices), []
+    for m in range(p**depth):
+        digits = []
+        while m:
+            m, r = divmod(m, p)
+            digits.append(r)
+        w = list(right)
+        for r in reversed(digits):
+            w = mat_vec(matrices[r], w)
+        out.append(sum(map(mul, left, w)))
+    return out
+
+
+def dense_krylov(b, x, terms):
+    """[x, b.x, ..., b^(terms-1).x], one matrix-vector product each."""
+    out = [list(x)]
+    while len(out) < terms:
+        out.append(mat_vec(b, out[-1]))
+    return out
+
+
+def matrix_powers(b, terms):
+    """[I, b, ..., b^(terms-1)], each flattened row by row."""
+    n = len(b)
+    power, out = [[int(i == j) for j in range(n)] for i in range(n)], []
+    while len(out) < terms:
+        out.append([c for row in power for c in row])
+        power = [[sum(map(mul, row, col)) for col in zip(*power)] for row in b]
+    return out
+
+
+def minimal_polynomial_by_nullspace(powers):
+    """The monic c (ascending) of least degree with sum c_i powers[i] = 0,
+    for flat integer vectors powers[0], powers[1], ...: the first of them in
+    the span of those before it, found by sympy's exact nullspace."""
+    for k in range(1, len(powers) + 1):
+        null = sympy.Matrix(list(zip(*powers[:k]))).nullspace()
+        if null:
+            return [int(c / null[0][-1]) for c in null[0]]
+    raise ValueError("no power lies in the span of those before it")

@@ -12,6 +12,7 @@ import signal
 import time
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -45,7 +46,14 @@ from polypow.willson import (
     count_sequence,
 )
 
-from oracles import apply_by_scatter, canonical_by_search, digits_to_text
+from oracles import (
+    apply_by_scatter,
+    canonical_by_search,
+    dense_krylov,
+    dense_values,
+    digits_to_text,
+    minimal_polynomial_by_nullspace,
+)
 
 P1X = FpPoly.make(2, [1, 1])
 P1XX2 = FpPoly.make(2, [1, 1, 1])
@@ -270,6 +278,20 @@ def test_scatter_adds_match_dense_matrices(f):
         want = [mat_vec(b, list(w)) for w in batch]
         assert sys.apply(batch, eps).tolist() == want
         assert sys.apply(batch[0], eps).tolist() == want[0]
+
+
+@pytest.mark.parametrize("f", SMALL, ids=SMALL_IDS)
+def test_transfer_representation_against_the_dense_oracle(f):
+    # the row vectors of m < p^depth, B's walk from v, and mu of v
+    sys = build_transfer(f)
+    rep, n = sys.rep, len(sys.states)
+    matrices = [dense_b(sys, [r]) for r in range(f.p)]
+    depth = 7 if f.p == 2 else 4
+    assert rep.values(depth).tolist() == dense_values(
+        matrices, rep.left.tolist(), rep.right.tolist(), depth)
+    walk = dense_krylov(np.sum(matrices, axis=0).tolist(), rep.right.tolist(), 2 * n + 2)
+    assert [w.tolist() for w in islice(rep.krylov(rep.right), 2 * n + 2)] == walk
+    assert rep.minimal_polynomial(rep.right) == minimal_polynomial_by_nullspace(walk)
 
 
 # every f mod 3 of degree 1 to 3 with f(0) != 0

@@ -1,6 +1,7 @@
 """Exact integer polynomial work, cross-checked against sympy's generic paths."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,13 @@ def test_minimal_recurrence_refuses_what_it_cannot_certify():
     with pytest.raises(ArithmeticError):
         # the shortest recurrence of this prefix has order 6 > 3
         minimal_recurrence([0, 0, 0, 0, 0, 1, 0, 0], 3)
+    # the shortest recurrences s1 = s0/2 and s2 = -s1/7 + 17 s0/7 are not
+    # integral, so no lift ever repeats: the coefficient bound stops the search
+    for seq, max_order in (([2, 1], 1), ([1, 3, 2, 7], 2)):
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="fails at term"):
+            minimal_recurrence(seq, max_order)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_minimal_recurrence_checks_the_last_term_exactly():
