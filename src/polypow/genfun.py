@@ -4,20 +4,20 @@ A base-p recursion a(pn+k) = sum_j c_kj a(n+j) - K gives
 G(z) = C(z) G(z^p) + P(z) - K/(1-z), where C(z) = sum c_kj z^(k-pj) and the
 Laurent polynomial P corrects the terms below the threshold.  A Laurent
 polynomial r with r(z^p) = C(z) r(z) turns this into the self-similarity
-equation r(z) G(z) = r(z^p) G(z^p) + b(z), b = r (P - K/(1-z)).  series
-gives a(0..N) only for a recursion with this shape.  series_1px, the
-hand-made closed form of 1+x mod p, runs at primes far past those whose
-p-row recursion can be built.
+equation r(z) G(z) = r(z^p) G(z^p) + b(z), b = r (P - K/(1-z)).  r exists
+only when C's top coefficient is 1, and then comes by back-substitution
+from its own top coefficient.  series gives a(0..N) only for a recursion
+with this shape.  series_1px, the hand-made closed form of 1+x mod p, runs
+at primes far past those whose p-row recursion can be built.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import accumulate
-from math import gcd, lcm
 from typing import NamedTuple
 
-from .blocks import RecursionSpec, _solve_exact, a_from_recursion_range
+from .blocks import RecursionSpec, a_from_recursion_range
 from .fpoly import check_prime
 
 
@@ -57,32 +57,31 @@ def series_1px(p: int, n_terms: int) -> list[int]:
 
 
 def _multiplier(rec: RecursionSpec) -> Laurent:
-    """The r(z) with r(z^p) = C(z) r(z), primitive with a positive top coefficient."""
+    """The r(z) with r(z^p) = C(z) r(z) and top coefficient 1.
+
+    The z^(p hi) coefficient says C_top r_hi = r_hi, so r exists only if
+    C_top = 1; then the z^(c_hi + j) coefficient gives r_j from the r_i with
+    i > j alone (e/p > j too), so r is integral and unique up to scale, and
+    it exists when every other coefficient then vanishes as well.
+    """
     p = rec.p  # k - pj with 0 <= k < p names each (k, j) once
     c_poly = {k - p * j: c for k, row in enumerate(rec.rows) for j, c in enumerate(row) if c}
-    # both sides have the same lowest and highest terms: p*lo = min C + lo;
-    # C = 0 leaves the one equation r_0 = 0, which the pin makes inconsistent
+    # both sides have the same lowest and highest terms: p*lo = min C + lo
     c_lo, c_hi = min(c_poly, default=0), max(c_poly, default=0)
     (lo, lo_rem), (hi, hi_rem) = divmod(c_lo, p - 1), divmod(c_hi, p - 1)
     if lo_rem or hi_rem:
         raise ArithmeticError(f"the support [{c_lo}/{p - 1}, {c_hi}/{p - 1}] of r is not integral")
-    # per exponent e: sum_s C_s r_(e-s) - r_(e/p) = 0; r_hi is pinned to 1,
-    # so its column moves to the right-hand side with its sign flipped
-    width, equations = hi - lo, {}
-    for at in range(lo, hi + 1):
-        col, sign = (at - lo, 1) if at < hi else (width, -1)
-        for e, c in [(s + at, c) for s, c in c_poly.items()] + [(p * at, -1)]:
-            equations.setdefault(e, [0] * (width + 1))[col] += sign * c
-    # the kernel has dimension at most 1: the ratio f of two solutions has
-    # f(z^p) = f(z), so its zeros and poles lie at 0 and infinity and f is
-    # a constant; so with r_hi pinned the rank is width whenever r exists
-    sol, rank = _solve_exact(list(equations.values()), width)
-    if sol is None or rank < width:
+    r = {hi: 1}
+
+    def excess(e: int) -> int:  # the z^e coefficient of C(z) r(z) - r(z^p)
+        cr = sum(c * r.get(e - s, 0) for s, c in c_poly.items())
+        return cr - (0 if e % p else r.get(e // p, 0))
+
+    for j in range(hi - 1, lo - 1, -1):
+        r[j] = -excess(c_hi + j)  # r_j unset: C_top r_j left out, C_top = 1 checked below
+    if any(excess(e) for e in range(c_lo + lo, c_hi + hi + 1)):
         raise ArithmeticError("no Laurent polynomial r(z) solves r(z^p) = C(z) r(z)")
-    scale = lcm(*(v.denominator for v in sol))
-    ints = [int(v * scale) for v in sol + [1]]
-    g = gcd(*ints)
-    return Laurent(lo, tuple(v // g for v in ints))
+    return Laurent(lo, tuple(r[j] for j in range(lo, hi + 1)))
 
 
 def closed_form(rec: RecursionSpec) -> tuple[Laurent, Laurent]:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._zzpoly import minimal_recurrence
+from ._zzpoly import _divmod_monic, _value, minimal_recurrence
 
 
 def _inside_unit_circle(f: list[int]) -> bool:
@@ -103,17 +103,13 @@ class LinearRepresentation:
         is the kernel of B - lam I, so its nullity is the rank of q(B).
         """
         mu, n = self.minimal_polynomial(), len(self.left)
-        q = [1]  # q = mu / (t - lam), descending, then the remainder mu(lam)
-        for c in mu[-2::-1]:
-            q.append(q[-1] * lam + c)
-        q, rem = q[:-1], q[-1]
-        denom = sum(c * lam**i for i, c in enumerate(reversed(q)))
-        if rem or not denom or not _inside_unit_circle(
-                [c * lam ** (len(q) - 1 - i) for i, c in enumerate(q)]):
+        q, rem = _divmod_monic(mu, [-lam, 1])
+        denom = _value(q, lam)
+        if rem or not denom or not _inside_unit_circle([c * lam**i for i, c in enumerate(q)][::-1]):
             return None
         # row j of qb is q(B).e_j; it is nonzero, since deg q < deg mu
         walk = islice(self.krylov(np.identity(n, dtype=object)), len(q))
-        qb = sum(c * w for c, w in zip(reversed(q), walk))
+        qb = sum(c * w for c, w in zip(q, walk))
         i, j = next(zip(*np.nonzero(qb)))
         if (qb * qb[i, j] != np.outer(qb[:, j], qb[i])).any():  # rank above 1
             return None

@@ -276,7 +276,7 @@ def perron(sys: TransferSystem) -> SpectralResult:
         if K >= 2 * n << _MAX_DOUBLINGS:
             raise ArithmeticError(f"no certified bracket for {format_poly(sys.f)} after {K} steps")
         K *= 2
-    minpoly = tuple(held[0]) if held[0][-1] > 0 else tuple(-c for c in held[0])
+    minpoly = tuple(held[0])  # factor_int_poly's factors have a positive leading coefficient
     if len(minpoly) == 2:
         lo = hi = Fraction(-minpoly[0], minpoly[1])
     lam = float((lo + hi) / 2)

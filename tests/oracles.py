@@ -3,7 +3,8 @@ form of 1+x+x^2 mod 2 and the residual of the self-similarity equation on a
 series prefix, which share nothing with the derivation in polypow.genfun; for
 the similarity classes, the search over every move that canonicalize replaced;
 for the transfer maps, one unbuffered scatter-add per edge; for the recursion
-fit, one exact solve per trial threshold; for the block counts, the sorted
+fit, one exact solve per trial threshold; for the generating function's
+multiplier r(z), one exact solve of all its equations at once; for the block counts, the sorted
 candidates of the top level itself; for the limit law's projection row, the
 characteristic polynomial by Faddeev-LeVerrier, and for the 1+x laws their
 closed form; for the linear-representation type, plain Python-int matrices
@@ -12,6 +13,7 @@ and sympy's exact nullspace; and a row of digits as text.
 
 from dataclasses import dataclass
 from fractions import Fraction as F
+from math import gcd, lcm
 from operator import mul
 
 import numpy as np
@@ -27,6 +29,7 @@ from polypow.blocks import (
     line_complexity_range,
 )
 from polypow.fpoly import format_poly
+from polypow.genfun import Laurent
 from polypow.linrep import _inside_unit_circle
 from polypow.willson import _desubstitute, _exponents, _root, _strip
 
@@ -163,6 +166,37 @@ def infer_by_thresholds(f, window=None):
     raise InferenceError(
         f"no recursion a(pn+k) = sum_j c_kj a(n+j) - K with {SHIFTS} shifts fits "
         f"a(0..{n_data}) of {format_poly(f)} mod {p} from any threshold 3 to {2 * p + 5}")
+
+
+def multiplier_by_solve(rec: RecursionSpec) -> Laurent:
+    """genfun._multiplier by one exact solve: every equation of r(z^p) =
+    C(z) r(z) over the support [min C/(p-1), max C/(p-1)], with r's top
+    coefficient pinned to 1, made primitive with a positive top coefficient.
+
+    The kernel has dimension at most 1: the ratio f of two solutions has
+    f(z^p) = f(z), so its zeros and poles lie at 0 and infinity and f is a
+    constant; so with r_hi pinned the rank is the width whenever r exists.
+    """
+    p = rec.p
+    c_poly = {k - p * j: c for k, row in enumerate(rec.rows) for j, c in enumerate(row) if c}
+    c_lo, c_hi = min(c_poly, default=0), max(c_poly, default=0)
+    (lo, lo_rem), (hi, hi_rem) = divmod(c_lo, p - 1), divmod(c_hi, p - 1)
+    if lo_rem or hi_rem:
+        raise ArithmeticError(f"the support [{c_lo}/{p - 1}, {c_hi}/{p - 1}] of r is not integral")
+    # per exponent e: sum_s C_s r_(e-s) - r_(e/p) = 0; r_hi's column moves
+    # to the right-hand side with its sign flipped
+    width, equations = hi - lo, {}
+    for at in range(lo, hi + 1):
+        col, sign = (at - lo, 1) if at < hi else (width, -1)
+        for e, c in [(s + at, c) for s, c in c_poly.items()] + [(p * at, -1)]:
+            equations.setdefault(e, [0] * (width + 1))[col] += sign * c
+    sol, rank = _solve_exact(list(equations.values()), width)
+    if sol is None or rank < width:
+        raise ArithmeticError("no Laurent polynomial r(z) solves r(z^p) = C(z) r(z)")
+    scale = lcm(*(v.denominator for v in sol))
+    ints = [int(v * scale) for v in sol + [1]]
+    g = gcd(*ints)
+    return Laurent(lo, tuple(v // g for v in ints))
 
 
 def count_by_candidates(f, n_max):

@@ -1,7 +1,11 @@
 """Series expansions: the closed form of 1+x, the series derived from any
 recursion, and the self-similarity residual as an independent check."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polypow import (
     FpPoly,
@@ -17,9 +21,9 @@ from polypow import (
     series_1px,
     series_to_csv,
 )
-from polypow.genfun import Laurent
+from polypow.genfun import Laurent, _multiplier
 
-from oracles import InconclusiveError, functional_residual, series_1xx2
+from oracles import InconclusiveError, functional_residual, multiplier_by_solve, series_1xx2
 
 R_CUBE = [1, -3, 3, -1]  # (1-z)^3
 R_MIXED = [1, -2, 0, 2, -1]  # (1-z^2)(1-z)^2
@@ -148,6 +152,70 @@ def test_closed_form_refuses_a_recursion_without_r():
         closed_form(rec)
     with pytest.raises(ArithmeticError, match="no Laurent polynomial r"):
         series(rec, 10)
+
+
+def _multiplier_or_refusal(solve, rec):
+    try:
+        return solve(rec)
+    except ArithmeticError as err:
+        return str(err)
+
+
+def _top_coefficient(rec):
+    c_poly = {k - rec.p * j: c for k, row in enumerate(rec.rows) for j, c in enumerate(row) if c}
+    return c_poly[max(c_poly)]
+
+
+def _nudged(rec):
+    """Copies of rec with one coefficient moved by +-1: unlike random rows,
+    most keep C's top coefficient 1, so an equation below the top refuses them."""
+    for k, row in enumerate(rec.rows):
+        for j in range(len(row)):
+            for d in (-1, 1):
+                rows = list(rec.rows)
+                rows[k] = row[:j] + (row[j] + d,) + row[j + 1:]
+                # the initials past the threshold would contradict the new rule
+                yield replace(rec, rows=tuple(rows), initials=rec.initials[:rec.threshold])
+
+
+@st.composite
+def small_recursions(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    rows = tuple(tuple(draw(st.lists(st.integers(-3, 3), max_size=3))) for _ in range(p))
+    return RecursionSpec(p=p, rows=rows, constant=draw(st.integers(-5, 5)),
+                         initials=(1,) * 6, threshold=6)
+
+
+@given(small_recursions())
+@settings(max_examples=200, deadline=None)
+def test_multiplier_equals_the_exact_solve_on_random_recursions(rec):
+    assert _multiplier_or_refusal(_multiplier, rec) == _multiplier_or_refusal(multiplier_by_solve, rec)
+
+
+@pytest.mark.parametrize("poly,p", [(poly, p) for poly, p, _ in INFERRED]
+                         + [("1+x", q) for q in (2, 3, 5, 7, 11, 13)])
+def test_multiplier_equals_the_exact_solve_on_known_recursions(poly, p):
+    rec = _recursion(poly, p)
+    assert _multiplier(rec) == multiplier_by_solve(rec)
+    below_top = 0
+    for nudged in _nudged(rec):
+        got = _multiplier_or_refusal(_multiplier, nudged)
+        assert got == _multiplier_or_refusal(multiplier_by_solve, nudged)
+        below_top += _top_coefficient(nudged) == 1 and "no Laurent" in str(got)
+    assert below_top
+
+
+@pytest.mark.parametrize("poly,p,top,refusal", [
+    ("1", 2, 2, "no Laurent polynomial r"),  # a(2n+1) = 2a(n): C_top r_hi = r_hi fails
+    ("1+x^2", 2, 1, "no Laurent polynomial r"),  # the z^-7 to z^-12 equations fail
+    ("2", 5, 5, "the support .-5/4, 4/4. of r is not integral"),
+])
+def test_multiplier_refusals_name_their_cause(poly, p, top, refusal):
+    rec = infer_recursion(parse_poly(poly, p))
+    assert _top_coefficient(rec) == top
+    for solve in (_multiplier, multiplier_by_solve):
+        with pytest.raises(ArithmeticError, match=refusal):
+            solve(rec)
 
 
 # ------------------------------------------------------------- residuals ----

@@ -116,6 +116,31 @@ def test_minimal_recurrence_skips_primes_that_lose_order(monkeypatch):
     assert len(calls) == 2
 
 
+def test_minimal_recurrence_skips_a_later_prime_that_loses_order(monkeypatch):
+    # the first prime's lift of -(2^70+3) fails the exact check; the second
+    # prime sees a shorter recurrence and is skipped, not glued and not a
+    # restart, so the third prime's CRT lift is the root itself
+    calls = counting_berlekamp_massey(monkeypatch, unlucky=(2,))
+    root = 2**70 + 3
+    assert minimal_recurrence([root**k for k in range(6)], 3) == [-root, 1]
+    assert len(calls) == 3
+
+
+def test_squarefree_part_skips_a_prime_with_a_larger_gcd(monkeypatch):
+    # gcd(f, f') of f = (x+1)^2 (x+2) is x+1; the second prime is made to
+    # see f itself, which is skipped, and the third prime confirms x+1
+    real, calls = _zzpoly.gcd_mod, []
+
+    def counted(a, b, q):
+        calls.append(q)
+        assert len(calls) <= 3  # a glued or restarted CRT would not stop here
+        return a if len(calls) == 2 else real(a, b, q)
+
+    monkeypatch.setattr(_zzpoly, "gcd_mod", counted)
+    assert _zzpoly._squarefree_part([2, 5, 4, 1]) == [2, 3, 1]
+    assert len(calls) == 3
+
+
 def test_prime_helpers_equal_an_is_prime_scan():
     def scan(q, step):
         q += step
