@@ -220,6 +220,8 @@ def test_may_vanish_against_sympy_real_roots(c):
 def test_factor_int_poly_splits_and_respects_irreducibility():
     facs = factor_int_poly([-1, 0, 1])  # x^2 - 1
     assert sorted(facs) == sorted([[-1, 1], [1, 1]])
+    # every factor leads with a positive coefficient, also those of 1 - x^2
+    assert sorted(factor_int_poly([1, 0, -1])) == sorted([[-1, 1], [1, 1]])
     assert factor_int_poly([1, 0, 1]) == [[1, 0, 1]]  # x^2 + 1
     for f in factor_int_poly([3, -4, 1]):
         assert divides(f, [3, -4, 1])
