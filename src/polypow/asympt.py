@@ -79,10 +79,7 @@ class PiecewiseQuadratic:
         lo, hi = self.domain
         if not lo <= x <= hi:
             raise ValueError(f"{x} outside domain [{lo}, {hi}]")
-        for piece in self.pieces:
-            if x <= piece.hi:
-                return piece(x)
-        raise AssertionError("unreachable")
+        return next(piece for piece in self.pieces if x <= piece.hi)(x)
 
 
 @dataclass(frozen=True)

@@ -103,8 +103,6 @@ class FpPoly:
         """Substitute x -> x^c."""
         if c < 1:
             raise ValueError("inflation factor must be >= 1")
-        if self.is_zero() or c == 1:
-            return self
         out = [0] * (self.degree * c + 1)
         for i, a in enumerate(self.coeffs):
             out[i * c] = a

@@ -6,14 +6,15 @@ Laurent polynomial P corrects the terms below the threshold.  A Laurent
 polynomial r with r(z^p) = C(z) r(z) turns this into the self-similarity
 equation r(z) G(z) = r(z^p) G(z^p) + b(z), b = r (P - K/(1-z)).  r exists
 only when C's top coefficient is 1, and then comes by back-substitution
-from its own top coefficient.  series gives a(0..N) only for a recursion
-with this shape.  series_1px, the hand-made closed form of 1+x mod p, runs
-at primes far past those whose p-row recursion can be built.
+from its own top coefficient.  b is read off the equation, as the
+coefficients of r(z) G(z) - r(z^p) G(z^p); P only bounds its support.
+series gives a(0..N) only for a recursion with this shape.  series_1px,
+the hand-made closed form of 1+x mod p, runs at primes far past those
+whose p-row recursion can be built.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -91,26 +92,22 @@ def closed_form(rec: RecursionSpec) -> tuple[Laurent, Laurent]:
     not integral, no r exists, or (1 - z) does not divide r while K != 0.
     """
     r = _multiplier(rec)
-    p, reach = rec.p, max(len(row) for row in rec.rows)
-    a = a_from_recursion_range(rec, max(rec.threshold + reach, -r.lo))
-    # P(z) = G(z) - C(z) G(z^p) + K/(1-z) vanishes from the threshold on
-    b = defaultdict(int)
-    for m in range(-p * reach, rec.threshold):
-        # the rule is sum_j c_kj a(q+j) - K, so P_m is a(m) - rule from 0 on, -K - rule below
-        rule = rec._rule(m, lambda i: a[i] if i >= 0 else 0)
-        forcing = (a[m] if m >= 0 else -rec.constant) - rule
-        for i, ri in enumerate(r.coeffs):
-            b[r.lo + i + m] += ri * forcing
-    # -K r/(1-z) has the prefix sums of r as coefficients, finite iff r(1) = 0
-    run = 0
-    for i, ri in enumerate(r.coeffs):
-        run += ri
-        b[r.lo + i] -= rec.constant * run
-    if run and rec.constant:
+    if rec.constant and sum(r.coeffs):  # -K r/(1-z) is then an infinite series
         raise ArithmeticError("(1 - z) does not divide r(z), so b(z) = "
                               "r(z)(P(z) - K/(1 - z)) is not a Laurent polynomial")
+    p, reach = rec.p, max(len(row) for row in rec.rows)
+    # b = r (P - K/(1-z)) with P on [-p reach, threshold - 1] and r/(1-z) on
+    # [r.lo, r.hi - 1] lies on [lo, hi]
+    lo, hi = r.lo - p * reach, r.lo + len(r.coeffs) + rec.threshold - 2
+    a = a_from_recursion_range(rec, max(hi, 0) - r.lo)
+
+    def rg(e: int) -> int:  # the z^e coefficient of r(z) G(z), a(n) = 0 for n < 0
+        return sum(ri * a[e - r.lo - i] for i, ri in enumerate(r.coeffs) if e - r.lo - i >= 0)
+
+    b = {e: rg(e) - (0 if e % p else rg(e // p)) for e in range(lo, hi + 1)}
     support = [e for e, c in b.items() if c] or [0]
-    return r, Laurent(min(support), tuple(b[e] for e in range(min(support), max(support) + 1)))
+    lo, hi = min(support), max(support)
+    return r, Laurent(lo, tuple(b.get(e, 0) for e in range(lo, hi + 1)))
 
 
 def series(rec: RecursionSpec, n_terms: int) -> list[int]:

@@ -4,13 +4,16 @@ series prefix, which share nothing with the derivation in polypow.genfun; for
 the similarity classes, the search over every move that canonicalize replaced;
 for the transfer maps, one unbuffered scatter-add per edge; for the recursion
 fit, one exact solve per trial threshold; for the generating function's
-multiplier r(z), one exact solve of all its equations at once; for the block counts, the sorted
-candidates of the top level itself; for the limit law's projection row, the
-characteristic polynomial by Faddeev-LeVerrier, and for the 1+x laws their
-closed form; for the linear-representation type, plain Python-int matrices
-and sympy's exact nullspace; and a row of digits as text.
+multiplier r(z), one exact solve of all its equations at once, and for its
+b(z), the forcing polynomial P of the terms below the threshold; for the
+block counts, the sorted candidates of the top level itself; for the limit
+law's projection row, the characteristic polynomial by Faddeev-LeVerrier,
+and for the 1+x laws their closed form; for the linear-representation type,
+plain Python-int matrices and sympy's exact nullspace; and a row of digits
+as text.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -26,10 +29,11 @@ from polypow.blocks import (
     _Closure,
     _first_diffs,
     _solve_exact,
+    a_from_recursion_range,
     line_complexity_range,
 )
 from polypow.fpoly import format_poly
-from polypow.genfun import Laurent
+from polypow.genfun import Laurent, _multiplier
 from polypow.linrep import _inside_unit_circle
 from polypow.willson import _desubstitute, _exponents, _root, _strip
 
@@ -197,6 +201,33 @@ def multiplier_by_solve(rec: RecursionSpec) -> Laurent:
     ints = [int(v * scale) for v in sol + [1]]
     g = gcd(*ints)
     return Laurent(lo, tuple(v // g for v in ints))
+
+
+def closed_form_by_forcing(rec: RecursionSpec) -> tuple[Laurent, Laurent]:
+    """genfun.closed_form with b = r (P - K/(1-z)) built term by term: the
+    forcing P(z) = G(z) - C(z) G(z^p) + K/(1-z), which vanishes from the
+    threshold on, from the rule at every index below it (negative ones
+    included), and -K r/(1-z) from the prefix sums of r."""
+    r = _multiplier(rec)
+    p, reach = rec.p, max(len(row) for row in rec.rows)
+    a = a_from_recursion_range(rec, max(rec.threshold + reach, -r.lo))
+    b = defaultdict(int)
+    for m in range(-p * reach, rec.threshold):
+        # the rule is sum_j c_kj a(q+j) - K, so P_m is a(m) - rule from 0 on, -K - rule below
+        rule = rec._rule(m, lambda i: a[i] if i >= 0 else 0)
+        forcing = (a[m] if m >= 0 else -rec.constant) - rule
+        for i, ri in enumerate(r.coeffs):
+            b[r.lo + i + m] += ri * forcing
+    # -K r/(1-z) has the prefix sums of r as coefficients, finite iff r(1) = 0
+    run = 0
+    for i, ri in enumerate(r.coeffs):
+        run += ri
+        b[r.lo + i] -= rec.constant * run
+    if run and rec.constant:
+        raise ArithmeticError("(1 - z) does not divide r(z), so b(z) = "
+                              "r(z)(P(z) - K/(1 - z)) is not a Laurent polynomial")
+    support = [e for e, c in b.items() if c] or [0]
+    return r, Laurent(min(support), tuple(b[e] for e in range(min(support), max(support) + 1)))
 
 
 def count_by_candidates(f, n_max):

@@ -159,6 +159,8 @@ def test_frobenius_identity(f, k):
 def test_inflate_and_reverse():
     f = FpPoly.make(2, [1, 1, 0, 1])
     assert f.inflate(2).coeffs == (1, 0, 1, 0, 0, 0, 1)
+    assert f.inflate(1) == f
+    assert FpPoly(3, ()).inflate(4) == FpPoly(3, ())
     assert f.reverse().coeffs == (1, 0, 1, 1)
     assert f.reverse().reverse() == f
     with pytest.raises(ValueError, match="inflation factor"):

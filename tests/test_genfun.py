@@ -1,6 +1,8 @@
 """Series expansions: the closed form of 1+x, the series derived from any
 recursion, and the self-similarity residual as an independent check."""
 
+import random
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
@@ -23,7 +25,13 @@ from polypow import (
 )
 from polypow.genfun import Laurent, _multiplier
 
-from oracles import InconclusiveError, functional_residual, multiplier_by_solve, series_1xx2
+from oracles import (
+    InconclusiveError,
+    closed_form_by_forcing,
+    functional_residual,
+    multiplier_by_solve,
+    series_1xx2,
+)
 
 R_CUBE = [1, -3, 3, -1]  # (1-z)^3
 R_MIXED = [1, -2, 0, 2, -1]  # (1-z^2)(1-z)^2
@@ -154,9 +162,9 @@ def test_closed_form_refuses_a_recursion_without_r():
         series(rec, 10)
 
 
-def _multiplier_or_refusal(solve, rec):
+def _value_or_refusal(derive, rec):
     try:
-        return solve(rec)
+        return derive(rec)
     except ArithmeticError as err:
         return str(err)
 
@@ -189,18 +197,20 @@ def small_recursions(draw):
 @given(small_recursions())
 @settings(max_examples=200, deadline=None)
 def test_multiplier_equals_the_exact_solve_on_random_recursions(rec):
-    assert _multiplier_or_refusal(_multiplier, rec) == _multiplier_or_refusal(multiplier_by_solve, rec)
+    assert _value_or_refusal(_multiplier, rec) == _value_or_refusal(multiplier_by_solve, rec)
 
 
-@pytest.mark.parametrize("poly,p", [(poly, p) for poly, p, _ in INFERRED]
-                         + [("1+x", q) for q in (2, 3, 5, 7, 11, 13)])
+KNOWN = [(poly, p) for poly, p, _ in INFERRED] + [("1+x", q) for q in (2, 3, 5, 7, 11, 13)]
+
+
+@pytest.mark.parametrize("poly,p", KNOWN)
 def test_multiplier_equals_the_exact_solve_on_known_recursions(poly, p):
     rec = _recursion(poly, p)
     assert _multiplier(rec) == multiplier_by_solve(rec)
     below_top = 0
     for nudged in _nudged(rec):
-        got = _multiplier_or_refusal(_multiplier, nudged)
-        assert got == _multiplier_or_refusal(multiplier_by_solve, nudged)
+        got = _value_or_refusal(_multiplier, nudged)
+        assert got == _value_or_refusal(multiplier_by_solve, nudged)
         below_top += _top_coefficient(nudged) == 1 and "no Laurent" in str(got)
     assert below_top
 
@@ -216,6 +226,62 @@ def test_multiplier_refusals_name_their_cause(poly, p, top, refusal):
     for solve in (_multiplier, multiplier_by_solve):
         with pytest.raises(ArithmeticError, match=refusal):
             solve(rec)
+
+
+def _reinitialized(rec, rng):
+    """Copies of rec with random initials a(0..threshold-1) and K in -5..5:
+    r depends on the rows alone, so unlike random rows these keep an r and
+    reach b, and the (1 - z) refusal wherever r(1) != 0."""
+    for _ in range(30):
+        initials = tuple(rng.randint(-9, 9) for _ in range(rec.threshold))
+        yield replace(rec, constant=rng.randint(-5, 5), initials=initials)
+
+
+@given(small_recursions())
+@settings(max_examples=200, deadline=None)
+def test_closed_form_equals_the_forcing_derivation_on_random_recursions(rec):
+    for copy in [rec, *_reinitialized(rec, random.Random(repr(rec)))]:
+        assert _value_or_refusal(closed_form, copy) == _value_or_refusal(closed_form_by_forcing, copy)
+
+
+@pytest.mark.parametrize("poly,p", KNOWN)
+def test_closed_form_equals_the_forcing_derivation_on_known_recursions(poly, p):
+    rec = _recursion(poly, p)
+    for copy in [rec, *_reinitialized(rec, random.Random(f"{poly} mod {p}"))]:
+        assert closed_form(copy) == closed_form_by_forcing(copy)
+
+
+def test_closed_form_equals_the_forcing_derivation_on_the_1_z_refusal():
+    # a(2n) = a(n), a(2n+1) = -K has r = 1, so every K != 0 refuses
+    rec = RecursionSpec(p=2, rows=((1,), ()), constant=0, initials=(5,), threshold=1)
+    outcomes = set()
+    for copy in _reinitialized(rec, random.Random(0)):
+        got = _value_or_refusal(closed_form, copy)
+        assert got == _value_or_refusal(closed_form_by_forcing, copy)
+        outcomes.add(isinstance(got, str))
+    assert outcomes == {False, True}
+
+
+def _primes(below):
+    return [q for q in range(2, below) if all(q % d for d in range(2, q))]
+
+
+@pytest.mark.parametrize("p", _primes(62))
+def test_closed_form_b_of_1px_is_the_papers_numerator(p):
+    # series_1px writes G = N/(1-z)^3 with N = H(z) + z^2 (p-1)^2/2 sum_i
+    # S(z^(p^i)), S(w) = p w - 2(p-1) w^2 + (p-2) w^3; with r = (z-1)^3/z^2,
+    # rG = -N/z^2 and b = N(z^p)/z^(2p) - N(z)/z^2, where the sums telescope
+    want = defaultdict(int)
+    for e, c in enumerate((1, p - 3, p * p - 3 * p + 3)):  # H(z^p)/z^(2p) - H(z)/z^2
+        want[p * e - 2 * p] += c
+        want[e - 2] -= c
+    for e, c in ((1, p), (2, -2 * (p - 1)), (3, p - 2)):
+        want[e] -= (p - 1) ** 2 * c // 2
+    support = [e for e, c in want.items() if c]
+    lo, hi = min(support), max(support)
+    assert (lo, hi) == ((-2 * p, 3) if p > 2 else (-4, 2))
+    b = closed_form(recursion_1px(p))[1]
+    assert b == Laurent(lo, tuple(want[e] for e in range(lo, hi + 1)))
 
 
 # ------------------------------------------------------------- residuals ----
