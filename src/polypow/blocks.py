@@ -17,14 +17,20 @@ discovery rows k, which makes any bounded-lookahead stopping rule unsound.
 At a length that is its own source, window_maps also gives, per map, the
 image of every block by index: the transfer maps of the nonzero counts.
 
-Memory: each level is one matrix, its sorted distinct blocks as uint8 rows.
-Every map step is one call of _Closure._cuts, in which row r of the maps
-reads a source level of its own: the scan's rows read one of two horizons,
-every other step reads one level in all rows.  The step holds one candidate
-matrix, the p*p cuts of its sources, filled one row's expansion at a time,
-and the index order that sorts it; the cuts of a sorted level come in long
-sorted runs, which a stable sort merges in little more than one pass.  A
-row's expansion is gathered from tables of at most TABLE_CELLS digits, p
+Memory: each level is one matrix, its sorted distinct blocks as uint8 rows,
+one row per orbit of the units of F_p: when f has two or more terms every
+accessible set is closed under the units (_Closure gives the proof), so
+each nonzero block is divided by its first nonzero digit and a(n) is
+1 + (p - 1) times the nonzero rows.  Every level, candidate matrix and sort
+key of a count then holds 1/(p - 1) of the blocks; p = 2, monomials and the
+finite row horizons of the scan keep every block.  Every map step is one
+call of _Closure._cuts, in which row r of the maps reads a source level of
+its own: the scan's rows read one of two horizons, every other step reads
+one level in all rows.  The step holds one candidate matrix, the p*p cuts
+of its sources, filled one row's expansion at a time, and the index order
+that sorts it; the cuts of a sorted level come in long sorted runs, which a
+stable sort merges in little more than one pass (dividing the cuts breaks
+some of them).  A row's expansion is gathered from tables of at most TABLE_CELLS digits, p
 digits per lookup, built for that expansion.  Every pass over sorted
 candidates reads one array, their first differences, a byte or two each:
 a level keeps the heads of the runs of equal candidates, a fixpoint round
@@ -34,13 +40,14 @@ L = n - p*(n//2//p) is at most lc, it never gathers level s(n) either: the
 first differences of its candidates give each block's front rank and level
 s(L), and each block's suffix is ranked one chunk at a time.  Then it holds
 level L's candidates, about n/2 digits wide, with their order and one
-uint32 rank each; then p*p*a(s(n)) uint64 sort keys, filled one cut at a
-time and sorted in place, and a sparse table of level L's first
-differences, about log2 a(L) rows of a(L) entries (_split_firsts says why
-this is exact).  Otherwise the first differences of the candidates of
-level n count it and every shorter length.  One budget, CHUNK_DIGITS,
-sizes every streamed pass: a chunk of rows holds that many digits, a chunk
-of sort keys or of _expand_row's table keys that many bytes.
+uint32 rank each; then p*p uint64 sort keys per row of level s(n), filled
+one cut at a time and sorted in place, and a sparse table of level L's
+first differences, about log2 k rows of k entries for the k rows of level
+L (_split_firsts says why this is exact).  Otherwise the first
+differences of the candidates of level n count it and every shorter
+length.  One budget, CHUNK_DIGITS, sizes every streamed pass: a chunk of
+rows holds that many digits, a chunk of sort keys or of _expand_row's table
+keys that many bytes.
 An array of more than MAX_CELLS bytes, a digit being one, raises
 ClosureSizeError before it is allocated.  Every call builds its own closure;
 none is cached.  Digits are bytes, so p > 255 is refused.
@@ -143,6 +150,14 @@ def _digit_products(p: int) -> np.ndarray:
     return times
 
 
+@lru_cache(maxsize=None)
+def _inverses(p: int) -> np.ndarray:
+    """The inverse of each digit mod p, 0 for 0, read-only uint8."""
+    inverse = np.array([0] + [pow(u, -1, p) for u in range(1, p)], np.uint8)
+    inverse.setflags(write=False)
+    return inverse
+
+
 def _check_cells(cells: int, what: str) -> None:
     if cells > MAX_CELLS:
         raise ClosureSizeError(f"{what} would hold {cells} bytes, over the cap of {MAX_CELLS}")
@@ -169,13 +184,31 @@ class _Closure:
     """Accessible-block sets of one polynomial, level by level.
 
     Level m is the sorted, duplicate-free uint8 matrix of the accessible
-    m-blocks, one per row.  Level lc, the least fixpoint of the maps, is kept;
-    a shorter level is the distinct prefixes of its rows, and a longer level m
-    is the maps applied to level _source_len(m) < m, so level n needs only
-    the chain n -> _source_len(n) -> ... -> lc, each link dropped once the
-    next is cut.  Every level, horizon and window map is one map step,
-    _cuts(sources, n), and one stable index sort: the candidates are not
-    moved to sort them, and a level is gathered from the first of each run.
+    m-blocks, one row per orbit of the units of F_p: each block divided by
+    its first nonzero digit, and the zero block.  For f with two or more
+    terms every accessible set is closed under the units, so a level of k
+    rows holds 1 + units*(k - 1) blocks, units = p - 1.  Proof, for f =
+    x^s*g with g(0) != 0 and e the least positive exponent of g: the x^e
+    digit of row k of g is k*g(0)^(k-1)*g_e, which takes every unit value,
+    since k mod p and k mod p-1 vary independently, and row k*p^j spaces
+    it p^j from every other digit, so every block whose one nonzero digit
+    is u is accessible.  The accessible blocks are the least set that holds
+    row 0's windows, the blocks whose one nonzero digit is 1, and is closed
+    under the cuts; the cuts are F_p-linear, so u times that set is the
+    least closed set that holds the blocks of one digit u, which lie in it.
+    A monomial c*x^k has only powers of c in its rows, and p = 2 has one
+    unit: for both, units = 1 and no block is divided.  Nor are the blocks
+    of a row horizon, which is not closed under the units.
+
+    Level lc, the least fixpoint of the maps, is kept; a shorter level is
+    the distinct prefixes of its rows (a prefix of a divided block is
+    divided or zero), and a longer level m is the maps applied to level
+    _source_len(m) < m, each cut divided again (the cut of u*b is u times
+    the cut of b), so level n needs only the chain n -> _source_len(n) ->
+    ... -> lc, each link dropped once the next is cut.  Every level, horizon
+    and window map is one map step, _cuts(sources, n), and one stable index
+    sort: the candidates are not moved to sort them, and a level is
+    gathered from the first of each run.
     """
 
     def __init__(self, f: FpPoly):
@@ -184,6 +217,7 @@ class _Closure:
         self.p = f.p
         self.d = len(f.coeffs) - 1
         self.rows = list(iter_rows(f, f.p))
+        self.units = self.p - 1 if sum(map(bool, f.coeffs)) > 1 else 1
         # a table of _expand_row, p**group rows of p digits, is keyed by up to
         # `group` source digits
         self.group = 1
@@ -234,7 +268,7 @@ class _Closure:
         held set are the blocks it adds."""
         fix = new = _row0_blocks(self.lc)
         while len(new):
-            cuts = self._cuts([new] * self.p, self.lc)
+            cuts = self._orbits(self._cuts([new] * self.p, self.lc))
             _check_cells((len(fix) + len(cuts)) * self.lc, "the fixpoint")
             both = np.concatenate([fix, cuts])
             order = _order(both)
@@ -335,19 +369,51 @@ class _Closure:
             del e
         return out
 
+    def _normalize(self, mat: np.ndarray) -> np.ndarray:
+        """Divide each row of mat in place by its first nonzero digit, and
+        return those digits as uint8, 0 for a zero row.  One chunk of rows
+        at a time: its first nonzero columns, then the rows whose digit is
+        not 1 times its inverse mod p, in bytes while (p-1)**2 fits one."""
+        p, inverse = self.p, _inverses(self.p)
+        units = np.empty(len(mat), np.uint8)
+        step = _chunk(mat.shape[1])
+        for lo in range(0, len(mat), step):
+            block = mat[lo:lo + step]
+            first = np.argmax(block != 0, axis=1)
+            unit = units[lo:lo + step] = block[np.arange(len(block)), first]
+            rows = np.flatnonzero(unit > 1)
+            scaled = block[rows] if p <= 16 else block[rows].astype(np.uint16)
+            np.multiply(scaled, inverse[unit[rows], None], out=scaled)
+            block[rows] = np.remainder(scaled, p, out=scaled)
+        return units
+
+    def _orbits(self, mat: np.ndarray) -> np.ndarray:
+        """mat, each row divided by its first nonzero digit when units > 1."""
+        if self.units > 1:
+            self._normalize(mat)
+        return mat
+
+    def _multiples(self, level: np.ndarray) -> np.ndarray:
+        """The whole level: every unit multiple of its rows, sorted and distinct."""
+        if self.units == 1:
+            return level
+        times = _digit_products(self.p)[1:].astype(np.uint8)
+        return _unique_rows(times[:, level].reshape(-1, level.shape[1]))
+
     def candidates(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The accessible n-blocks (n >= 1), one per matrix row, each as often
-        as it is found, and the order that sorts them.  Above lc they are the
-        cuts of their source level; at or below lc they are the prefixes of
-        the sorted fixpoint, so the order is one linear pass."""
+        """The accessible n-blocks (n >= 1), one per orbit and matrix row,
+        each as often as it is found, and the order that sorts them.  Above
+        lc they are the divided cuts of their source level; at or below lc
+        they are the prefixes of the sorted fixpoint, so the order is one
+        linear pass."""
         if n > self.lc:
-            mat = self._cuts([self.level(self._source_len(n))] * self.p, n)
+            mat = self._orbits(self._cuts([self.level(self._source_len(n))] * self.p, n))
         else:
             mat = np.ascontiguousarray(self.fixpoint[:, :n])
         return mat, _order(mat)
 
     def level(self, n: int) -> np.ndarray:
-        """The accessible n-blocks (n >= 1), sorted, one per matrix row."""
+        """The accessible n-blocks (n >= 1), one per orbit, sorted, one per matrix row."""
         return _distinct(*self.candidates(n))
 
 
@@ -362,7 +428,7 @@ def window_maps(f: FpPoly, n: int) -> tuple[np.ndarray, np.ndarray]:
     closure = _Closure(f)
     if closure._source_len(n) != n:
         raise ValueError(f"window length {n} is not its own source length")
-    level = closure.level(n)
+    level = closure._multiples(closure.level(n))
     cuts = closure._cuts([level] * f.p, n)
     images = np.searchsorted(_packed(level), _packed(cuts))
     return level, images.reshape(f.p, f.p, len(level))
@@ -399,8 +465,9 @@ def line_complexity_range(f: FpPoly, n_max: int) -> list[int]:
         firsts = _split_firsts(closure, n_max, t)
     else:
         firsts = np.bincount(_first_diffs(*closure.candidates(n_max))[1:], minlength=n_max + 1)
-    # the last bin holds the pairs of equal windows
-    return [1, *(1 + np.cumsum(firsts[:n_max])).tolist()]
+    # the last bin holds the pairs of equal windows; each unequal pair
+    # starts one orbit of `units` blocks
+    return [1, *(1 + closure.units * np.cumsum(firsts[:n_max])).tolist()]
 
 
 def _rank(mat: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -438,8 +505,8 @@ def _range_minima(values: np.ndarray) -> np.ndarray:
 
 def _split_firsts(closure: _Closure, n: int, t: int) -> np.ndarray:
     """firsts, as _rank counts them, bin n included, for the sorted
-    n-windows, found from the candidates of the shorter level L = n - p*t,
-    where lc < L and n/2 <= L.
+    n-windows, one per orbit, found from the candidates of the shorter
+    level L = n - p*t, where lc < L and n/2 <= L.
 
     s(n) = t + s(L), and cut p*r+j of a block b of level s(n) is two
     L-windows.  Its first L digits are cut p*r+j of b[:s(L)], since they
@@ -454,6 +521,17 @@ def _split_firsts(closure: _Closure, n: int, t: int) -> np.ndarray:
     level L between their second halves' ranks; equal keys are equal
     windows.
 
+    With units > 1 every half is u times a block of level L, and a window
+    divided by the unit u of its first half has the second half (v/u)
+    times the block of rank k, v its unit (a zero first half takes u = 0
+    and the ratio 0, a zero second half v = 0).  So its key holds, below
+    the first half's rank, the second half's first nonzero column c, the
+    ratio v/u and k.  Two windows with equal first halves and unequal
+    (c, v/u) first differ at the smaller c; with equal (c, v/u), where
+    their ranks do.  Level L is sorted, so c falls as the rank grows and is
+    the running minimum of its first differences.  A block's suffix b[t:]
+    is divided before it is ranked, and its unit scales the cut's.
+
     Beside the sorted keys, no array holds one entry per window.  Level
     s(n) is read from the first differences of its sorted candidates, never
     gathered: its blocks are the candidates that first differ from the one
@@ -464,7 +542,7 @@ def _split_firsts(closure: _Closure, n: int, t: int) -> np.ndarray:
     and sorted in place, and the adjacent pairs, their range minima
     included, are read one chunk at a time.
     """
-    p = closure.p
+    p, quotient = closure.p, closure.units > 1
     half = n - p * t
     width = closure._source_len(half)
     mat, order = closure.candidates(closure._source_len(n))
@@ -481,22 +559,44 @@ def _split_firsts(closure: _Closure, n: int, t: int) -> np.ndarray:
     del diffs, block, prefix
     index = _packed(sources)
     back = np.empty(len(heads), np.uint32)
+    scale = np.ones(len(heads), np.uint8)  # the unit of each suffix
     step = _chunk(width)
     for lo in range(0, len(heads), step):
-        back[lo:lo + step] = np.searchsorted(index, _packed(mat[heads[lo:lo + step], t:]))
+        suffix = mat[heads[lo:lo + step], t:]
+        if quotient:
+            scale[lo:lo + step] = closure._normalize(suffix)
+        back[lo:lo + step] = np.searchsorted(index, _packed(suffix))
     del mat, order, heads, index
     cuts = closure._cuts([sources] * p, half)
     del sources
+    units = closure._normalize(cuts) if quotient else np.ones(len(cuts), np.uint8)
     counts, ranks, lcp = _rank(cuts, _order(cuts))
     del cuts
-    # key = rank of the window's first half << 32 | rank of its second half,
-    # filled one cut at a time
+    # key = front rank, then the second half's c and v/u when quotient,
+    # then its rank: fields that fit 64 bits, since level L has fewer than
+    # MAX_CELLS/L blocks and p <= L.  Level L is sorted from its zero block
+    # on, so c is the running minimum of lcp
+    rank_bits = len(lcp).bit_length()
+    col_bits, ratio_bits = (half.bit_length(), (p - 1).bit_length()) if quotient else (0, 0)
+    back_bits = col_bits + ratio_bits + rank_bits
+    cols = np.minimum.accumulate(np.concatenate([[half], lcp]).astype(lcp.dtype))
+    # filled one cut at a time from two codes per block of level L, its
+    # rank shifted up and (c, rank); v/u is two lookups per window in the
+    # flat table of products, the suffix's unit times the cut's, then the
+    # inverse of the front's unit times that, shifted into place
+    products = _digit_products(p).ravel()
+    ratios = products.astype(np.uint64) << rank_bits
+    inverse = _inverses(p).astype(np.intp) * p
+    scale = scale.astype(np.intp) * p
     key = np.empty((p * p, len(front)), np.uint64)
-    for cut, img in zip(key, ranks.reshape(p * p, -1)):
-        cut[:] = img[front]
-        cut <<= 32
-        cut |= img[back]
-    del ranks, front, back
+    for cut, img, unit in zip(key, ranks.reshape(p * p, -1), units.reshape(p * p, -1)):
+        code = img.astype(np.uint64)
+        np.take(code << back_bits, front, out=cut)
+        if quotient:
+            code |= cols[img].astype(np.uint64) << ratio_bits + rank_bits
+            cut |= np.take(ratios, inverse[unit][front] + np.take(products, scale + unit[back]))
+        cut |= code[back]
+    del ranks, units, front, back, scale
     key = key.ravel()
     key.sort()
     table = _range_minima(lcp).ravel()  # row k of the table starts at k*len(lcp)
@@ -508,13 +608,17 @@ def _split_firsts(closure: _Closure, n: int, t: int) -> np.ndarray:
         diff = pair[1:] ^ pair[:-1]
         firsts[n] += len(diff) - np.count_nonzero(diff)
         # the adjacent windows whose first halves are equal and second halves not
-        tied = np.flatnonzero((diff > 0) & (diff < 1 << 32))
-        a = (pair[tied] & 0xFFFFFFFF).astype(np.intp)
-        b = (pair[tied + 1] & 0xFFFFFFFF).astype(np.intp)
+        tied = np.flatnonzero((diff > 0) & (diff < 1 << back_bits))
+        first, second = ((pair[tied + i] & (1 << back_bits) - 1).astype(np.intp) for i in (0, 1))
+        # their second halves first differ at the first one's c, unless
+        # (c, v/u) is equal, and then where the blocks of their ranks do
+        shared = first >> ratio_bits + rank_bits
+        same = np.flatnonzero(first >> rank_bits == second >> rank_bits)
+        a, b = first[same] & (1 << rank_bits) - 1, second[same] & (1 << rank_bits) - 1
         k = np.frexp(b - a)[1] - 1  # floor(log2(b - a)), exact below 2**53
         b -= 1 << k
         k *= len(lcp)
-        shared = np.minimum(np.take(table, k + a), np.take(table, k + b))
+        shared[same] = np.minimum(np.take(table, k + a), np.take(table, k + b))
         firsts[n - half:n] += np.bincount(shared, minlength=half)
     return firsts
 

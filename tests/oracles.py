@@ -6,7 +6,8 @@ for the transfer maps, one unbuffered scatter-add per edge; for the recursion
 fit, one exact solve per trial threshold; for the generating function's
 multiplier r(z), one exact solve of all its equations at once, and for its
 b(z), the forcing polynomial P of the terms below the threshold; for the
-block counts, the sorted candidates of the top level itself; for the limit
+block counts, the sorted candidates of the top level itself, and an
+unquotiented closure over Python tuples; for the limit
 law's projection row, the characteristic polynomial by Faddeev-LeVerrier,
 and for the 1+x laws their closed form; for the linear-representation type,
 plain Python-int matrices and sympy's exact nullspace; and a row of digits
@@ -230,14 +231,75 @@ def closed_form_by_forcing(rec: RecursionSpec) -> tuple[Laurent, Laurent]:
     return r, Laurent(min(support), tuple(b[e] for e in range(min(support), max(support) + 1)))
 
 
+def count_by_sets(f, n_max):
+    """[a(0), ..., a(n_max)] from an unquotiented closure over Python tuples.
+
+    Row p*m+r of f is row m dilated by p times row r = f^r, so the n-window
+    at p*t+dr+j of row p*m+r (dr = deg f^r, j < p) is read off the
+    expansion of the s-window at t of row m, for s = (n + D + p - 2)//p + 1
+    with D the largest dr.  At the largest length M with s >= M, where
+    s = M, the accessible M-windows are the least set that holds row 0's
+    windows and the cuts of its blocks' s-prefixes; each longer level is
+    the cuts of its source level, and a(m) counts the distinct m-prefixes
+    of the top level's windows.
+    """
+    p = f.p
+    rows = [[1]]
+    for _ in range(p - 1):
+        row = [0] * (len(rows[-1]) + len(f.coeffs) - 1)
+        for i, a in enumerate(rows[-1]):
+            for k, c in enumerate(f.coeffs):
+                row[i + k] = (row[i + k] + a * c) % p
+        while row[-1] == 0:
+            row.pop()
+        rows.append(row)
+    reach = max(len(row) for row in rows) - 1
+
+    def source(n):
+        return (n + reach + p - 2) // p + 1
+
+    def cuts(blocks, n):
+        windows = set()
+        for b in blocks:
+            for row in rows:
+                expansion = [0] * (p * len(b) + len(row))
+                for u, digit in enumerate(b):
+                    for k, c in enumerate(row):
+                        expansion[p * u + k] = (expansion[p * u + k] + digit * c) % p
+                dr = len(row) - 1
+                for j in range(p):
+                    windows.add(tuple(expansion[dr + j:dr + j + n]))
+        return windows
+
+    # source(n) - n falls by at most 1 a step, so it is 0 at the largest
+    # n where it is >= 0, and < 0 above
+    fix_len = 1
+    while source(fix_len + 1) >= fix_len + 1:
+        fix_len += 1
+    # row 0's windows: the zero block and a lone 1 at each place
+    fix = {tuple(int(i == k) for i in range(fix_len)) for k in range(-1, fix_len)}
+    while len(grown := fix | cuts({b[:source(fix_len)] for b in fix}, fix_len)) > len(fix):
+        fix = grown
+
+    def level(n):
+        if n <= fix_len:
+            return {b[:n] for b in fix}
+        return cuts(level(source(n)), n)
+
+    top = level(max(n_max, 1))
+    return [len({w[:m] for w in top}) for m in range(n_max + 1)]
+
+
 def count_by_candidates(f, n_max):
     """[a(0), ..., a(n_max)] from the candidates of level n_max itself: the
-    p*p cuts of level s(n_max), sorted with their repeats, and 1 plus the
-    adjacent unequal ones that first differ before each length."""
+    p*p cuts of level s(n_max), one per orbit of the units, sorted with
+    their repeats, and 1 plus `units` times the adjacent unequal ones that
+    first differ before each length."""
     if n_max == 0:
         return [1]
-    firsts = np.bincount(_first_diffs(*_Closure(f).candidates(n_max))[1:], minlength=n_max + 1)
-    return [1, *(1 + np.cumsum(firsts[:n_max])).tolist()]
+    closure = _Closure(f)
+    firsts = np.bincount(_first_diffs(*closure.candidates(n_max))[1:], minlength=n_max + 1)
+    return [1, *(1 + closure.units * np.cumsum(firsts[:n_max])).tolist()]
 
 
 def digits_to_text(digits) -> str:

@@ -33,7 +33,8 @@ from polypow import (
 from polypow import blocks
 from polypow.fpoly import parse_poly
 
-from oracles import count_by_candidates, digits_to_text, infer_by_thresholds, series_1xx2
+from oracles import (count_by_candidates, count_by_sets, digits_to_text, infer_by_thresholds,
+                     series_1xx2)
 
 ONE_PLUS_X_2 = FpPoly.make(2, [1, 1])
 ONE_PLUS_X_3 = FpPoly.make(3, [1, 1])
@@ -186,8 +187,11 @@ def test_scan_builds_no_fixpoint(monkeypatch):
 )
 def test_closure_members_equal_deep_scan(f, n, rows):
     # the horizon is generous enough that the scanned set is complete; the
-    # oracle shares nothing with the maps that the closure and the scan run
-    exact = {digits_to_text(b) for b in blocks._Closure(f).level(n)}
+    # oracle shares nothing with the maps that the closure and the scan run.
+    # The level holds one block per orbit of the units, whose multiples are
+    # the whole set
+    closure = blocks._Closure(f)
+    exact = {digits_to_text(b) for b in closure._multiples(closure.level(n))}
     assert exact == windows_oracle(f, n, rows + 1)
 
 
@@ -202,7 +206,8 @@ def test_line_complexity_closed_form_mod2():
     assert values == [1] + [n * n - n + 2 for n in range(1, 401)]
 
 
-@pytest.mark.parametrize("p,n_max", [(3, 150), (5, 80)])
+# mod 17 the blocks are divided in uint16, (p - 1)**2 being over a byte
+@pytest.mark.parametrize("p,n_max", [(3, 150), (5, 80), (17, 60)])
 def test_range_equals_the_closed_recursion(p, n_max):
     f = FpPoly.make(p, [1, 1])
     assert line_complexity_range(f, n_max) == a_from_recursion_range(recursion_1px(p), n_max)
@@ -359,7 +364,7 @@ def test_prefix_pass_counts_the_distinct_prefixes(monkeypatch, chunk):
 
 def test_prefix_pass_in_small_chunks_counts_a_range(monkeypatch):
     closure = blocks._Closure(CXX2_23)
-    level = closure.level(12)
+    level = closure._multiples(closure.level(12))
     oracle = [1] + [distinct_prefixes(level, m) for m in range(1, 13)]
     # level s(12) and level L = 12 - 3*2 both have 6 digits: chunks of 7 rows
     assert closure._source_len(12) == 6
@@ -390,7 +395,8 @@ def test_counted_level_counts_exactly_with_its_repeats(monkeypatch, chunk):
     candidates, order = blocks._Closure(QUADRATIC_5_POLY).candidates(30)
     assert len(blocks._unique_rows(candidates)) < len(candidates)
     assert np.array_equal(candidates[order], np.array(sorted(candidates.tolist()), np.uint8))
-    level = blocks._Closure(CXX2_23).level(12)
+    closure = blocks._Closure(CXX2_23)
+    level = closure._multiples(closure.level(12))
     cases = [(QUADRATIC_5_POLY, 30, a_from_recursion_range(QUADRATIC_5, 30)),
              (ONE_PLUS_X_3, 60, [a_1px(3, n) for n in range(61)]),
              (CXX2_23, 12, [1] + [distinct_prefixes(level, m) for m in range(1, 13)])]
@@ -458,6 +464,57 @@ def test_split_count_equals_the_candidate_count(polys):
         oracle = count_by_candidates(f, lengths[-1])
         for n in lengths:
             assert line_complexity_range(f, n) == oracle[:n + 1], (f, n)
+
+
+UNQUOTIENTED_CASES = [FpPoly.make(p, c) for p, c in (
+    (3, [2, 1, 1]), (3, [1, 0, 2, 1]), (5, [0, 1, 1]), (5, [2, 1, 0, 3]), (5, [4]),
+    (7, [3, 1, 2]), (7, [0, 0, 0, 2]), (11, [5, 0, 3]), (11, [1, 1]), (13, [1, 1]))]
+
+
+@pytest.mark.parametrize("f", UNQUOTIENTED_CASES,
+                         ids=lambda f: f"{digits_to_text(f.coeffs)} mod {f.p}")
+def test_counts_equal_the_unquotiented_closure(f):
+    # the oracle keeps every unit multiple of every block as a tuple; the
+    # lengths lie on both sides of 2p, where the split count starts, and at
+    # p = 3 past it, since L = n - 3t must exceed lc >= 3.  4 mod 5 and 2x^3
+    # mod 7 have coefficients of order 2 and 3, below p - 1, and x+x^2 mod 5
+    # has f(0) = 0
+    p = f.p
+    lengths = [1, 2, 2 * p - 1, 2 * p, 2 * p + 1] + ([3 * p + 2] if p == 3 else [])
+    oracle = count_by_sets(f, lengths[-1])
+    for n in lengths:
+        assert line_complexity_range(f, n) == oracle[:n + 1], (f, n)
+        assert line_complexity(f, n) == oracle[n], (f, n)
+
+
+def test_a_quotiented_level_holds_one_row_per_orbit():
+    # 1+x+x^2 mod 5 has two terms, so each nonzero orbit is 4 blocks
+    closure = blocks._Closure(QUADRATIC_5_POLY)
+    level = closure.level(15)
+    count = a_from_recursion(QUADRATIC_5, 15)
+    assert closure.units == 4
+    assert len(level) == 1 + (count - 1) // 4
+    # the zero block, then rows whose first nonzero digit is 1
+    assert not level[0].any()
+    nonzero = level[1:]
+    assert (nonzero[np.arange(len(nonzero)), np.argmax(nonzero != 0, axis=1)] == 1).all()
+    assert len(closure._multiples(level)) == count
+
+
+def test_no_block_is_divided_mod_2_or_for_a_monomial(monkeypatch):
+    # p = 2 has one unit, and the rows of c*x^k hold only powers of c
+    monkeypatch.setattr(blocks._Closure, "_normalize",
+                        lambda self, mat: pytest.fail("a block was divided"))
+    assert line_complexity_range(ONE_PLUS_X_2, 40) == [a_1px(2, n) for n in range(41)]
+    assert line_complexity_range(CXX2_12, 40) == series_1xx2(40)
+    level, _ = blocks.window_maps(CXX2_12, 3)
+    assert len(level) == series_1xx2(3)[3]
+    for p, coeffs, order in ((5, [4], 2), (7, [0, 0, 0, 2], 3), (3, [0, 2], 2), (5, [1], 1)):
+        f = FpPoly.make(p, coeffs)
+        assert blocks._Closure(f).units == 1
+        assert line_complexity_range(f, 30) == [1 + order * n for n in range(31)]
+        level, _ = blocks.window_maps(f, f.degree + 1)
+        assert len(level) == 1 + order * (f.degree + 1)
 
 
 def test_split_count_reaches_levels_past_the_candidate_cap():
@@ -539,7 +596,8 @@ def test_split_count_gathers_neither_level_s_n_nor_distinct_rows(monkeypatch):
     monkeypatch.setattr(blocks._Closure, "level", recording)
     monkeypatch.setattr(blocks, "_unique_rows", refused)
     firsts = blocks._split_firsts(closure, n, n // 2 // f.p)
-    assert (1 + np.cumsum(firsts[:n])).tolist() == a_from_recursion_range(QUADRATIC_5, 60)[1:]
+    counts = 1 + closure.units * np.cumsum(firsts[:n])
+    assert counts.tolist() == a_from_recursion_range(QUADRATIC_5, 60)[1:]
     # only the source chain below level s(60) = 15 is built, not level 15
     # nor level s(L) = s(30) = 9
     assert source_chain(f, 15) == [15, 6, 4]
@@ -626,9 +684,10 @@ def test_unique_rows_leaves_its_argument_alone():
 
 
 def naive_fixpoint(closure):
-    """The fixpoint by re-expanding the whole level every round."""
+    """The fixpoint by re-expanding the whole level every round, one block per orbit."""
     fix = blocks._row0_blocks(closure.lc)
-    while len(grown := blocks._unique_rows(closure._cuts([fix] * closure.p, closure.lc))) > len(fix):
+    while len(grown := blocks._unique_rows(
+            closure._orbits(closure._cuts([fix] * closure.p, closure.lc)))) > len(fix):
         fix = grown
     return fix
 
@@ -678,7 +737,7 @@ def test_cuts_read_each_rows_own_source(monkeypatch, f):
     assert at == len(got)
     # every cut of an accessible block is accessible
     found = {bytes(row) for row in blocks._unique_rows(got)}
-    assert found <= {bytes(row) for row in closure.level(n)}
+    assert found <= {bytes(row) for row in closure._multiples(closure.level(n))}
     # under a cap below the dilated span of the whole level, a few blocks
     # still fit, and the level alone in one row is refused before its
     # expansion or the candidate matrix is allocated

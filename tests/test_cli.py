@@ -554,12 +554,12 @@ def test_exit_code_3_for_diagnostics(capsys):
 
 
 def test_oversized_closure_exits_3(capsys):
-    # one round of the fixpoint of 5-blocks of this cubic would cut the
-    # 274970 blocks it added into 17*17*274970 candidates of 5 digits; each
-    # row's expansion alone fits
-    code, out, err = run(capsys, "blocks", "--poly", "3+5x+16x^3", "--prime", "17", "--n", "4")
+    # one round of the fixpoint of 5-blocks of this cubic mod 31 would cut
+    # the 130953 orbits it added into 31*31*130953 candidates of 5 digits;
+    # each row's expansion alone fits
+    code, out, err = run(capsys, "blocks", "--poly", "3+5x+16x^3", "--prime", "31", "--n", "4")
     assert (code, out) == (3, "")
-    assert err.startswith(f"diagnostic: the candidate 5-blocks would hold {17 * 17 * 274970 * 5} bytes")
+    assert err.startswith(f"diagnostic: the candidate 5-blocks would hold {31 * 31 * 130953 * 5} bytes")
     assert err.endswith(f"over the cap of {2**28}\n")
 
 
