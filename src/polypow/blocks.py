@@ -49,7 +49,8 @@ length.  One budget, CHUNK_DIGITS, sizes every streamed pass: a chunk of
 rows holds that many digits, a chunk of sort keys or of _expand_row's table
 keys that many bytes.
 An array of more than MAX_CELLS bytes, a digit being one, raises
-ClosureSizeError before it is allocated.  Every call builds its own closure;
+ClosureSizeError before it is allocated, and so does a fixpoint round whose
+arrays together would.  Every call builds its own closure;
 none is cached.  Digits are bytes, so p > 255 is refused.
 """
 
@@ -73,7 +74,8 @@ class InferenceError(RuntimeError):
 
 
 class ClosureSizeError(RuntimeError):
-    """Raised when one array of a closure step would hold more than MAX_CELLS bytes."""
+    """Raised when one array of a closure step, or the arrays of one fixpoint
+    round together, would hold more than MAX_CELLS bytes."""
 
 
 def _row0_blocks(n: int) -> np.ndarray:
@@ -269,7 +271,10 @@ class _Closure:
         fix = new = _row0_blocks(self.lc)
         while len(new):
             cuts = self._orbits(self._cuts([new] * self.p, self.lc))
-            _check_cells((len(fix) + len(cuts)) * self.lc, "the fixpoint")
+            # held at once: the set, the cuts, both joined, and their sort order
+            rows = len(fix) + len(cuts)
+            _check_cells(2 * rows * self.lc + 8 * rows,
+                         f"a fixpoint round of {len(fix)} held blocks and {len(cuts)} cuts")
             both = np.concatenate([fix, cuts])
             order = _order(both)
             heads = order[_first_diffs(both, order) < self.lc]

@@ -6,12 +6,14 @@ first.  Both row routes rest on Frobenius, f^(tC+a) = f^a * f^t(x^C) for C a
 power of p.  poly_pow builds one row from the base-p digits of k (C = p),
 squaring only below p, in O(k*p*d^2) digit operations, not dense O((k*d)^2).
 row_blocks builds the rows in p-adic blocks and yields them as uint8
-matrices of consecutive rows; iter_rows yields them one row at a time.
-count_coeff counts one residue, or every nonzero digit, in a row,
-cumulative_count sums that over rows 0..n-1, and the nonzero pattern of the
-rows renders as a bitmap.  divmod_mod and gcd_mod divide plain coefficient
-lists over Z/p, and squarefree_parts splits a polynomial into square-free
-parts.
+matrices of consecutive rows; iter_rows yields them one row at a time.  At
+p = 2 the blocks are built as packed bits, eight digits to a byte, and
+row_counts counts each row's nonzero digits by a popcount of those bytes;
+at odd p the blocks hold one digit per byte.  count_coeff counts one
+residue, or every nonzero digit, in a row, cumulative_count sums that over
+rows 0..n-1, and the nonzero pattern of the rows renders as a bitmap.
+divmod_mod and gcd_mod divide plain coefficient lists over Z/p, and
+squarefree_parts splits a polynomial into square-free parts.
 """
 
 from __future__ import annotations
@@ -205,8 +207,10 @@ def poly_pow(f: FpPoly, k: int) -> FpPoly:
 MAX_ROW_PRIME = 255
 # Digits in one block of row_blocks: C rows of the widest width, C the largest
 # power of p that fits, but never below p.  8 MB of uint8, built in uint16
-# for odd p.  A smaller cap means more, narrower adds: at 2^19, 2^14 rows of
-# a degree-5 polynomial mod 2 take 20 s instead of 0.6 s.
+# for odd p and as packed bits (1 MB) at p = 2, where the packed blocks hold
+# max(C, 8) rows.  A smaller cap means more, narrower adds: at 2^19, the
+# 3^9 rows of 1+x+x^2+x^5 mod 3 take 120 s instead of 6 s, and its 2^14
+# rows mod 2 0.5 s instead of 0.2 s.
 ROW_BLOCK_CELLS = 2**23
 
 
@@ -228,17 +232,81 @@ def row_blocks(f: FpPoly, n: int):
     to the width of the block's last row.  By Frobenius f^(tC+a) = f^a * f^t(x^C)
     for C a power of p, so rows tC..tC+C-1 are the first C rows shifted by
     multiples of C and weighted by the digits of row t: a few whole-block adds
-    per block instead of a convolution per row.  Digits never wrap: XOR at
-    p = 2, else uint16 sums of at most (p-1) + (p-1)^2 reduced mod p after
-    every term.  Refuses, before building anything, the zero polynomial and
-    p > 255.
+    per block instead of a convolution per row.  Odd p adds in uint16, at
+    most (p-1) + (p-1)^2 before each reduction mod p, so digits never wrap.
+    p = 2 adds by XOR on packed bits (see _packed_blocks) and unpacks each
+    block to one digit per byte.  Refuses, before building anything, the
+    zero polynomial and p > 255.
     """
+    _check_rows(f)
+    return _row_blocks(f, n)
+
+
+def row_counts(f: FpPoly, n: int) -> np.ndarray:
+    """The nonzero digits of each row 0..n-1 of f, as int64.
+
+    At p = 2 this is a popcount of the packed blocks, never unpacked; at odd
+    p it is count_nonzero over the blocks of row_blocks.  Refuses, before
+    building anything, n < 0, the zero polynomial and p > 255.
+    """
+    if n < 0:
+        raise ValueError("row count must be >= 0")
+    _check_rows(f)
+    counts = np.zeros(n, np.int64)
+    if f.p == 2:
+        for start, bits in _packed_blocks(f, n, max(_block_rows(f, n), 8)):
+            # uint32 sums are exact: a row of 2^32 digits would be 512 MB packed
+            counts[start : start + len(bits)] = _popcount(bits).sum(axis=1, dtype=np.uint32)
+    else:
+        for start, block in _row_blocks(f, n):
+            counts[start : start + len(block)] = np.count_nonzero(block, axis=1)
+    return counts
+
+
+def _pick_popcount():
+    """Set bits per byte: np.bitwise_count where numpy has it (2.0 on), else
+    a 256-entry table."""
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count
+    return np.array([bin(b).count("1") for b in range(256)], np.uint8).take
+
+
+_popcount = _pick_popcount()
+
+
+def _check_rows(f: FpPoly) -> None:
     if f.is_zero():
         raise ValueError("rows of the zero polynomial are not defined")
     if f.p > MAX_ROW_PRIME:
         raise ValueError(
             f"rows store digits as bytes, so p must be <= {MAX_ROW_PRIME}, got {f.p}")
-    return _row_blocks(f, n)
+
+
+def _block_rows(f: FpPoly, n: int) -> int:
+    """C, the rows of one block of row_blocks (see ROW_BLOCK_CELLS)."""
+    p, width = f.p, (n - 1) * f.degree + 1
+    size = p
+    while size < n and size * p * width <= ROW_BLOCK_CELLS:
+        size *= p
+    return size
+
+
+def _row_blocks(f: FpPoly, n: int):
+    if n <= 0:
+        return
+    size, d = _block_rows(f, n), f.degree
+    if f.p > 2:
+        yield from _digit_blocks(f, n, size)
+        return
+    # a packed block of max(C, 8) rows is unpacked C rows at a time, so the
+    # blocks are those of C rows that the cap allows
+    for start, bits in _packed_blocks(f, n, max(size, 8)):
+        for i in range(0, len(bits), size):
+            rows = bits[i : i + size]
+            block = np.unpackbits(rows, axis=1, count=(start + i + len(rows) - 1) * d + 1,
+                                  bitorder="little")
+            block.flags.writeable = False
+            yield start + i, block
 
 
 def _add_shifted(out: np.ndarray, src: np.ndarray, digits, shift: int, p: int) -> None:
@@ -246,26 +314,16 @@ def _add_shifted(out: np.ndarray, src: np.ndarray, digits, shift: int, p: int) -
     w = src.shape[1]
     for i in np.flatnonzero(digits).tolist():
         view = out[:, i * shift : i * shift + w]
-        if p == 2:
-            view ^= src
-        else:
-            view += int(digits[i]) * src
-            view %= p
+        view += int(digits[i]) * src
+        view %= p
 
 
-def _row_blocks(f: FpPoly, n: int):
+def _digit_base(f: FpPoly, m: int) -> np.ndarray:
+    """Rows 0..m-1 of f, zero-padded to row m-1: rows below p by convolution,
+    then each level by Lucas doubling, rows [tS, (t+1)S) being rows [0, S)
+    times f^t(x^S), in uint16 reduced mod p."""
     p, d = f.p, f.degree
-    if n <= 0:
-        return
-    width = (n - 1) * d + 1
-    size = p  # C, the rows of the base block
-    while size < n and size * p * width <= ROW_BLOCK_CELLS:
-        size *= p
-    m = min(size, n)
-    dtype = np.uint8 if p == 2 else np.uint16
-    # rows 0..p-1 by convolution, then each level by Lucas doubling:
-    # rows [tS, (t+1)S) are rows [0, S) times f^t(x^S)
-    base = np.zeros((m, (m - 1) * d + 1), dtype)
+    base = np.zeros((m, (m - 1) * d + 1), np.uint16)
     row, f_digits = np.ones(1, np.int64), np.asarray(f.coeffs, np.int64)
     for k in range(min(p, m)):
         if k:
@@ -280,16 +338,23 @@ def _row_blocks(f: FpPoly, n: int):
             _add_shifted(base[lo:hi], base[: hi - lo, : (hi - lo - 1) * d + 1],
                          base[t, : t * d + 1], step, p)
         step *= p
+    return base
+
+
+def _digit_blocks(f: FpPoly, n: int, size: int):
+    """Rows 0..n-1 of f at odd p in blocks of size rows, read-only uint8."""
+    p, d = f.p, f.degree
+    base = _digit_base(f, min(size, n))
     # block t is weighted by row t < tC, so rows 0..n_blocks-1 are kept as
     # they are made; blocks are yielded read-only, since they are read again
     n_blocks = -(-n // size)
     block = _frozen(base)
-    prefix = [block[k, : k * d + 1] for k in range(min(m, n_blocks))]
+    prefix = [block[k, : k * d + 1] for k in range(min(len(base), n_blocks))]
     yield 0, block
     for t in range(1, n_blocks):
         start = t * size
         rows = min(size, n - start)
-        out = np.zeros((rows, (start + rows - 1) * d + 1), dtype)
+        out = np.zeros((rows, (start + rows - 1) * d + 1), np.uint16)
         _add_shifted(out, base[:rows, : (rows - 1) * d + 1], prefix[t], size, p)
         block = _frozen(out)
         prefix += [block[k - start, : k * d + 1] for k in range(start, min(start + rows, n_blocks))]
@@ -297,10 +362,77 @@ def _row_blocks(f: FpPoly, n: int):
 
 
 def _frozen(digits: np.ndarray) -> np.ndarray:
-    """A read-only uint8 view or copy of digits."""
-    out = digits.view() if digits.dtype == np.uint8 else digits.astype(np.uint8)
+    """A read-only uint8 copy of digits."""
+    out = digits.astype(np.uint8)
     out.flags.writeable = False
     return out
+
+
+def _packed_width(k: int, d: int) -> int:
+    """Bytes of row k, k*d+1 digits, packed 8 to a byte."""
+    return (k * d + 8) // 8
+
+
+def _packed_blocks(f: FpPoly, n: int, size: int):
+    """Rows 0..n-1 of f mod 2, as (start, bits) pairs of size rows each.
+
+    bits[i] holds row start+i, digit j in bit j % 8 of byte j // 8 (the
+    "little" bit order of np.packbits), zero-padded to the bytes of the
+    block's last row.  size is a power of 2, at least 8.  The base holds
+    the first B rows, B >= size the largest power of 2 whose rows fit
+    ROW_BLOCK_CELLS, and row tB+a = f^a * f^t(x^B): a block past the base
+    is a slice of size rows of the base, XORed in at B/8 bytes times each
+    nonzero digit of row t.  A block of the base is a view of it.
+    """
+    if n <= 0:
+        return
+    d = f.degree
+    big = size
+    while big < n and 2 * big * ((2 * big - 1) * d + 1) <= ROW_BLOCK_CELLS:
+        big *= 2
+    base = _packed_base(f, min(big, n))
+    # row t weights the blocks of rows tB..tB+B-1, and t < tB for t >= 1, so
+    # rows 0..n_weights-1 are kept as they are made
+    n_weights = -(-n // big)
+    weights = [_ones(row) for row in base[:n_weights]]
+    for block in range(-(-n // size)):
+        start = block * size
+        t, a = divmod(start, big)
+        rows = min(size, n - start)
+        bits = base[a : a + rows, : _packed_width(a + rows - 1, d)]
+        if t:
+            out = np.zeros((rows, _packed_width(start + rows - 1, d)), np.uint8)
+            for s in (weights[t] * (big // 8)).tolist():
+                out[:, s : s + bits.shape[1]] ^= bits
+            weights += [_ones(row) for row in out[: max(n_weights - start, 0)]]
+            bits = out
+        yield start, bits
+
+
+def _packed_base(f: FpPoly, m: int) -> np.ndarray:
+    """Rows 0..m-1 of f mod 2, packed as in _packed_blocks: rows below 8 are
+    those of _digit_base, and each later doubling step XORs the rows before
+    it in at S/8 bytes times each nonzero digit of f, S the rows so far."""
+    d = f.degree
+    base = np.zeros((m, _packed_width(m - 1, d)), np.uint8)
+    low = min(8, m)
+    base[:low, : _packed_width(low - 1, d)] = np.packbits(_digit_base(f, low), axis=1,
+                                                          bitorder="little")
+    # rows [S, 2S) are rows [0, S) times f(x^S).  Shifted by at most d*S
+    # digits, row r < S still ends in row r+S, so the rows go in as one run
+    # of bytes: what spills past a row's end, or is cut off the last, is zero.
+    flat, width, step = base.reshape(-1), base.shape[1], 8
+    while step < m:
+        hi = min(2 * step, m)
+        for s in (np.flatnonzero(f.coeffs) * (step // 8)).tolist():
+            flat[step * width + s : hi * width] ^= flat[: (hi - step) * width - s]
+        step *= 2
+    return base
+
+
+def _ones(bits: np.ndarray) -> np.ndarray:
+    """Positions of the nonzero digits of one packed row."""
+    return np.flatnonzero(np.unpackbits(bits, bitorder="little"))
 
 
 def count_coeff(f: FpPoly, k: int, alpha) -> int:
@@ -316,11 +448,12 @@ def cumulative_count(f: FpPoly, n: int, alpha) -> int:
     every n, the zero polynomial and p > 255, where count_coeff answers."""
     if n < 0:
         raise ValueError("row count must be >= 0")
-    if alpha != TOTAL:
-        _check_residue(f.p, alpha)
+    if alpha == TOTAL:
+        return int(row_counts(f, n).sum())
+    _check_residue(f.p, alpha)
     total = 0
     for _, block in row_blocks(f, n):
-        total += int(np.count_nonzero(block if alpha == TOTAL else block == alpha))
+        total += int(np.count_nonzero(block == alpha))
     return total
 
 

@@ -27,7 +27,7 @@ factor.
 
 There are at most p^(d+1) states and p*p maps, so MAX_TRANSFER_EDGES bounds
 p^(d+3) before anything is allocated; MAX_VERIFY_ROWS bounds the p^depth
-rows that verify_counts expands, and MAX_VERIFY_CELLS their p^depth
+rows that verify_counts counts, and MAX_VERIFY_CELLS their p^depth
 vectors over the states.
 
 Polynomials mod 2 that differ by the similarity moves (shifts by x^c,
@@ -49,13 +49,16 @@ import numpy as np
 
 from ._zzpoly import factor_int_poly, may_vanish, minimal_recurrence
 from .blocks import window_maps
-from .fpoly import FpPoly, format_poly, iter_rows, poly_pow, squarefree_parts
+from .fpoly import FpPoly, format_poly, poly_pow, row_counts, squarefree_parts
 from .linrep import LinearRepresentation
 
-# Degree 12 at p = 2 (5660 states, built in under a second); 1+x mod 13
-# (28561) takes about a second, while 1+x+x^2 mod 11 (161051) takes minutes.
+# The build is quick up to the cap, perron is not: willson of 1+x mod 13
+# (28561) answers in 0.45 s and of 1+x+x^11 (2703 states) in 23 s, while
+# perron of 1+x+x^12 (5660 states, the largest degree at p = 2) had not
+# finished after 26 min at 680 MB.  1+x+x^2 mod 11 (161051) is refused.
 MAX_TRANSFER_EDGES = 2**15
-# 2^14 rows at p = 2 take 0.2 to 0.7 s up to degree 6, 1.4 s for 1+x+x^9.
+# At depth 14 the count check takes 0.01 to 0.12 s up to degree 6 and 0.6 s
+# for 1+x+x^9, whose packed rows are counted in 0.1 s.
 MAX_VERIFY_ROWS = 2**14
 # p^depth per-row vectors of one int64 per state: 2^24 entries are 128 MB.
 # 1+x+x^12 (5660 states) fits at depth 10; at depth 14 its last level of
@@ -205,7 +208,7 @@ def verify_counts(sys: TransferSystem, depth: int) -> None:
         raise ValueError(
             f"depth {depth} mod {p} needs {p}^{depth} vectors of {n} states, "
             f"over MAX_VERIFY_CELLS = {MAX_VERIFY_CELLS}")
-    q = np.fromiter(map(np.count_nonzero, iter_rows(f, p**depth)), np.int64, p**depth)
+    q = row_counts(f, p**depth)
     cum = np.cumsum(q)  # cum[m] = r(m + 1), the nonzero digits of rows 0..m
     for k, got in enumerate(count_sequence(sys, depth + 1)):
         if got != cum[p**k - 1]:

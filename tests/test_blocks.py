@@ -773,23 +773,39 @@ def test_cuts_size_each_rows_expansion_on_its_own(monkeypatch):
 
 
 def test_fixpoint_refuses_a_round_before_merging_it(monkeypatch):
-    # a round concatenates the set it holds with its cuts; under a cap one
-    # byte below the largest such merge, that merge is refused unmade
+    # a round holds the set, its cuts, their concatenation and an 8-byte sort
+    # index per row at once; under a cap one byte below the largest round,
+    # that round is refused before its merge is made
     merges, concatenate = [], np.concatenate
 
     def recording(arrays, *args, **kwargs):
-        merges.append(sum(a.nbytes for a in arrays))
+        merges.append(2 * sum(a.nbytes for a in arrays) + 8 * sum(map(len, arrays)))
         return concatenate(arrays, *args, **kwargs)
 
     monkeypatch.setattr(np, "concatenate", recording)
     fix = blocks._Closure(QUADRATIC_5_POLY).fixpoint
     largest = max(merges)
-    assert largest > fix.nbytes
+    assert largest > 2 * fix.nbytes
     merges.clear()
     monkeypatch.setattr(blocks, "MAX_CELLS", largest - 1)
-    with pytest.raises(blocks.ClosureSizeError, match=f"the fixpoint would hold {largest} bytes"):
+    with pytest.raises(blocks.ClosureSizeError,
+                       match=f"a fixpoint round of .* would hold {largest} bytes"):
         blocks._Closure(QUADRATIC_5_POLY).fixpoint
     assert all(size < largest for size in merges)
+
+
+def test_fixpoint_round_counts_more_than_its_blocks(monkeypatch):
+    # the worst round of this cubic mod 7 holds 638 blocks and cuts 27293
+    # more, 139655 bytes of 5-blocks: under a cap of 150000 each array fits,
+    # but with the joined copy and the sort index the round does not
+    f = parse_poly("3+5x+16x^3", 7)
+    monkeypatch.setattr(blocks, "MAX_CELLS", 150_000)
+    with pytest.raises(blocks.ClosureSizeError,
+                       match="a fixpoint round of 638 held blocks and 27293 cuts "
+                             "would hold 502758 bytes"):
+        line_complexity_range(f, 4)
+    monkeypatch.setattr(blocks, "MAX_CELLS", 502_758)
+    assert line_complexity_range(f, 4) == [1, 7, 49, 343, 2251]
 
 
 @pytest.mark.parametrize("single_first", [True, False])

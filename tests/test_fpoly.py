@@ -7,6 +7,7 @@ poly_pow rows, binomial coefficients for 1+x, and a string join for PBM text.
 
 import math
 import tracemalloc
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -29,6 +30,7 @@ from polypow import (
     poly_pow,
     render_fractal,
     row_blocks,
+    row_counts,
     to_pbm,
 )
 from polypow import fpoly
@@ -359,6 +361,90 @@ def test_row_blocks_stay_under_the_cap_at_depth_14():
     assert rows == 2**14
     # Sierpinski: rows below 2^14 of 1+x hold 3^14 ones
     assert cumulative_count(FpPoly.make(2, [1, 1]), 2**14, TOTAL) == 3**14
+
+
+# f mod 2 of degree 0 to 9, the constant 1 and two with f(0) = 0 among them
+PACKED_CASES = [FpPoly.make(2, [1]), FpPoly.make(2, [0, 0, 0, 1]), FpPoly.make(2, [0, 1, 1])] + [
+    FpPoly.make(2, [int(c) for c in np.random.default_rng(d).integers(0, 2, d)] + [1])
+    for d in range(10)]
+
+
+@lru_cache(maxsize=None)
+def pow_row(f, k):
+    """Row k of f by poly_pow, which builds no row block."""
+    return poly_pow(f, k).coeffs
+
+
+def nonzero(row):
+    return len(row) - row.count(0)
+
+
+@pytest.mark.parametrize("cap", [2**23, 2**17, 2**10])
+def test_packed_rows_match_poly_pow(monkeypatch, cap):
+    # under the smaller caps a packed block holds 8 rows, and a block past
+    # the base is a slice of the base XORed in at byte shifts
+    monkeypatch.setattr(fpoly, "ROW_BLOCK_CELLS", cap)
+    for f in PACKED_CASES:
+        want = [pow_row(f, k) for k in range(100)]
+        for n in (*range(1, 10), 17, 100):
+            assert [tuple(row.tolist()) for row in iter_rows(f, n)] == want[:n]
+            counts = row_counts(f, n)
+            assert counts.dtype == np.int64 and counts.tolist() == list(map(nonzero, want[:n]))
+            assert cumulative_count(f, n, TOTAL) == sum(counts.tolist())
+    f = PACKED_CASES[-1]
+    if cap == 2**10:
+        assert fpoly._block_rows(f, 100) < 8
+        assert [start for start, _ in fpoly._packed_blocks(f, 100, 8)] == list(range(0, 100, 8))
+
+
+@pytest.mark.parametrize("cap", [2**23, 2**17])
+def test_packed_rows_match_poly_pow_at_many_blocks(monkeypatch, cap):
+    # every row against a schoolbook convolution, and the rows around each
+    # power of 2 and a few others against poly_pow
+    monkeypatch.setattr(fpoly, "ROW_BLOCK_CELLS", cap)
+    rng = np.random.default_rng(cap)
+    for f in (PACKED_CASES[0], PACKED_CASES[2], PACKED_CASES[8], PACKED_CASES[-1]):
+        for n in (1500, 4096):
+            sampled = {k for j in range(13) for k in (2**j - 1, 2**j, 2**j + 1) if k < n}
+            sampled |= {n - 1, *rng.integers(n, size=4).tolist()}
+            counts, want = row_counts(f, n), np.ones(1, np.int64)
+            assert counts.shape == (n,)
+            for k, row in enumerate(iter_rows(f, n)):
+                assert np.array_equal(row, want) and counts[k] == np.count_nonzero(want), k
+                if k in sampled:
+                    assert tuple(want.tolist()) == pow_row(f, k), k
+                want = np.convolve(want, f.coeffs) % 2
+            assert cumulative_count(f, n, TOTAL) == int(counts.sum())
+
+
+def test_row_counts_by_byte_table(monkeypatch):
+    # numpy before 2.0 has no bitwise_count, and the popcount reads a table
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    popcount = fpoly._pick_popcount()
+    assert popcount(np.arange(256, dtype=np.uint8)).tolist() == [bin(b).count("1") for b in range(256)]
+    monkeypatch.setattr(fpoly, "_popcount", popcount)
+    monkeypatch.setattr(fpoly, "ROW_BLOCK_CELLS", 2**10)
+    for f in PACKED_CASES:
+        want = [nonzero(pow_row(f, k)) for k in range(100)]
+        for n in (1, 9, 17, 100):
+            assert row_counts(f, n).tolist() == want[:n]
+            assert cumulative_count(f, n, TOTAL) == sum(want[:n])
+    f = PACKED_CASES[-1]
+    assert row_counts(f, 1500).tolist() == [np.count_nonzero(row) for row in schoolbook_rows(f, 1500)]
+
+
+def test_row_counts_at_odd_primes_and_refusals():
+    for p in (3, 5, 251):
+        f = FpPoly.make(p, [1, p - 1, 0, 2])
+        assert row_counts(f, 40).tolist() == [nonzero(poly_pow(f, k).coeffs) for k in range(40)]
+    nine = FpPoly.make(2, [1] + [0] * 8 + [1])
+    assert row_counts(nine, 0).tolist() == [] and cumulative_count(nine, 0, TOTAL) == 0
+    with pytest.raises(ValueError, match="row count"):
+        row_counts(FpPoly.make(2, [1, 1]), -1)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        row_counts(FpPoly.make(2, [0]), 4)
+    with pytest.raises(ValueError, match="p must be <= 255"):
+        row_counts(FpPoly.make(257, [1, 1]), 4)
 
 
 def join_pbm(bitmap):

@@ -390,7 +390,7 @@ def test_verify_counts_refuses_large_vector_stacks_before_expanding_rows(monkeyp
     def no_rows(*args):
         raise AssertionError("rows expanded before the refusal")
 
-    monkeypatch.setattr(willson, "iter_rows", no_rows)
+    monkeypatch.setattr(willson, "row_counts", no_rows)
     with pytest.raises(ValueError, match="MAX_VERIFY_CELLS"):
         verify_counts(big, 14)
     t0 = time.perf_counter()
